@@ -6,12 +6,14 @@ total stopping time and orbit peak, with -1 marking the rest. Each x
 in the range then only walks until its orbit drops below cache_len and
 the table finishes the job exactly.
 
-The walk is vectorized in int64 over fixed-size chunks. Lanes whose
-next step could leave int64 are evacuated to an exact big-integer
-scalar path, so correctness never depends on 64 bits being enough.
-Worker processes sweep disjoint chunks against read-only copies of the
-table; partial results are merged in range order, which makes reports
-independent of chunk size and worker count.
+One int64 lane kernel does every vectorized walk: it advances lanes
+until each drops below its stop value, the lane's own start while the
+table is built and cache_len in a chunk. Lanes whose next step could
+leave int64, and every lane of a chunk beyond the vector range, finish
+in one exact big-integer walker, so correctness never depends on 64
+bits being enough. Worker processes receive the table when they start
+and sweep disjoint chunks; partial results are merged in range order,
+which makes reports independent of chunk size and worker count.
 
 An optional cutoff (assume_verified_below) certifies a trajectory as
 soon as it drops strictly below already-verified territory. Record
@@ -25,7 +27,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -34,21 +36,18 @@ from .cycles import ClosedLoop, find_cycle
 from .dynamics import DEFAULT_STEP_BUDGET, MapVariant
 
 DENSE_CACHE_ENTRIES = 1 << 20
+# Larger tables are refused so that every table peak fits in int64: the
+# first start whose orbit peak exceeds 2^63 - 1 is 8,528,817,511 (a known
+# path record), above 2^32, and the default 2^20 table peaks at
+# 90,239,155,648.
+_MAX_CACHE_ENTRIES = 1 << 32
 
 # 3x+1 on a value above this would leave int64.
 _VALUE_LIMIT = (2**63 - 2) // 3
 # Ranges starting beyond this skip the vector path entirely.
 _RANGE_LIMIT = 2**62
-_I64_MAX = int(np.iinfo(np.int64).max)
 
 _TRIVIAL_LOOP = (1, 4, 2, 1)
-
-# Per-x classification inside a chunk. VERIFIED means exactly resolved
-# (steps and peak known); ASSUMED means certified only by the cutoff.
-_VERIFIED = 0
-_UNRESOLVED = 1
-_ASSUMED = 2
-_PENDING = 255
 
 
 class ConfigError(ValueError):
@@ -64,7 +63,6 @@ class VerifyConfig:
     chunk_size: int = 1 << 16
     worker_count: int | None = None
     dense_cache_entries: int = DENSE_CACHE_ENTRIES
-    skip_evens: bool = False
 
     def validated(self) -> "VerifyConfig":
         if not isinstance(self.range_lo, int) or self.range_lo < 1:
@@ -88,10 +86,9 @@ class VerifyConfig:
             not isinstance(self.worker_count, int) or self.worker_count < 1
         ):
             raise ConfigError(f"worker_count must be a positive integer, got {self.worker_count!r}")
-        if not isinstance(self.dense_cache_entries, int) or self.dense_cache_entries < 2:
-            raise ConfigError(
-                f"dense_cache_entries must be an integer >= 2, got {self.dense_cache_entries!r}"
-            )
+        entries = self.dense_cache_entries
+        if not isinstance(entries, int) or not 2 <= entries <= _MAX_CACHE_ENTRIES:
+            raise ConfigError(f"dense_cache_entries must be an integer in [2, 2^32], got {entries!r}")
         return self
 
     @property
@@ -195,127 +192,144 @@ def _best(candidates: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
 
 @dataclass
 class _ChunkStats:
-    lo: int
-    hi: int
-    verified: int = 0
-    unresolved: list[int] = field(default_factory=list)
-    max_steps: tuple[int, int] | None = None
-    max_peak: tuple[int, int] | None = None
+    verified: int
+    unresolved: list[int]
+    max_steps: tuple[int, int] | None
+    max_peak: tuple[int, int] | None
+
+
+# ---------------------------------------------------------------------------
+# Walkers
+
+
+def _walk_lanes(lo: int, hi: int, stop: int | None, budget: int, cutoff: int):
+    """Walk every start in [lo, hi] in int64 lockstep, one col-step per
+    round, until it drops strictly below stop (below its own start when
+    stop is None) or has taken budget steps. When hi is beyond
+    _RANGE_LIMIT, every start goes to _exact_walk instead.
+
+    Returns (landing, steps, peak, crossed, exact). The arrays are
+    indexed by x - lo: landing is -1 where the budget ran out, and
+    crossed marks orbits that went below cutoff. A lane whose next 3x+1
+    would leave int64 is finished by _exact_walk instead; exact maps its
+    start to that result, and its array slots keep their initial values.
+    """
+    n = hi - lo + 1
+    landing = np.full(n, -1, dtype=np.int64)
+    steps = np.zeros(n, dtype=np.int64)
+    peak = np.zeros(n, dtype=np.int64)
+    crossed = np.zeros(n, dtype=bool)
+    exact: dict[int, tuple[int, int, int, bool]] = {}
+    if hi > _RANGE_LIMIT:
+        for x in range(lo, hi + 1):
+            exact[x] = _exact_walk(x, x if stop is None else stop, 0, x, budget, cutoff, False)
+        return landing, steps, peak, crossed, exact
+    x0 = np.arange(lo, hi + 1, dtype=np.int64)
+    cur = x0.copy()
+    pk = x0.copy()
+    # Carried only when there is a cutoff, sparing the table build its upkeep.
+    cr = np.zeros(n, dtype=bool) if cutoff > 1 else None
+    r = 0
+    while x0.size:
+        done = cur < (x0 if stop is None else stop)
+        if done.any():
+            d = x0[done]
+            d -= lo
+            landing[d] = cur[done]
+            steps[d] = r
+            peak[d] = pk[done]
+            keep = ~done
+            x0, cur, pk = x0[keep], cur[keep], pk[keep]
+            if cr is not None:
+                crossed[d] = cr[done]
+                cr = cr[keep]
+        if r >= budget:
+            if cr is not None:
+                crossed[x0 - lo] = cr
+            break
+        odd = (cur & 1).astype(bool)
+        risky = odd & (cur > _VALUE_LIMIT)
+        if risky.any():
+            for j in np.nonzero(risky)[0]:
+                x = int(x0[j])
+                exact[x] = _exact_walk(
+                    int(cur[j]), x if stop is None else stop, r, int(pk[j]),
+                    budget, cutoff, cr is not None and bool(cr[j]),
+                )
+            keep = ~risky
+            x0, cur, pk, odd = x0[keep], cur[keep], pk[keep], odd[keep]
+            if cr is not None:
+                cr = cr[keep]
+        # 3*cur+1 wraps harmlessly on large even lanes; where() discards it.
+        cur = np.where(odd, 3 * cur + 1, cur >> 1)
+        r += 1
+        np.maximum(pk, cur, out=pk)
+        if cr is not None:
+            cr |= cur < cutoff
+    return landing, steps, peak, crossed, exact
+
+
+def _exact_walk(c: int, stop: int, r: int, p: int, budget: int, cutoff: int, crossed: bool):
+    """Continue one lane with exact integers from value c, r steps taken
+    and peak p, under the rules of _walk_lanes. Returns (landing, steps,
+    peak, crossed), landing -1 if the budget ran out."""
+    while c >= stop:
+        if r >= budget:
+            return -1, r, p, crossed
+        c = c // 2 if c % 2 == 0 else 3 * c + 1
+        r += 1
+        if c > p:
+            p = c
+        if c < cutoff:
+            crossed = True
+    return c, r, p, crossed
 
 
 # ---------------------------------------------------------------------------
 # Dense memo table
 
 
-def _scalar_glide(c: int, v0: int, s: int, p: int, budget: int) -> tuple[int, int, int]:
-    """Continue a glide with exact integers until it drops below v0.
-    Returns (landing, steps, peak), landing -1 if the budget ran out."""
-    while c >= v0:
-        if s >= budget:
-            return -1, s, p
-        c = c // 2 if c % 2 == 0 else 3 * c + 1
-        s += 1
-        if c > p:
-            p = c
-    return c, s, p
-
-
 def _build_cache(cache_len: int, step_budget: int):
     """Exact (total steps to 1, orbit peak) for every x in [1, cache_len).
 
-    Phase one walks all entries in vectorized lockstep until each drops
-    strictly below its own start, recording the glide's landing, length
-    and peak. Phase two contracts glide chains by pointer doubling, so
-    the whole table costs O(n log n) array operations. Entries that
-    exhaust the budget keep the sentinel -1.
+    Phase one walks every entry until it drops strictly below its own
+    start, recording the glide's landing, length and peak. Phase two
+    contracts glide chains by pointer doubling, so the whole table costs
+    O(n log n) array operations. Entries that exhaust the budget keep
+    the sentinel -1 for steps and 0 for peak.
     """
-    steps = np.full(cache_len, -1, dtype=np.int64)
-    peak = np.zeros(cache_len, dtype=np.int64)
-    if cache_len > 1:
-        steps[1] = 0
-        peak[1] = 1
-    if cache_len <= 2:
-        return steps, peak
+    landing, glide_steps, glide_peak, _, exact = _walk_lanes(2, cache_len - 1, None, step_budget, 1)
+    # Entry 0 never resolves; entry 1 is its own landing.
+    t = np.concatenate(([-1, 1], landing))
+    ts = np.concatenate(([0, 0], glide_steps))
+    tp = np.concatenate(([0, 1], glide_peak))
+    del landing, glide_steps, glide_peak  # lowers the build's peak memory
+    for v, (land, s, p, _) in exact.items():
+        # The size cap keeps p within int64; numpy raises if it is not.
+        t[v], ts[v], tp[v] = land, s, p
 
-    drop_to = np.full(cache_len, -1, dtype=np.int64)
-    glide_steps = np.zeros(cache_len, dtype=np.int64)
-    glide_peak = np.zeros(cache_len, dtype=np.int64)
-    drop_to[1] = 1
-    glide_peak[1] = 1
-
-    idx = np.arange(2, cache_len, dtype=np.int64)
-    cur = idx.copy()
-    pk = idx.copy()
-    big: dict[int, tuple[int, int, int]] = {}
-    rounds = 0
-    while idx.size and rounds < step_budget:
-        odd = (cur & 1).astype(bool)
-        risky = odd & (cur > _VALUE_LIMIT)
-        if risky.any():
-            for j in np.nonzero(risky)[0]:
-                v0 = int(idx[j])
-                big[v0] = _scalar_glide(int(cur[j]), v0, rounds, int(pk[j]), step_budget)
-            keep = ~risky
-            idx, cur, pk = idx[keep], cur[keep], pk[keep]
-            if not idx.size:
-                break
-            odd = (cur & 1).astype(bool)
-        # 3*cur+1 wraps harmlessly on large even lanes; where() discards it.
-        cur = np.where(odd, 3 * cur + 1, cur >> 1)
-        rounds += 1
-        np.maximum(pk, cur, out=pk)
-        done = cur < idx
-        if done.any():
-            d = idx[done]
-            drop_to[d] = cur[done]
-            glide_steps[d] = rounds
-            glide_peak[d] = pk[done]
-            keep = ~done
-            idx, cur, pk = idx[keep], cur[keep], pk[keep]
-
-    if big:
-        if any(p > _I64_MAX for (_c, _s, p) in big.values()):
-            glide_peak = glide_peak.astype(object)
-        for v0, (landing, s, p) in big.items():
-            drop_to[v0] = landing
-            glide_steps[v0] = s
-            glide_peak[v0] = p
-
-    # Pointer doubling: (glide_steps, glide_peak) always describe the
-    # path from v to drop_to[v]; each pass composes every live chain
-    # with its target's chain simultaneously. Gathers happen before
-    # scatters, so a pass is a true parallel jump.
-    t = drop_to
-    ts = glide_steps
-    tp = glide_peak
-    while True:
-        live = t > 1
-        if not live.any():
-            break
-        lv = np.nonzero(live)[0]
+    # Pointer doubling: (ts, tp) always describe the path from v to
+    # t[v]; each pass composes every live chain with its target's chain
+    # simultaneously. Gathers happen before scatters, so a pass is a
+    # true parallel jump. Chains ending at 1 or -1 are done.
+    lv = np.flatnonzero(t > 1)
+    while lv.size:
         tv = t[lv]
-        nt = t[tv]
-        add_s = ts[tv]
-        add_p = tp[tv]
+        nt, add_s, add_p = t[tv], ts[tv], tp[tv]
         ts[lv] = ts[lv] + add_s
         tp[lv] = np.maximum(tp[lv], add_p)
-        t[lv] = np.where(nt == -1, -1, nt)
+        t[lv] = nt
+        lv = np.flatnonzero(t > 1)
 
     ok = t == 1
-    steps = np.where(ok, ts, np.int64(-1))
-    peak = np.where(ok, tp, 0 if tp.dtype == object else np.int64(0))
-    steps[0] = -1
-    if cache_len > 1:
-        steps[1] = 0
-        peak[1] = 1
-    return steps, peak
+    return np.where(ok, ts, -1), np.where(ok, tp, 0)
 
 
 _cache_slot: tuple | None = None
 
 
 def _cache_for(cache_len: int, step_budget: int):
-    """Single-slot memo so repeated sweeps and forked workers reuse the
+    """Single-slot memo so repeated sweeps in one process reuse the
     table instead of rebuilding it."""
     global _cache_slot
     key = (cache_len, step_budget)
@@ -328,189 +342,59 @@ def _cache_for(cache_len: int, step_budget: int):
 # Chunk sweeps
 
 
-def _scalar_finish(c, r, p, budget, cutoff, crossed, cache_steps, cache_peak):
-    """Finish one trajectory with exact integers from state (value c,
-    steps so far r, peak p). Returns (status, steps or -1, peak)."""
-    cache_len = len(cache_steps)
-    while True:
-        if c < cache_len:
-            cs = int(cache_steps[c])
-            if cs >= 0:
-                return _VERIFIED, r + cs, max(p, int(cache_peak[c]))
-            return (_ASSUMED if crossed or c < cutoff else _UNRESOLVED), -1, p
-        if r >= budget:
-            return (_ASSUMED if crossed else _UNRESOLVED), -1, p
-        c = c // 2 if c % 2 == 0 else 3 * c + 1
-        r += 1
-        if c > p:
-            p = c
-        if c < cutoff:
-            crossed = True
-
-
-def _reduce_scalar(results, lo, hi):
-    """Fold per-x (status, steps, peak) into _ChunkStats, x ascending."""
-    st = _ChunkStats(lo, hi)
+def _sweep_chunk(lo, hi, budget, cutoff, cache_steps, cache_peak):
+    """Classify every x in [lo, hi] against the memo table."""
+    landing, steps, peak, crossed, exact = _walk_lanes(lo, hi, len(cache_steps), budget, cutoff)
+    # One reduction for both kinds of result. A lane is verified when it
+    # landed on a resolved table entry, certified by the cutoff alone
+    # when it crossed the cutoff, and unresolved otherwise. Lanes are
+    # offsets from lo, which fit int64 whatever lo is; the slots of exact
+    # lanes are never written, so only vec is needed to skip them.
+    vec = np.ones(hi - lo + 1, dtype=bool)
+    vec[[x - lo for x in exact]] = False
+    # A landing of -1 indexes the last entry; where() discards it.
+    tail = np.where(landing >= 0, cache_steps[landing], -1)
+    ok = tail >= 0
+    certified = ok | crossed
+    verified = int(np.count_nonzero(certified))
+    unresolved = [lo + j for j in np.flatnonzero(~certified & vec).tolist()]
     steps_cands = []
     peak_cands = []
-    for x, (status, steps, peak) in results:
-        if status == _UNRESOLVED:
-            st.unresolved.append(x)
+    if ok.any():
+        # argmax keeps the first, so the smallest x among ties.
+        total = np.where(ok, steps + tail, -1)
+        j = int(np.argmax(total))
+        steps_cands.append((int(total[j]), lo + j))
+        top = np.where(ok, np.maximum(peak, cache_peak[landing]), -1)
+        j = int(np.argmax(top))
+        peak_cands.append((int(top[j]), lo + j))
+    for x, (land, s, p, cr) in exact.items():
+        cs = int(cache_steps[land]) if land >= 0 else -1
+        if cs >= 0:
+            steps_cands.append((s + cs, x))
+            peak_cands.append((max(p, int(cache_peak[land])), x))
+        elif not cr:
+            unresolved.append(x)
             continue
-        st.verified += 1
-        if status == _VERIFIED:
-            steps_cands.append((steps, x))
-            peak_cands.append((peak, x))
-    st.max_steps = _best(steps_cands)
-    st.max_peak = _best(peak_cands)
-    return st
-
-
-def _sweep_chunk_scalar(lo, hi, budget, cutoff, skip_evens, cache_steps, cache_peak):
-    results = []
-    by_x = {}
-    for x in range(lo, hi + 1):
-        if skip_evens and x % 2 == 0 and x // 2 >= lo and x >= len(cache_steps):
-            status, steps, peak = by_x[x // 2]
-            out = (status, steps + 1 if steps >= 0 else -1, max(x, peak))
-        else:
-            out = _scalar_finish(x, 0, x, budget, cutoff, False, cache_steps, cache_peak)
-        by_x[x] = out
-        results.append((x, out))
-    return _reduce_scalar(results, lo, hi)
-
-
-def _sweep_chunk(lo, hi, budget, cutoff, skip_evens, cache_steps, cache_peak):
-    """Classify every x in [lo, hi] against the memo table."""
-    if hi > _RANGE_LIMIT or cache_peak.dtype == object:
-        return _sweep_chunk_scalar(lo, hi, budget, cutoff, skip_evens, cache_steps, cache_peak)
-
-    cache_len = len(cache_steps)
-    n = hi - lo + 1
-    x = np.arange(lo, hi + 1, dtype=np.int64)
-    status = np.full(n, _PENDING, dtype=np.uint8)
-    steps_arr = np.full(n, -1, dtype=np.int64)
-    peak_arr = np.zeros(n, dtype=np.int64)
-    big_peaks: dict[int, int] = {}  # chunk offset -> exact peak beyond int64
-
-    low = x < cache_len
-    if low.any():
-        xv = x[low]
-        cs = cache_steps[xv]
-        ok = cs >= 0
-        status[low] = np.where(ok, _VERIFIED, _UNRESOLVED).astype(np.uint8)
-        steps_arr[low] = cs
-        peak_arr[low] = np.where(ok, cache_peak[xv], 0)
-
-    lanes = np.nonzero(~low)[0]
-    deferred = np.empty(0, dtype=np.intp)
-    if skip_evens and lanes.size:
-        lx = x[lanes]
-        defer = ((lx & 1) == 0) & ((lx >> 1) >= lo)
-        deferred = lanes[defer]
-        lanes = lanes[~defer]
-
-    if lanes.size:
-        offs = lanes
-        cur = x[offs].copy()
-        pk = cur.copy()
-        crossed = np.zeros(offs.size, dtype=bool)
-        track_cross = cutoff > 1
-        r = 0
-        while offs.size:
-            if r >= budget:
-                status[offs] = np.where(crossed, _ASSUMED, _UNRESOLVED).astype(np.uint8)
-                break
-            odd = (cur & 1).astype(bool)
-            risky = odd & (cur > _VALUE_LIMIT)
-            if risky.any():
-                for j in np.nonzero(risky)[0]:
-                    off = int(offs[j])
-                    s, steps, peak = _scalar_finish(
-                        int(cur[j]), r, int(pk[j]), budget, cutoff,
-                        bool(crossed[j]), cache_steps, cache_peak,
-                    )
-                    status[off] = s
-                    if s == _VERIFIED:
-                        steps_arr[off] = steps
-                        if peak > _I64_MAX:
-                            big_peaks[off] = peak
-                            peak_arr[off] = _I64_MAX
-                        else:
-                            peak_arr[off] = peak
-                keep = ~risky
-                offs, cur, pk, crossed = offs[keep], cur[keep], pk[keep], crossed[keep]
-                if not offs.size:
-                    break
-                odd = (cur & 1).astype(bool)
-            # 3*cur+1 wraps harmlessly on large even lanes; where() discards it.
-            cur = np.where(odd, 3 * cur + 1, cur >> 1)
-            r += 1
-            np.maximum(pk, cur, out=pk)
-            if track_cross:
-                crossed |= cur < cutoff
-            done = cur < cache_len
-            if done.any():
-                doffs = offs[done]
-                landing = cur[done]
-                cs = cache_steps[landing]
-                ok = cs >= 0
-                fallback = np.where(crossed[done], _ASSUMED, _UNRESOLVED)
-                status[doffs] = np.where(ok, _VERIFIED, fallback).astype(np.uint8)
-                steps_arr[doffs] = np.where(ok, r + cs, -1)
-                peak_arr[doffs] = np.where(ok, np.maximum(pk[done], cache_peak[landing]), 0)
-                keep = ~done
-                offs, cur, pk, crossed = offs[keep], cur[keep], pk[keep], crossed[keep]
-
-    # Deferred evens inherit from their half, one halving per pass.
-    rem = deferred
-    while rem.size:
-        src = ((x[rem] >> 1) - lo).astype(np.intp)
-        ready = status[src] != _PENDING
-        cur_offs = rem[ready]
-        s = src[ready]
-        st = status[s]
-        ok = st == _VERIFIED
-        status[cur_offs] = st
-        steps_arr[cur_offs] = np.where(ok, steps_arr[s] + 1, -1)
-        peak_arr[cur_offs] = np.where(ok, np.maximum(x[cur_offs], peak_arr[s]), 0)
-        for o, so in zip(cur_offs[ok], s[ok]):
-            if int(so) in big_peaks:
-                big_peaks[int(o)] = max(int(x[o]), big_peaks[int(so)])
-        rem = rem[~ready]
-
-    stats = _ChunkStats(int(lo), int(hi))
-    certified = (status == _VERIFIED) | (status == _ASSUMED)
-    stats.verified = int(np.count_nonzero(certified))
-    stats.unresolved = [int(v) for v in x[status == _UNRESOLVED]]
-
-    exact = status == _VERIFIED
-    if exact.any():
-        masked = np.where(exact, steps_arr, -1)
-        j = int(np.argmax(masked))
-        if masked[j] >= 0:
-            stats.max_steps = (int(masked[j]), int(x[j]))
-        # Saturated entries carry their exact value in big_peaks.
-        masked = np.where(exact & (peak_arr != _I64_MAX), peak_arr, -1)
-        j = int(np.argmax(masked))
-        cands = [] if masked[j] < 0 else [(int(masked[j]), int(x[j]))]
-        cands.extend((v, int(x[off])) for off, v in big_peaks.items())
-        stats.max_peak = _best(cands)
-    return stats
+        verified += 1
+    return _ChunkStats(verified, sorted(unresolved), _best(steps_cands), _best(peak_cands))
 
 
 # ---------------------------------------------------------------------------
 # Drivers
 
+_worker_table: tuple | None = None
 
-def _worker_init(cache_len: int, step_budget: int):
-    _cache_for(cache_len, step_budget)
+
+def _worker_init(cache_steps, cache_peak):
+    """Pool initializer: keep the table the parent handed over, so no
+    start method makes a worker rebuild it."""
+    global _worker_table
+    _worker_table = (cache_steps, cache_peak)
 
 
 def _worker_sweep(args):
-    lo, hi, budget, cutoff, skip_evens, cache_len = args
-    cache_steps, cache_peak = _cache_for(cache_len, budget)
-    return _sweep_chunk(lo, hi, budget, cutoff, skip_evens, cache_steps, cache_peak)
+    return _sweep_chunk(*args, *_worker_table)
 
 
 def verify_range(config: VerifyConfig) -> VerifyReport:
@@ -519,35 +403,23 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
     Certification means the trajectory reached 1 or dropped strictly
     below assume_verified_below. Record statistics are taken only over
     trajectories resolved exactly, so they are identical regardless of
-    chunking, worker count, or the even-skip shortcut.
+    chunking or worker count.
     """
     cfg = config.validated()
     t0 = time.perf_counter()
     cache_len = max(2, min(cfg.dense_cache_entries, cfg.range_hi + 1))
-    cache_steps, cache_peak = _cache_for(cache_len, cfg.step_budget)
+    table = _cache_for(cache_len, cfg.step_budget)
 
-    chunks = [
-        (lo, min(lo + cfg.chunk_size - 1, cfg.range_hi))
+    jobs = [
+        (lo, min(lo + cfg.chunk_size - 1, cfg.range_hi), cfg.step_budget, cfg.assume_verified_below)
         for lo in range(cfg.range_lo, cfg.range_hi + 1, cfg.chunk_size)
     ]
-    workers = min(cfg.resolved_worker_count, len(chunks))
+    workers = min(cfg.resolved_worker_count, len(jobs))
     if workers <= 1:
-        parts = [
-            _sweep_chunk(
-                lo, hi, cfg.step_budget, cfg.assume_verified_below,
-                cfg.skip_evens, cache_steps, cache_peak,
-            )
-            for lo, hi in chunks
-        ]
+        parts = [_sweep_chunk(*job, *table) for job in jobs]
     else:
-        jobs = [
-            (lo, hi, cfg.step_budget, cfg.assume_verified_below, cfg.skip_evens, cache_len)
-            for lo, hi in chunks
-        ]
         with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(cache_len, cfg.step_budget),
+            max_workers=workers, initializer=_worker_init, initargs=table
         ) as pool:
             parts = list(pool.map(_worker_sweep, jobs))
 

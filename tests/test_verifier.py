@@ -1,10 +1,19 @@
 import json
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import collatzkit
 import collatzkit.verifier as verifier_mod
 from collatzkit import (
+    DEFAULT_STEP_BUDGET,
     ConfigError,
     RecordStat,
     VerifyConfig,
@@ -107,13 +116,6 @@ def test_dense_cache_threshold_independence():
         assert got == reference
 
 
-def test_skip_evens_same_converged_set():
-    plain = verify_range(VerifyConfig(1, 100_000))
-    skipped = verify_range(VerifyConfig(1, 100_000, skip_evens=True))
-    assert skipped.payload() == plain.payload()
-    assert skipped.unresolved == plain.unresolved == ()
-
-
 def test_cutoff_equivalence_with_naive_run():
     # ascending blocks, each assuming everything below it is certified
     naive = verify_range(VerifyConfig(1, 100_000))
@@ -206,18 +208,98 @@ def test_range_beyond_vector_path():
 
 
 def test_forced_escalation_paths_agree(monkeypatch):
-    cfg = VerifyConfig(1, 3000, dense_cache_entries=64)
-    base = verify_range(cfg).payload()
+    # vector, forced escalation, and forced all-exact runs, at the default
+    # budget and at small budgets with and without a cutoff
+    for cfg in (
+        VerifyConfig(1, 3000, dense_cache_entries=64),
+        VerifyConfig(1000, 5000, step_budget=40, assume_verified_below=1000, dense_cache_entries=64),
+        VerifyConfig(1000, 5000, step_budget=40, dense_cache_entries=4096),
+        VerifyConfig(1, 3000, step_budget=25, dense_cache_entries=2),
+    ):
+        base = verify_range(cfg).payload()
+        with monkeypatch.context() as patch:
+            verifier_mod._cache_slot = None
+            patch.setattr(verifier_mod, "_VALUE_LIMIT", 10)
+            assert verify_range(cfg).payload() == base
 
-    verifier_mod._cache_slot = None
-    monkeypatch.setattr(verifier_mod, "_VALUE_LIMIT", 10)
-    assert verify_range(cfg).payload() == base
+            verifier_mod._cache_slot = None
+            patch.setattr(verifier_mod, "_RANGE_LIMIT", 0)
+            assert verify_range(cfg).payload() == base
+        verifier_mod._cache_slot = None
 
-    verifier_mod._cache_slot = None
-    monkeypatch.setattr(verifier_mod, "_RANGE_LIMIT", 0)
-    assert verify_range(cfg).payload() == base
 
-    verifier_mod._cache_slot = None
+FORKSERVER_SWEEP = """
+import json
+import multiprocessing
+
+from collatzkit import VerifyConfig, verify_range
+
+cfg = VerifyConfig(1 << 20, (1 << 20) + 4 * 4096 - 1, chunk_size=4096, worker_count=2)
+for method in ("fork", "forkserver"):
+    multiprocessing.set_start_method(method, force=True)
+    print(json.dumps(verify_range(cfg).payload()))
+"""
+
+
+@pytest.mark.skipif(
+    not {"fork", "forkserver"} <= set(multiprocessing.get_all_start_methods()),
+    reason="needs the fork and forkserver start methods",
+)
+def test_forkserver_workers_get_the_table():
+    # workers started by forkserver share no memory with the parent, so
+    # they sweep with the table handed to them at start-up
+    package_root = Path(collatzkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-c", FORKSERVER_SWEEP],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fork, forkserver = proc.stdout.splitlines()
+    assert json.loads(forkserver) == json.loads(fork)
+    assert json.loads(fork)["verified_count"] == 4 * 4096
+
+
+@st.composite
+def sweep_cases(draw):
+    lo = draw(st.integers(1, 50_000))
+    size = draw(st.integers(1, 1500))
+    # a chunk count, not a chunk size: 1-start chunks cost ~0.5 ms each
+    chunks = draw(st.integers(1, 16))
+    return {
+        "range_lo": lo,
+        "range_hi": lo + size - 1,
+        "step_budget": draw(st.one_of(st.integers(1, 120), st.just(DEFAULT_STEP_BUDGET))),
+        "assume_verified_below": draw(st.integers(1, lo)),
+        "dense_cache_entries": draw(st.integers(2, 4096)),
+        "chunk_size": -(-size // chunks),
+        "worker_count": 1,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sweep_cases(), other_table=st.integers(2, 4096))
+def test_verifier_contract_property(case, other_table):
+    size = case["range_hi"] - case["range_lo"] + 1
+    budget = case["step_budget"]
+    report = verify_range(VerifyConfig(**case))
+    payload = report.payload()
+    assert report.verified_count + len(report.unresolved) == size
+    assert verify_range(VerifyConfig(**{**case, "chunk_size": size})).payload() == payload
+    if report.max_total_stopping_time is not None:
+        rec = report.max_total_stopping_time
+        assert rec.value == total_stopping_time(rec.argmax)
+    if report.max_excursion is not None:
+        rec = report.max_excursion
+        # the orbit of 1 classifies as the 1-4-2-1 loop; the sweep stops at 1
+        expected = 1 if rec.argmax == 1 else classify_trajectory(rec.argmax).max_excursion
+        assert rec.value == expected
+    for x in report.unresolved:
+        steps = total_stopping_time(x)
+        assert steps is None or steps > budget
+    if budget == DEFAULT_STEP_BUDGET:
+        other = VerifyConfig(**{**case, "dense_cache_entries": other_table})
+        assert verify_range(other).payload() == payload
 
 
 def test_merge_reproduces_single_run():
@@ -305,6 +387,7 @@ def test_config_errors_name_fields():
         (VerifyConfig(1, 5, chunk_size=0), "chunk_size"),
         (VerifyConfig(1, 5, worker_count=0), "worker_count"),
         (VerifyConfig(1, 5, dense_cache_entries=1), "dense_cache_entries"),
+        (VerifyConfig(1, 5, dense_cache_entries=2**32 + 1), "dense_cache_entries"),
     ]
     for config, fragment in cases:
         with pytest.raises(ConfigError) as info:
