@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .dynamics import DomainError, _as_positive
@@ -29,6 +31,9 @@ class Edge(NamedTuple):
     src: int
     dst: int
     label: BranchLabel
+
+
+_SRC = attrgetter("src")
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,11 @@ class ResidueClass:
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Labeled digraph on residues 0..modulus-1, edges sorted and deduplicated."""
+    """Labeled digraph on residues 0..modulus-1, edges sorted and deduplicated.
+
+    Edges are sorted by (src, dst, branch), so the out-edges of a vertex
+    form one contiguous run; edges_from finds it by bisection.
+    """
 
     modulus: int
     edges: tuple[Edge, ...]
@@ -63,7 +72,8 @@ class TransitionGraph:
 
     def edges_from(self, residue: int) -> tuple[Edge, ...]:
         _check_residue(self.modulus, residue)
-        return tuple(e for e in self.edges if e.src == residue)
+        lo = bisect_left(self.edges, residue, key=_SRC)
+        return self.edges[lo:bisect_right(self.edges, residue, lo=lo, key=_SRC)]
 
 
 def _check_modulus(modulus) -> int:
@@ -132,7 +142,8 @@ def edge_witness(graph: TransitionGraph, edge: Edge) -> int:
     """
     m = graph.modulus
     want_odd = edge.label is BranchLabel.TRIPLE
-    for x in range(1, 10 * m + 1):
+    for x in range(edge.src or m, 10 * m + 1, m):
+        # the class test only matters for a src outside [0, m)
         if x % m != edge.src or x % 2 != want_odd:
             continue
         y = 3 * x + 1 if want_odd else x // 2
@@ -145,7 +156,7 @@ def strongly_connected_components(graph: TransitionGraph) -> list[list[int]]:
     """Tarjan's algorithm, iterative. Components are returned with
     members ascending, ordered by their minimum vertex."""
     m = graph.modulus
-    adj = [sorted({e.dst for e in graph.edges if e.src == v}) for v in range(m)]
+    adj = [sorted({e.dst for e in graph.edges_from(v)}) for v in range(m)]
     index = [-1] * m
     low = [0] * m
     on_stack = [False] * m

@@ -12,7 +12,7 @@ table is built and cache_len in a chunk. Lanes whose next step could
 leave int64, and every lane of a chunk beyond the vector range, finish
 in one exact big-integer walker, so correctness never depends on 64
 bits being enough. Worker processes receive the table when they start
-and sweep disjoint chunks; partial results are merged in range order,
+and sweep disjoint chunks; each chunk's report is merged by merge_reports,
 which makes reports independent of chunk size and worker count.
 
 An optional cutoff (assume_verified_below) certifies a trajectory as
@@ -27,7 +27,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -121,11 +121,10 @@ class VerifyReport:
     max_total_stopping_time: RecordStat | None
     max_excursion: RecordStat | None
     wall_time: float
-    throughput: float
 
     @classmethod
     def empty(cls) -> "VerifyReport":
-        return cls((), 0, (), (), None, None, 0.0, 0.0)
+        return cls((), 0, (), (), None, None, 0.0)
 
     @property
     def range(self) -> tuple[int, int] | None:
@@ -136,6 +135,11 @@ class VerifyReport:
     @property
     def covered_count(self) -> int:
         return sum(hi - lo + 1 for lo, hi in self.segments)
+
+    @property
+    def throughput(self) -> float:
+        """Covered starts per second; the covered count when wall_time is 0."""
+        return self.covered_count / self.wall_time if self.wall_time > 0 else float(self.covered_count)
 
     def payload(self) -> dict:
         """Semantic content, excluding timing. Two sweeps of the same
@@ -152,14 +156,11 @@ class VerifyReport:
     def to_json(self) -> str:
         data = {
             "range": list(self.range) if self.range else None,
-            "verified_count": self.verified_count,
-            "unresolved": list(self.unresolved),
-            "cycles_found": [list(c.values) for c in self.cycles_found],
-            "max_total_stopping_time": _stat_dict(self.max_total_stopping_time),
-            "max_excursion": _stat_dict(self.max_excursion),
+            **self.payload(),
             "wall_time": self.wall_time * 1000.0,
             "throughput": self.throughput,
         }
+        del data["segments"]
         return json.dumps(data, separators=(",", ":"))
 
     def to_csv(self) -> str:
@@ -181,21 +182,19 @@ def _stat_dict(stat: RecordStat | None) -> dict | None:
     return {"value": stat.value, "argmax": stat.argmax}
 
 
-def _best(candidates: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
+def _best(candidates: Iterable[tuple[int, int]]) -> RecordStat | None:
     """Largest value wins; ties go to the smaller argmax."""
-    best = None
-    for value, argmax in candidates:
-        if best is None or value > best[0] or (value == best[0] and argmax < best[1]):
-            best = (value, argmax)
-    return best
+    best = max(candidates, key=lambda c: (c[0], -c[1]), default=None)
+    return None if best is None else RecordStat(*best)
 
 
-@dataclass
-class _ChunkStats:
-    verified: int
-    unresolved: list[int]
-    max_steps: tuple[int, int] | None
-    max_peak: tuple[int, int] | None
+def _distinct_loops(loops: Iterable[ClosedLoop | None]) -> tuple[ClosedLoop, ...]:
+    """Each non-trivial loop once, ordered by period and then values."""
+    unique: dict[tuple[int, ...], ClosedLoop] = {}
+    for loop in loops:
+        if loop is not None and loop.values != _TRIVIAL_LOOP:
+            unique.setdefault(loop.values, loop)
+    return tuple(sorted(unique.values(), key=lambda c: (c.period, c.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +324,36 @@ def _build_cache(cache_len: int, step_budget: int):
     return np.where(ok, ts, -1), np.where(ok, tp, 0)
 
 
+# ((cache_len, step_budget), (cache_steps, cache_peak)): the parent's
+# memo, and in each pool worker the parent's table installed at start-up.
 _cache_slot: tuple | None = None
 
 
-def _cache_for(cache_len: int, step_budget: int):
+def _install_table(slot: tuple) -> None:
+    """Pool initializer: keep the table the parent handed over, so no
+    start method makes a worker rebuild it."""
+    global _cache_slot
+    _cache_slot = slot
+
+
+def _cache_for(cache_len: int, step_budget: int) -> tuple:
     """Single-slot memo so repeated sweeps in one process reuse the
     table instead of rebuilding it."""
-    global _cache_slot
     key = (cache_len, step_budget)
     if _cache_slot is None or _cache_slot[0] != key:
-        _cache_slot = (key, _build_cache(cache_len, step_budget))
-    return _cache_slot[1]
+        _install_table((key, _build_cache(cache_len, step_budget)))
+    return _cache_slot
 
 
 # ---------------------------------------------------------------------------
 # Chunk sweeps
 
 
-def _sweep_chunk(lo, hi, budget, cutoff, cache_steps, cache_peak):
-    """Classify every x in [lo, hi] against the memo table."""
+def _sweep_chunk(job: tuple[int, int, int, int]) -> VerifyReport:
+    """Classify every x in [lo, hi] against the installed memo table and
+    report on the chunk alone, cycle search included."""
+    lo, hi, budget, cutoff = job
+    cache_steps, cache_peak = _cache_slot[1]
     landing, steps, peak, crossed, exact = _walk_lanes(lo, hi, len(cache_steps), budget, cutoff)
     # One reduction for both kinds of result. A lane is verified when it
     # landed on a resolved table entry, certified by the cutoff alone
@@ -377,24 +387,20 @@ def _sweep_chunk(lo, hi, budget, cutoff, cache_steps, cache_peak):
             unresolved.append(x)
             continue
         verified += 1
-    return _ChunkStats(verified, sorted(unresolved), _best(steps_cands), _best(peak_cands))
+    unresolved.sort()
+    return VerifyReport(
+        segments=((lo, hi),),
+        verified_count=verified,
+        unresolved=tuple(unresolved),
+        cycles_found=_distinct_loops(find_cycle(u, MapVariant.STANDARD, budget) for u in unresolved),
+        max_total_stopping_time=_best(steps_cands),
+        max_excursion=_best(peak_cands),
+        wall_time=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Drivers
-
-_worker_table: tuple | None = None
-
-
-def _worker_init(cache_steps, cache_peak):
-    """Pool initializer: keep the table the parent handed over, so no
-    start method makes a worker rebuild it."""
-    global _worker_table
-    _worker_table = (cache_steps, cache_peak)
-
-
-def _worker_sweep(args):
-    return _sweep_chunk(*args, *_worker_table)
 
 
 def verify_range(config: VerifyConfig) -> VerifyReport:
@@ -402,13 +408,14 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
 
     Certification means the trajectory reached 1 or dropped strictly
     below assume_verified_below. Record statistics are taken only over
-    trajectories resolved exactly, so they are identical regardless of
-    chunking or worker count.
+    trajectories resolved exactly. Each chunk's report, made by the same
+    job in the parent or a pool worker, goes to merge_reports, so the
+    payload is identical regardless of chunking or worker count.
     """
     cfg = config.validated()
     t0 = time.perf_counter()
     cache_len = max(2, min(cfg.dense_cache_entries, cfg.range_hi + 1))
-    table = _cache_for(cache_len, cfg.step_budget)
+    slot = _cache_for(cache_len, cfg.step_budget)
 
     jobs = [
         (lo, min(lo + cfg.chunk_size - 1, cfg.range_hi), cfg.step_budget, cfg.assume_verified_below)
@@ -416,84 +423,38 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
     ]
     workers = min(cfg.resolved_worker_count, len(jobs))
     if workers <= 1:
-        parts = [_sweep_chunk(*job, *table) for job in jobs]
+        parts = [_sweep_chunk(job) for job in jobs]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=table
+            max_workers=workers, initializer=_install_table, initargs=(slot,)
         ) as pool:
-            parts = list(pool.map(_worker_sweep, jobs))
-
-    verified = sum(p.verified for p in parts)
-    unresolved: list[int] = []
-    for p in parts:
-        unresolved.extend(p.unresolved)
-    max_steps = _best(p.max_steps for p in parts if p.max_steps is not None)
-    max_peak = _best(p.max_peak for p in parts if p.max_peak is not None)
-
-    loops: list[ClosedLoop] = []
-    seen = set()
-    for u in unresolved:
-        loop = find_cycle(u, MapVariant.STANDARD, cfg.step_budget)
-        if loop is not None and loop.values != _TRIVIAL_LOOP and loop.values not in seen:
-            seen.add(loop.values)
-            loops.append(loop)
-    loops.sort(key=lambda c: (c.period, c.values))
-
-    wall = time.perf_counter() - t0
-    covered = cfg.range_hi - cfg.range_lo + 1
-    return VerifyReport(
-        segments=((cfg.range_lo, cfg.range_hi),),
-        verified_count=verified,
-        unresolved=tuple(unresolved),
-        cycles_found=tuple(loops),
-        max_total_stopping_time=RecordStat(*max_steps) if max_steps else None,
-        max_excursion=RecordStat(*max_peak) if max_peak else None,
-        wall_time=wall,
-        throughput=covered / wall if wall > 0 else float(covered),
-    )
+            parts = list(pool.map(_sweep_chunk, jobs))
+    return replace(merge_reports(*parts), wall_time=time.perf_counter() - t0)
 
 
-def merge_reports(a: VerifyReport, b: VerifyReport) -> VerifyReport:
-    """Combine reports over disjoint ranges; adjacent segments coalesce.
+def merge_reports(*reports: VerifyReport) -> VerifyReport:
+    """Combine any number of reports over disjoint ranges; adjacent
+    segments coalesce, and no reports give VerifyReport.empty().
 
-    The merge is associative and commutative on every field except the
-    timing pair, where wall times add and throughput is recomputed.
+    The merge is associative and commutative on every field except
+    wall_time, where wall times add.
     """
-    segs = sorted(a.segments + b.segments)
-    for (lo1, hi1), (lo2, hi2) in zip(segs, segs[1:]):
-        if lo2 <= hi1:
-            raise ValueError(f"overlapping ranges: [{lo1}, {hi1}] and [{lo2}, {hi2}]")
     coalesced: list[tuple[int, int]] = []
-    for lo, hi in segs:
+    for lo, hi in sorted(s for r in reports for s in r.segments):
+        if coalesced and lo <= coalesced[-1][1]:
+            raise ValueError(f"overlapping ranges: {list(coalesced[-1])} and {[lo, hi]}")
         if coalesced and lo == coalesced[-1][1] + 1:
             coalesced[-1] = (coalesced[-1][0], hi)
         else:
             coalesced.append((lo, hi))
-
-    seen = set()
-    loops = []
-    for loop in a.cycles_found + b.cycles_found:
-        if loop.values not in seen:
-            seen.add(loop.values)
-            loops.append(loop)
-    loops.sort(key=lambda c: (c.period, c.values))
-
-    stats = []
-    for x, y in ((a.max_total_stopping_time, b.max_total_stopping_time),
-                 (a.max_excursion, b.max_excursion)):
-        cands = [(s.value, s.argmax) for s in (x, y) if s is not None]
-        best = _best(cands)
-        stats.append(RecordStat(*best) if best else None)
-
-    wall = a.wall_time + b.wall_time
-    covered = sum(hi - lo + 1 for lo, hi in coalesced)
+    steps = [(s.value, s.argmax) for r in reports if (s := r.max_total_stopping_time) is not None]
+    peaks = [(s.value, s.argmax) for r in reports if (s := r.max_excursion) is not None]
     return VerifyReport(
         segments=tuple(coalesced),
-        verified_count=a.verified_count + b.verified_count,
-        unresolved=tuple(sorted(a.unresolved + b.unresolved)),
-        cycles_found=tuple(loops),
-        max_total_stopping_time=stats[0],
-        max_excursion=stats[1],
-        wall_time=wall,
-        throughput=covered / wall if wall > 0 else float(covered),
+        verified_count=sum(r.verified_count for r in reports),
+        unresolved=tuple(sorted(x for r in reports for x in r.unresolved)),
+        cycles_found=_distinct_loops(c for r in reports for c in r.cycles_found),
+        max_total_stopping_time=_best(steps),
+        max_excursion=_best(peaks),
+        wall_time=sum((r.wall_time for r in reports), 0.0),
     )

@@ -244,3 +244,22 @@ def test_edges_from():
         Edge(8, 9, BranchLabel.HALVE),
     )
     assert g.edges_from(9) == (Edge(9, 8, BranchLabel.TRIPLE),)
+
+
+def test_edges_from_matches_full_scan():
+    # vertices 0, 1, 3, 5 and 6 of the parsed graph have no out-edges
+    sparse = from_json(
+        '{"modulus":7,"edges":[{"from":4,"to":1,"branch":"Triple"},'
+        '{"from":2,"to":1,"branch":"Halve"},{"from":4,"to":2,"branch":"Halve"},'
+        '{"from":2,"to":1,"branch":"Halve"}]}'
+    )
+    graphs = [build_graph(m) for m in (*range(1, 65), 3**7, 2**13)] + [sparse]
+    for g in graphs:
+        # one pass groups the edges as a per-vertex scan of g.edges would
+        expected = {v: [] for v in g.vertices}
+        for e in g.edges:
+            expected[e.src].append(e)
+        for v in g.vertices:
+            assert g.edges_from(v) == tuple(expected[v])
+    assert sparse.edges_from(2) == (Edge(2, 1, BranchLabel.HALVE),) * 2
+    assert sparse.edges_from(0) == sparse.edges_from(6) == ()

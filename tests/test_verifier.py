@@ -316,6 +316,9 @@ def test_merge_identity_and_commutativity():
     assert merge_reports(a, VerifyReport.empty()) == a
     assert merge_reports(VerifyReport.empty(), a) == a
     assert merge_reports(a, b) == merge_reports(b, a)
+    assert merge_reports(a) == a
+    assert merge_reports() == VerifyReport.empty()
+    assert isinstance(merge_reports().wall_time, float)
 
 
 def test_merge_random_splits():
@@ -330,6 +333,7 @@ def test_merge_random_splits():
         for part in parts:
             merged = merge_reports(merged, part)
         assert merged.payload() == whole
+        assert merge_reports(*parts) == merged
 
 
 def test_merge_associative_payload():
@@ -368,8 +372,8 @@ def test_empty_report():
 
 def test_tie_break_smaller_argmax():
     # equal values from both sides must keep the smaller argmax
-    a = VerifyReport(((1, 10),), 10, (), (), RecordStat(7, 9), RecordStat(16, 3), 1.0, 10.0)
-    b = VerifyReport(((11, 20),), 10, (), (), RecordStat(7, 12), RecordStat(16, 18), 1.0, 10.0)
+    a = VerifyReport(((1, 10),), 10, (), (), RecordStat(7, 9), RecordStat(16, 3), 1.0)
+    b = VerifyReport(((11, 20),), 10, (), (), RecordStat(7, 12), RecordStat(16, 18), 1.0)
     merged = merge_reports(a, b)
     assert merged.max_total_stopping_time == RecordStat(7, 9)
     assert merged.max_excursion == RecordStat(16, 3)
@@ -407,6 +411,7 @@ def test_json_fields_and_milliseconds():
     assert data["max_excursion"] == {"value": 9232, "argmax": 27}
     assert data["wall_time"] == pytest.approx(report.wall_time * 1000.0)
     assert data["throughput"] == pytest.approx(report.throughput)
+    assert report.throughput == report.covered_count / report.wall_time
 
 
 def test_csv_shape():
