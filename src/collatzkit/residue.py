@@ -16,6 +16,7 @@ import enum
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -246,4 +247,5 @@ def from_json(text: str) -> TransitionGraph:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed transition graph JSON: {exc}") from exc
-    return TransitionGraph(modulus, edges)
+    # Sorting puts repeated edges side by side; keep one of each.
+    return TransitionGraph(modulus, tuple(e for e, _ in groupby(edges)))

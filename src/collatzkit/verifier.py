@@ -1,24 +1,24 @@
 """Bulk convergence verification over integer ranges.
 
-The sweep rests on a dense memo table over a prefix [1, cache_len):
-for every entry that resolves within budget the table holds the exact
-total stopping time and orbit peak, with -1 marking the rest. Each x
-in the range then only walks until its orbit drops below cache_len and
-the table finishes the job exactly.
+The sweep rests on a dense memo table over a prefix [0, cache_len)
+holding the exact total stopping time and orbit peak of every entry
+that reaches 1 within the step budget, which counts total col-steps as
+total_stopping_time does; -1 marks the rest. One rule resolves table
+entries and sweep starts alike: walk the start until its orbit drops
+below the table, then add the entry it landed on. The table is built
+by that rule in doubling blocks, each against the part already built.
 
-One int64 lane kernel does every vectorized walk: it advances lanes
-until each drops below its stop value, the lane's own start while the
-table is built and cache_len in a chunk. Lanes whose next step could
-leave int64, and every lane of a chunk beyond the vector range, finish
-in one exact big-integer walker, so correctness never depends on 64
-bits being enough. Worker processes receive the table when they start
+One int64 lane kernel does every vectorized walk. Lanes whose next step
+could leave int64, and every lane of a chunk beyond the vector range,
+finish in one exact big-integer walker, so correctness never depends on
+64 bits being enough. Worker processes receive the table when they start
 and sweep disjoint chunks; each chunk's report is merged by merge_reports,
 which makes reports independent of chunk size and worker count.
 
-An optional cutoff (assume_verified_below) certifies a trajectory as
-soon as it drops strictly below already-verified territory. Record
-statistics still come only from exactly resolved trajectories, so the
-cutoff changes what is certified, never what is measured.
+An optional cutoff (assume_verified_below) certifies every start whose
+orbit drops strictly below already-verified territory within budget.
+Record statistics still come only from exactly resolved trajectories, so
+the cutoff changes what is certified, never what is measured.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ class VerifyConfig:
     dense_cache_entries: int = DENSE_CACHE_ENTRIES
 
     def validated(self) -> "VerifyConfig":
+        for name, value in vars(self).items():
+            if isinstance(value, bool):  # an int subclass, but no bound or size
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.range_lo, int) or self.range_lo < 1:
             raise ConfigError(f"range_lo must be a positive integer, got {self.range_lo!r}")
         if not isinstance(self.range_hi, int) or self.range_hi < self.range_lo:
@@ -201,27 +204,28 @@ def _distinct_loops(loops: Iterable[ClosedLoop | None]) -> tuple[ClosedLoop, ...
 # Walkers
 
 
-def _walk_lanes(lo: int, hi: int, stop: int | None, budget: int, cutoff: int):
+def _walk_lanes(lo: int, hi: int, stop: int, budget: int, cutoff: int):
     """Walk every start in [lo, hi] in int64 lockstep, one col-step per
-    round, until it drops strictly below stop (below its own start when
-    stop is None) or has taken budget steps. When hi is beyond
-    _RANGE_LIMIT, every start goes to _exact_walk instead.
+    round, until it drops strictly below stop or has taken budget steps;
+    when hi is beyond _RANGE_LIMIT, every start goes to _exact_walk.
 
-    Returns (landing, steps, peak, crossed, exact). The arrays are
-    indexed by x - lo: landing is -1 where the budget ran out, and
-    crossed marks orbits that went below cutoff. A lane whose next 3x+1
-    would leave int64 is finished by _exact_walk instead; exact maps its
-    start to that result, and its array slots keep their initial values.
+    Returns (landing, steps, peak, crossed, exact), indexed by x - lo:
+    landing is -1 where the budget ran out, and crossed marks orbits
+    that went below cutoff. A lane whose next 3x+1 would leave int64 is
+    finished by _exact_walk, which fills its landing, steps and crossed
+    slots; exact maps its index to its peak, which may not fit int64.
     """
     n = hi - lo + 1
     landing = np.full(n, -1, dtype=np.int64)
     steps = np.zeros(n, dtype=np.int64)
     peak = np.zeros(n, dtype=np.int64)
     crossed = np.zeros(n, dtype=bool)
-    exact: dict[int, tuple[int, int, int, bool]] = {}
+    exact: dict[int, int] = {}
     if hi > _RANGE_LIMIT:
-        for x in range(lo, hi + 1):
-            exact[x] = _exact_walk(x, x if stop is None else stop, 0, x, budget, cutoff, False)
+        for j in range(n):
+            landing[j], steps[j], exact[j], crossed[j] = _exact_walk(
+                lo + j, stop, 0, lo + j, budget, cutoff, False
+            )
         return landing, steps, peak, crossed, exact
     x0 = np.arange(lo, hi + 1, dtype=np.int64)
     cur = x0.copy()
@@ -230,7 +234,7 @@ def _walk_lanes(lo: int, hi: int, stop: int | None, budget: int, cutoff: int):
     cr = np.zeros(n, dtype=bool) if cutoff > 1 else None
     r = 0
     while x0.size:
-        done = cur < (x0 if stop is None else stop)
+        done = cur < stop
         if done.any():
             d = x0[done]
             d -= lo
@@ -250,10 +254,9 @@ def _walk_lanes(lo: int, hi: int, stop: int | None, budget: int, cutoff: int):
         risky = odd & (cur > _VALUE_LIMIT)
         if risky.any():
             for j in np.nonzero(risky)[0]:
-                x = int(x0[j])
-                exact[x] = _exact_walk(
-                    int(cur[j]), x if stop is None else stop, r, int(pk[j]),
-                    budget, cutoff, cr is not None and bool(cr[j]),
+                i = int(x0[j]) - lo
+                landing[i], steps[i], exact[i], crossed[i] = _exact_walk(
+                    int(cur[j]), stop, r, int(pk[j]), budget, cutoff, cr is not None and bool(cr[j])
                 )
             keep = ~risky
             x0, cur, pk, odd = x0[keep], cur[keep], pk[keep], odd[keep]
@@ -284,44 +287,59 @@ def _exact_walk(c: int, stop: int, r: int, p: int, budget: int, cutoff: int, cro
     return c, r, p, crossed
 
 
+def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
+    """Resolve every start in [lo, hi] against table = (steps, peak)
+    over [0, len): walk it until it drops below len, then add the entry
+    it landed on. A start is resolved when its total steps to 1 are at
+    most budget col-steps.
+
+    Returns (total, top, crossed, big), indexed by x - lo: total steps
+    and orbit peak, -1 unless resolved, and whether the orbit dropped
+    below cutoff within budget. Lanes that _exact_walk finished hold -1
+    in top; big maps those that resolved to their peak.
+    """
+    cache_steps, cache_peak = table
+    landing, steps, peak, crossed, exact = _walk_lanes(lo, hi, len(cache_steps), budget, cutoff)
+    # A landing of -1 reads the last entry; ok discards it.
+    tail = cache_steps[landing]
+    total = steps + tail
+    ok = (landing >= 0) & (tail >= 0) & (total <= budget)
+    total[~ok] = -1
+    top = np.where(ok, np.maximum(peak, cache_peak[landing]), -1)
+    big = {j: max(p, int(cache_peak[landing[j]])) for j, p in exact.items() if ok[j]}
+    top[list(exact)] = -1
+    if cutoff > 1:
+        # The walk stopped at its landing; the rest of the budget may
+        # still take the orbit below the cutoff. Rare at small budgets,
+        # and never at the default one.
+        for j in np.flatnonzero((landing >= 0) & ~ok & ~crossed).tolist():
+            crossed[j] = _exact_walk(int(landing[j]), cutoff, int(steps[j]), 0, budget, cutoff, False)[3]
+    return total, top, crossed, big
+
+
 # ---------------------------------------------------------------------------
 # Dense memo table
 
 
 def _build_cache(cache_len: int, step_budget: int):
-    """Exact (total steps to 1, orbit peak) for every x in [1, cache_len).
-
-    Phase one walks every entry until it drops strictly below its own
-    start, recording the glide's landing, length and peak. Phase two
-    contracts glide chains by pointer doubling, so the whole table costs
-    O(n log n) array operations. Entries that exhaust the budget keep
-    the sentinel -1 for steps and 0 for peak.
+    """Exact (total steps to 1, orbit peak) for every x in [0, cache_len),
+    -1 in both where x does not reach 1 within step_budget col-steps.
+    Blocks [n, 2n) of doubling size are each resolved against the part
+    [0, n) built so far, by the same rule as a chunk.
     """
-    landing, glide_steps, glide_peak, _, exact = _walk_lanes(2, cache_len - 1, None, step_budget, 1)
-    # Entry 0 never resolves; entry 1 is its own landing.
-    t = np.concatenate(([-1, 1], landing))
-    ts = np.concatenate(([0, 0], glide_steps))
-    tp = np.concatenate(([0, 1], glide_peak))
-    del landing, glide_steps, glide_peak  # lowers the build's peak memory
-    for v, (land, s, p, _) in exact.items():
-        # The size cap keeps p within int64; numpy raises if it is not.
-        t[v], ts[v], tp[v] = land, s, p
-
-    # Pointer doubling: (ts, tp) always describe the path from v to
-    # t[v]; each pass composes every live chain with its target's chain
-    # simultaneously. Gathers happen before scatters, so a pass is a
-    # true parallel jump. Chains ending at 1 or -1 are done.
-    lv = np.flatnonzero(t > 1)
-    while lv.size:
-        tv = t[lv]
-        nt, add_s, add_p = t[tv], ts[tv], tp[tv]
-        ts[lv] = ts[lv] + add_s
-        tp[lv] = np.maximum(tp[lv], add_p)
-        t[lv] = nt
-        lv = np.flatnonzero(t > 1)
-
-    ok = t == 1
-    return np.where(ok, ts, -1), np.where(ok, tp, 0)
+    steps = np.full(cache_len, -1, dtype=np.int64)
+    peak = np.full(cache_len, -1, dtype=np.int64)
+    steps[1], peak[1] = 0, 1
+    n = 2
+    while n < cache_len:
+        hi = min(2 * n, cache_len) - 1
+        total, top, _, big = _resolve(n, hi, (steps[:n], peak[:n]), step_budget, 1)
+        steps[n:hi + 1] = total
+        peak[n:hi + 1] = top
+        # The size cap keeps these peaks within int64; numpy raises if not.
+        peak[[n + j for j in big]] = list(big.values())
+        n = hi + 1
+    return steps, peak
 
 
 # ((cache_len, step_budget), (cache_steps, cache_peak)): the parent's
@@ -353,44 +371,20 @@ def _sweep_chunk(job: tuple[int, int, int, int]) -> VerifyReport:
     """Classify every x in [lo, hi] against the installed memo table and
     report on the chunk alone, cycle search included."""
     lo, hi, budget, cutoff = job
-    cache_steps, cache_peak = _cache_slot[1]
-    landing, steps, peak, crossed, exact = _walk_lanes(lo, hi, len(cache_steps), budget, cutoff)
-    # One reduction for both kinds of result. A lane is verified when it
-    # landed on a resolved table entry, certified by the cutoff alone
+    total, top, crossed, big = _resolve(lo, hi, _cache_slot[1], budget, cutoff)
+    # A start is verified when resolved, certified by the cutoff alone
     # when it crossed the cutoff, and unresolved otherwise. Lanes are
-    # offsets from lo, which fit int64 whatever lo is; the slots of exact
-    # lanes are never written, so only vec is needed to skip them.
-    vec = np.ones(hi - lo + 1, dtype=bool)
-    vec[[x - lo for x in exact]] = False
-    # A landing of -1 indexes the last entry; where() discards it.
-    tail = np.where(landing >= 0, cache_steps[landing], -1)
-    ok = tail >= 0
-    certified = ok | crossed
-    verified = int(np.count_nonzero(certified))
-    unresolved = [lo + j for j in np.flatnonzero(~certified & vec).tolist()]
-    steps_cands = []
-    peak_cands = []
-    if ok.any():
-        # argmax keeps the first, so the smallest x among ties.
-        total = np.where(ok, steps + tail, -1)
-        j = int(np.argmax(total))
-        steps_cands.append((int(total[j]), lo + j))
-        top = np.where(ok, np.maximum(peak, cache_peak[landing]), -1)
-        j = int(np.argmax(top))
-        peak_cands.append((int(top[j]), lo + j))
-    for x, (land, s, p, cr) in exact.items():
-        cs = int(cache_steps[land]) if land >= 0 else -1
-        if cs >= 0:
-            steps_cands.append((s + cs, x))
-            peak_cands.append((max(p, int(cache_peak[land])), x))
-        elif not cr:
-            unresolved.append(x)
-            continue
-        verified += 1
-    unresolved.sort()
+    # offsets from lo, which fit int64 whatever lo is.
+    certified = (total >= 0) | crossed
+    unresolved = [lo + j for j in np.flatnonzero(~certified).tolist()]
+    # argmax keeps the first, so the smallest x among ties; -1 means none.
+    j, k = int(np.argmax(total)), int(np.argmax(top))
+    steps_cands = [(int(total[j]), lo + j)] if total[j] >= 0 else []
+    peak_cands = [(int(top[k]), lo + k)] if top[k] >= 0 else []
+    peak_cands += [(p, lo + i) for i, p in big.items()]
     return VerifyReport(
         segments=((lo, hi),),
-        verified_count=verified,
+        verified_count=int(np.count_nonzero(certified)),
         unresolved=tuple(unresolved),
         cycles_found=_distinct_loops(find_cycle(u, MapVariant.STANDARD, budget) for u in unresolved),
         max_total_stopping_time=_best(steps_cands),
@@ -406,11 +400,12 @@ def _sweep_chunk(job: tuple[int, int, int, int]) -> VerifyReport:
 def verify_range(config: VerifyConfig) -> VerifyReport:
     """Classify every x in [range_lo, range_hi] and aggregate statistics.
 
-    Certification means the trajectory reached 1 or dropped strictly
-    below assume_verified_below. Record statistics are taken only over
-    trajectories resolved exactly. Each chunk's report, made by the same
-    job in the parent or a pool worker, goes to merge_reports, so the
-    payload is identical regardless of chunking or worker count.
+    Certification means the trajectory reached 1, or dropped strictly
+    below assume_verified_below, within step_budget col-steps. Record
+    statistics are taken only over trajectories that reached 1. Each
+    chunk's report, made by the same job in the parent or a pool worker,
+    goes to merge_reports, so the payload is identical regardless of
+    chunking, worker count or table size.
     """
     cfg = config.validated()
     t0 = time.perf_counter()

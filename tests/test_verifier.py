@@ -78,6 +78,30 @@ def test_records_match_memoized_oracle():
     assert report.verified_count == 5000
 
 
+def reference_sweep(lo, hi, budget, cutoff):
+    """Plain per-start walks of at most budget steps: a start is certified
+    if it reaches 1 or drops below cutoff, and records come only from
+    starts that reach 1. Returns (verified, unresolved, steps, peak)."""
+    verified, unresolved, steps, peaks = 0, [], [], []
+    for x in range(lo, hi + 1):
+        c, p, r, crossed = x, x, 0, False
+        while c != 1 and r < budget:
+            c = c // 2 if c % 2 == 0 else 3 * c + 1
+            p = max(p, c)
+            r += 1
+            crossed = crossed or c < cutoff
+        if c == 1:
+            steps.append((r, x))
+            peaks.append((p, x))
+        if c == 1 or crossed:
+            verified += 1
+        else:
+            unresolved.append(x)
+    steps_rec = max(steps, key=lambda t: (t[0], -t[1]), default=None)
+    peak_rec = max(peaks, key=lambda t: (t[0], -t[1]), default=None)
+    return verified, unresolved, steps_rec, peak_rec
+
+
 def test_oracle_against_naive_prefix():
     # the memoized oracle itself, checked against direct iteration
     best_steps, best_peak = oracle_sweep(1, 300)
@@ -114,6 +138,17 @@ def test_dense_cache_threshold_independence():
     for entries in (2, 64, 4096):
         got = verify_range(VerifyConfig(1, 3000, dense_cache_entries=entries)).payload()
         assert got == reference
+    # at a small budget too, with and without a cutoff
+    assert total_stopping_time(4649) == 134
+    for cutoff in (1, 1000):
+        payloads = [
+            verify_range(
+                VerifyConfig(1000, 5000, 40, assume_verified_below=cutoff, dense_cache_entries=entries)
+            ).payload()
+            for entries in (64, 4096, 1 << 20)
+        ]
+        assert payloads[0] == payloads[1] == payloads[2]
+        assert 4649 in payloads[0]["unresolved"]
 
 
 def test_cutoff_equivalence_with_naive_run():
@@ -297,9 +332,15 @@ def test_verifier_contract_property(case, other_table):
     for x in report.unresolved:
         steps = total_stopping_time(x)
         assert steps is None or steps > budget
-    if budget == DEFAULT_STEP_BUDGET:
-        other = VerifyConfig(**{**case, "dense_cache_entries": other_table})
-        assert verify_range(other).payload() == payload
+    verified, unresolved, steps_rec, peak_rec = reference_sweep(
+        case["range_lo"], case["range_hi"], budget, case["assume_verified_below"]
+    )
+    assert report.verified_count == verified
+    assert list(report.unresolved) == unresolved
+    assert report.max_total_stopping_time == (RecordStat(*steps_rec) if steps_rec else None)
+    assert report.max_excursion == (RecordStat(*peak_rec) if peak_rec else None)
+    other = VerifyConfig(**{**case, "dense_cache_entries": other_table})
+    assert verify_range(other).payload() == payload
 
 
 def test_merge_reproduces_single_run():
@@ -392,6 +433,8 @@ def test_config_errors_name_fields():
         (VerifyConfig(1, 5, worker_count=0), "worker_count"),
         (VerifyConfig(1, 5, dense_cache_entries=1), "dense_cache_entries"),
         (VerifyConfig(1, 5, dense_cache_entries=2**32 + 1), "dense_cache_entries"),
+        (VerifyConfig(True, 5), "range_lo"),
+        (VerifyConfig(1, 5, chunk_size=True), "chunk_size"),
     ]
     for config, fragment in cases:
         with pytest.raises(ConfigError) as info:
