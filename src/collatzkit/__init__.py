@@ -45,17 +45,29 @@ from .residue import (
     to_json,
     transition_targets,
 )
-from .verifier import (
-    DENSE_CACHE_ENTRIES,
-    ConfigError,
-    RecordStat,
-    VerifyConfig,
-    VerifyReport,
-    merge_reports,
-    verify_range,
-)
 
 __version__ = "0.1.0"
+
+# The verifier needs numpy, which costs more than the rest of the package
+# to import; these names load it on first access.
+_VERIFIER_NAMES = frozenset({
+    "DENSE_CACHE_ENTRIES",
+    "ConfigError",
+    "RecordStat",
+    "VerifyConfig",
+    "VerifyReport",
+    "merge_reports",
+    "verify_range",
+})
+
+
+def __getattr__(name: str):
+    if name in _VERIFIER_NAMES:
+        from . import verifier
+
+        return getattr(verifier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BranchLabel",

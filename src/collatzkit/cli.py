@@ -21,7 +21,6 @@ from .dynamics import (
     preimage,
 )
 from .residue import build_graph, to_dot, to_json
-from .verifier import ConfigError, VerifyConfig, verify_range
 
 _VARIANTS = {"standard": MapVariant.STANDARD, "star": MapVariant.STAR}
 
@@ -140,13 +139,20 @@ def _cmd_graph(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
+    # Imported here so that the other commands skip numpy.
+    from .verifier import ConfigError, VerifyConfig, verify_range
+
     config = VerifyConfig(
         range_lo=ns.range_lo,
         range_hi=ns.range_hi,
         assume_verified_below=ns.assume_verified_below,
         worker_count=ns.workers,
     )
-    report = verify_range(config)
+    try:
+        report = verify_range(config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if ns.format == "json":
         print(report.to_json())
     else:
@@ -165,7 +171,7 @@ def dispatch(argv) -> int:
         return 0 if exc.code is None else 2
     try:
         return ns.handler(ns)
-    except (DomainError, LoopError, ConfigError) as exc:
+    except (DomainError, LoopError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

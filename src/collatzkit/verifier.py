@@ -6,23 +6,32 @@ that reaches 1 within the step budget, which counts total col-steps as
 total_stopping_time does; -1 marks the rest. One rule resolves table
 entries and sweep starts alike: walk the start until its orbit drops
 below the table, then add the entry it landed on. The table is built
-by that rule in doubling blocks, each against the part already built.
+by that rule: [2, 2^12) against [0, 2), then blocks of doubling size,
+each against the part already built.
 
-One int64 lane kernel does every vectorized walk. Lanes whose next step
-could leave int64, and every lane of a chunk beyond the vector range,
-finish in one exact big-integer walker, so correctness never depends on
-64 bits being enough. Worker processes receive the table when they start
-and sweep disjoint chunks; each chunk's report is merged by merge_reports,
-which makes reports independent of chunk size and worker count.
+One int64 lane kernel does every vectorized walk. Each round it moves a
+lane by the affine block map of k steps of T (x/2, or (3x+1)/2 on odd x)
+for its residue mod 2^k, the parity-vector form of Terras (1976), from
+per-residue tables with k up to K = 12; the block's step count and exact
+peak come from the same tables. k is cut to the table's size so that no
+block passes through 1, and lanes too large for a block take 1-step
+blocks. Lanes whose next step could leave int64, and every lane of a
+chunk beyond the vector range, finish in one exact big-integer walker,
+so correctness never depends on 64 bits being enough. Worker processes
+receive the table when they start and sweep disjoint chunks; each
+chunk's report is merged by merge_reports, which makes reports
+independent of chunk size and worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
-orbit drops strictly below already-verified territory within budget.
+orbit drops strictly below already-verified territory within budget;
+an exact walk decides this for each start the table does not resolve.
 Record statistics still come only from exactly resolved trajectories, so
 the cutoff changes what is certified, never what is measured.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -44,7 +53,12 @@ _MAX_CACHE_ENTRIES = 1 << 32
 
 # 3x+1 on a value above this would leave int64.
 _VALUE_LIMIT = (2**63 - 2) // 3
-# Ranges starting beyond this skip the vector path entirely.
+# Longest block in the lane kernel, in steps of T. Every value of a
+# k-step block from x is below 2·(3/2)^k·(x + 1), so lanes up to the
+# block limit (about 2^55, below _VALUE_LIMIT) stay within int64.
+K = 12
+_BLOCK_LIMIT = 2 ** (62 + K) // 3**K - 1
+# Chunks ending beyond this skip the vector path entirely.
 _RANGE_LIMIT = 2**62
 
 _TRIVIAL_LOOP = (1, 4, 2, 1)
@@ -204,87 +218,119 @@ def _distinct_loops(loops: Iterable[ClosedLoop | None]) -> tuple[ClosedLoop, ...
 # Walkers
 
 
-def _walk_lanes(lo: int, hi: int, stop: int, budget: int, cutoff: int):
-    """Walk every start in [lo, hi] in int64 lockstep, one col-step per
-    round, until it drops strictly below stop or has taken budget steps;
-    when hi is beyond _RANGE_LIMIT, every start goes to _exact_walk.
+@functools.cache
+def _block_table(k: int) -> tuple:
+    """The affine block map over Z/2^kZ, built once per process and k.
 
-    Returns (landing, steps, peak, crossed, exact), indexed by x - lo:
-    landing is -1 where the budget ran out, and crossed marks orbits
-    that went below cutoff. A lane whose next 3x+1 would leave int64 is
-    finished by _exact_walk, which fills its landing, steps and crossed
-    slots; exact maps its index to its peak, which may not fit int64.
+    For x = 2^k·a + r, k steps of T (x/2 on even x, (3x+1)/2 on odd x)
+    give T^k(x) = 3^c·a + d in k + c col-steps, c the number of odd
+    steps. Every col-step value of the block is m·a + e for some m and
+    e, and the one with the largest m also has the largest e (checked
+    for every residue up to K by the tests), so it is the block's peak
+    for every a. Returns (mult, off, steps, peak_mult, peak_off),
+    indexed by r.
+    """
+    r = np.arange(1 << k, dtype=np.int64)
+    m = np.full(1 << k, 1 << k, dtype=np.int64)  # 2^(k-i)·3^c after i steps
+    e = r.copy()
+    steps = np.full(1 << k, k, dtype=np.int64)
+    peak_m, peak_e = m.copy(), e.copy()
+    for _ in range(k):
+        odd = (e & 1).astype(bool)
+        # Only a 3x+1 value can hold a new largest multiplier.
+        grows = odd & (3 * m > peak_m)
+        peak_m = np.where(grows, 3 * m, peak_m)
+        peak_e = np.where(grows, 3 * e + 1, peak_e)
+        m = np.where(odd, 3 * m, m) >> 1
+        e = np.where(odd, 3 * e + 1, e) >> 1
+        steps += odd
+    return m, e, steps, peak_m, peak_e
+
+
+def _advance(table: tuple, k: int, cur, r, pk) -> None:
+    """Take one k-step block on every lane, in place."""
+    mult, off, steps, peak_m, peak_e = table
+    j = cur & ((1 << k) - 1)
+    a = cur >> k
+    np.maximum(pk, peak_m[j] * a + peak_e[j], out=pk)
+    r += steps[j]
+    np.add(mult[j] * a, off[j], out=cur)
+
+
+def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
+    """Walk every start in [lo, hi] in int64 lanes, one block per round,
+    until it drops strictly below stop or passes budget col-steps; when
+    hi is beyond _RANGE_LIMIT, every start goes to _exact_walk.
+
+    A lane up to _BLOCK_LIMIT takes a k-step block, a larger one a
+    1-step block, and an odd lane past _VALUE_LIMIT, whose next 3x+1
+    would leave int64, finishes in _exact_walk. k is cut so that
+    stop >= 2^(k+1): then no block passes through 1, and a lane may land
+    past its first value below stop, since its steps plus the landing's
+    total are still its total.
+
+    Returns (landing, steps, peak, exact), indexed by x - lo: landing is
+    -1 where the budget ran out; exact maps the index of a lane
+    _exact_walk finished to its peak, which may not fit int64.
     """
     n = hi - lo + 1
     landing = np.full(n, -1, dtype=np.int64)
     steps = np.zeros(n, dtype=np.int64)
     peak = np.zeros(n, dtype=np.int64)
-    crossed = np.zeros(n, dtype=bool)
     exact: dict[int, int] = {}
     if hi > _RANGE_LIMIT:
         for j in range(n):
-            landing[j], steps[j], exact[j], crossed[j] = _exact_walk(
-                lo + j, stop, 0, lo + j, budget, cutoff, False
-            )
-        return landing, steps, peak, crossed, exact
-    x0 = np.arange(lo, hi + 1, dtype=np.int64)
-    cur = x0.copy()
-    pk = x0.copy()
-    # Carried only when there is a cutoff, sparing the table build its upkeep.
-    cr = np.zeros(n, dtype=bool) if cutoff > 1 else None
-    r = 0
-    while x0.size:
-        done = cur < stop
-        if done.any():
-            d = x0[done]
-            d -= lo
-            landing[d] = cur[done]
-            steps[d] = r
-            peak[d] = pk[done]
-            keep = ~done
-            x0, cur, pk = x0[keep], cur[keep], pk[keep]
-            if cr is not None:
-                crossed[d] = cr[done]
-                cr = cr[keep]
-        if r >= budget:
-            if cr is not None:
-                crossed[x0 - lo] = cr
+            landing[j], steps[j], exact[j] = _exact_walk(lo + j, stop, 0, lo + j, budget)
+        return landing, steps, peak, exact
+    k = max(1, min(K, stop.bit_length() - 2))
+    table, one = _block_table(k), _block_table(1)
+    lane = np.arange(n, dtype=np.int64)
+    cur = lane + lo
+    r = np.zeros(n, dtype=np.int64)
+    pk = cur.copy()
+    while lane.size:
+        out = (cur < stop) | (r > budget)
+        if out.any():
+            # A lane past budget has more than budget steps to 1.
+            d = lane[out]
+            landing[d] = np.where(r[out] > budget, -1, cur[out])
+            steps[d] = r[out]
+            peak[d] = pk[out]
+            keep = ~out
+            lane, cur, r, pk = lane[keep], cur[keep], r[keep], pk[keep]
+        if not lane.size:
             break
-        odd = (cur & 1).astype(bool)
-        risky = odd & (cur > _VALUE_LIMIT)
-        if risky.any():
-            for j in np.nonzero(risky)[0]:
-                i = int(x0[j]) - lo
-                landing[i], steps[i], exact[i], crossed[i] = _exact_walk(
-                    int(cur[j]), stop, r, int(pk[j]), budget, cutoff, cr is not None and bool(cr[j])
+        if cur.max() <= _BLOCK_LIMIT:
+            _advance(table, k, cur, r, pk)
+        else:
+            risky = (cur > _VALUE_LIMIT) & (cur & 1).astype(bool)
+            for j in np.flatnonzero(risky).tolist():
+                i = int(lane[j])
+                landing[i], steps[i], exact[i] = _exact_walk(
+                    int(cur[j]), stop, int(r[j]), int(pk[j]), budget
                 )
-            keep = ~risky
-            x0, cur, pk, odd = x0[keep], cur[keep], pk[keep], odd[keep]
-            if cr is not None:
-                cr = cr[keep]
-        # 3*cur+1 wraps harmlessly on large even lanes; where() discards it.
-        cur = np.where(odd, 3 * cur + 1, cur >> 1)
-        r += 1
-        np.maximum(pk, cur, out=pk)
-        if cr is not None:
-            cr |= cur < cutoff
-    return landing, steps, peak, crossed, exact
+            # Big lanes first, so each kind of block runs on a slice.
+            big = (cur > _BLOCK_LIMIT) & ~risky
+            order = np.concatenate((np.flatnonzero(big), np.flatnonzero(~big & ~risky)))
+            lane, cur, r, pk = lane[order], cur[order], r[order], pk[order]
+            nb = int(np.count_nonzero(big))
+            _advance(one, 1, cur[:nb], r[:nb], pk[:nb])
+            _advance(table, k, cur[nb:], r[nb:], pk[nb:])
+    return landing, steps, peak, exact
 
 
-def _exact_walk(c: int, stop: int, r: int, p: int, budget: int, cutoff: int, crossed: bool):
+def _exact_walk(c: int, stop: int, r: int, p: int, budget: int):
     """Continue one lane with exact integers from value c, r steps taken
-    and peak p, under the rules of _walk_lanes. Returns (landing, steps,
-    peak, crossed), landing -1 if the budget ran out."""
+    and peak p, until it drops below stop. Returns (landing, steps,
+    peak), landing -1 if the budget ran out."""
     while c >= stop:
         if r >= budget:
-            return -1, r, p, crossed
+            return -1, r, p
         c = c // 2 if c % 2 == 0 else 3 * c + 1
         r += 1
         if c > p:
             p = c
-        if c < cutoff:
-            crossed = True
-    return c, r, p, crossed
+    return c, r, p
 
 
 def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
@@ -294,12 +340,12 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
     most budget col-steps.
 
     Returns (total, top, crossed, big), indexed by x - lo: total steps
-    and orbit peak, -1 unless resolved, and whether the orbit dropped
-    below cutoff within budget. Lanes that _exact_walk finished hold -1
-    in top; big maps those that resolved to their peak.
+    and orbit peak, -1 unless resolved, and whether an unresolved orbit
+    dropped below cutoff within budget. Lanes that _exact_walk finished
+    hold -1 in top; big maps those that resolved to their peak.
     """
     cache_steps, cache_peak = table
-    landing, steps, peak, crossed, exact = _walk_lanes(lo, hi, len(cache_steps), budget, cutoff)
+    landing, steps, peak, exact = _walk_lanes(lo, hi, len(cache_steps), budget)
     # A landing of -1 reads the last entry; ok discards it.
     tail = cache_steps[landing]
     total = steps + tail
@@ -308,12 +354,12 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
     top = np.where(ok, np.maximum(peak, cache_peak[landing]), -1)
     big = {j: max(p, int(cache_peak[landing[j]])) for j, p in exact.items() if ok[j]}
     top[list(exact)] = -1
+    crossed = np.zeros(len(total), dtype=bool)
     if cutoff > 1:
-        # The walk stopped at its landing; the rest of the budget may
-        # still take the orbit below the cutoff. Rare at small budgets,
-        # and never at the default one.
-        for j in np.flatnonzero((landing >= 0) & ~ok & ~crossed).tolist():
-            crossed[j] = _exact_walk(int(landing[j]), cutoff, int(steps[j]), 0, budget, cutoff, False)[3]
+        # Each start the table did not resolve is walked exactly toward
+        # the cutoff; at the default budget there are almost none.
+        for j in np.flatnonzero(~ok).tolist():
+            crossed[j] = _exact_walk(lo + j, cutoff, 0, 0, budget)[0] >= 0
     return total, top, crossed, big
 
 
@@ -324,21 +370,22 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
 def _build_cache(cache_len: int, step_budget: int):
     """Exact (total steps to 1, orbit peak) for every x in [0, cache_len),
     -1 in both where x does not reach 1 within step_budget col-steps.
-    Blocks [n, 2n) of doubling size are each resolved against the part
-    [0, n) built so far, by the same rule as a chunk.
+    The block [2, 2^12) is resolved against [0, 2), and then blocks
+    [n, 2n) of doubling size each against the part [0, n) built so far,
+    by the same rule as a chunk.
     """
     steps = np.full(cache_len, -1, dtype=np.int64)
     peak = np.full(cache_len, -1, dtype=np.int64)
     steps[1], peak[1] = 0, 1
-    n = 2
+    n, hi = 2, min(cache_len, 1 << 12) - 1
     while n < cache_len:
-        hi = min(2 * n, cache_len) - 1
         total, top, _, big = _resolve(n, hi, (steps[:n], peak[:n]), step_budget, 1)
         steps[n:hi + 1] = total
         peak[n:hi + 1] = top
         # The size cap keeps these peaks within int64; numpy raises if not.
         peak[[n + j for j in big]] = list(big.values())
         n = hi + 1
+        hi = min(2 * n, cache_len) - 1
     return steps, peak
 
 

@@ -211,20 +211,23 @@ def test_small_budget_chunking_stable():
 
 
 def test_values_beyond_int64_are_exact():
-    # odd start just below 2^62: the very first triple step leaves int64
+    # odd start just below 2^62: the very first triple step leaves int64;
+    # the range ending at it stays on the lane kernel, which escalates it,
+    # and the range crossing 2^62 goes to the exact walker whole
     x0 = (1 << 62) - 1
-    report = verify_range(VerifyConfig(x0, x0 + 4))
-    assert report.verified_count == 5
-    recs = {x: classify_trajectory(x) for x in range(x0, x0 + 5)}
-    expected_peak = max(
-        ((r.max_excursion, x) for x, r in recs.items()), key=lambda t: (t[0], -t[1])
-    )
-    assert (report.max_excursion.value, report.max_excursion.argmax) == expected_peak
-    assert report.max_excursion.value > (1 << 63) - 1
-    expected_steps = max(
-        ((r.outcome.steps, x) for x, r in recs.items()), key=lambda t: (t[0], -t[1])
-    )
-    assert (report.max_total_stopping_time.value, report.max_total_stopping_time.argmax) == expected_steps
+    for lo in (x0 - 4, x0):
+        report = verify_range(VerifyConfig(lo, lo + 4))
+        assert report.verified_count == 5
+        recs = {x: classify_trajectory(x) for x in range(lo, lo + 5)}
+        expected_peak = max(
+            ((r.max_excursion, x) for x, r in recs.items()), key=lambda t: (t[0], -t[1])
+        )
+        assert (report.max_excursion.value, report.max_excursion.argmax) == expected_peak
+        assert report.max_excursion.value > (1 << 63) - 1
+        expected_steps = max(
+            ((r.outcome.steps, x) for x, r in recs.items()), key=lambda t: (t[0], -t[1])
+        )
+        assert (report.max_total_stopping_time.value, report.max_total_stopping_time.argmax) == expected_steps
 
 
 def test_range_beyond_vector_path():
@@ -252,8 +255,17 @@ def test_forced_escalation_paths_agree(monkeypatch):
         VerifyConfig(1, 3000, step_budget=25, dense_cache_entries=2),
     ):
         base = verify_range(cfg).payload()
+        # every lane in 1-step blocks, then 1-step lanes above 2000 beside
+        # block lanes below it
+        for limit in (0, 2000):
+            with monkeypatch.context() as patch:
+                verifier_mod._cache_slot = None
+                patch.setattr(verifier_mod, "_BLOCK_LIMIT", limit)
+                assert verify_range(cfg).payload() == base
         with monkeypatch.context() as patch:
+            # the kernel keeps _BLOCK_LIMIT below _VALUE_LIMIT
             verifier_mod._cache_slot = None
+            patch.setattr(verifier_mod, "_BLOCK_LIMIT", 0)
             patch.setattr(verifier_mod, "_VALUE_LIMIT", 10)
             assert verify_range(cfg).payload() == base
 
@@ -261,6 +273,87 @@ def test_forced_escalation_paths_agree(monkeypatch):
             patch.setattr(verifier_mod, "_RANGE_LIMIT", 0)
             assert verify_range(cfg).payload() == base
         verifier_mod._cache_slot = None
+
+
+def test_block_tables_are_exact():
+    # Every col-step value of a k-step block from x = 2^k·a + r is m·a + e;
+    # the table's peak term must dominate every (m, e) pair, so that it is
+    # the block's peak for every a, and no value may leave int64 for x up
+    # to the block limit.
+    limit = verifier_mod._BLOCK_LIMIT
+    for k in range(1, verifier_mod.K + 1):
+        mult, off, steps, peak_m, peak_e = (t.tolist() for t in verifier_mod._block_table(k))
+        for r in range(1 << k):
+            m, e, n = 1 << k, r, 0
+            values = [(m, e)]
+            for _ in range(k):
+                if e % 2:
+                    m, e, n = 3 * m, 3 * e + 1, n + 1
+                    values.append((m, e))
+                m, e, n = m // 2, e // 2, n + 1
+                values.append((m, e))
+            assert (mult[r], off[r], steps[r]) == (m, e, n)
+            assert (peak_m[r], peak_e[r]) in values
+            assert all(vm <= peak_m[r] and ve <= peak_e[r] for vm, ve in values)
+            a = (limit - r) >> k  # the largest a with 2^k·a + r <= limit
+            assert peak_m[r] * a + peak_e[r] <= 2**63 - 1
+
+
+def test_block_peak_record_inside_a_block():
+    # The record of [1, 30000] is 26623, whose peak 106358020 lies inside
+    # a block for both table sizes; the kernel must still report it.
+    best_steps, best_peak = oracle_sweep(1, 30_000)
+    assert best_peak == (106_358_020, 26_623)
+    for entries in (256, 4096):
+        k = min(verifier_mod.K, entries.bit_length() - 2)
+        c, values, ends = 26_623, [], set()
+        while c >= entries:
+            for _ in range(k):
+                if c % 2:
+                    values.append(3 * c + 1)
+                    c = (3 * c + 1) // 2
+                else:
+                    c //= 2
+                values.append(c)
+            ends.add(c)
+        assert best_peak[0] in values and best_peak[0] not in ends
+        report = verify_range(VerifyConfig(1, 30_000, dense_cache_entries=entries))
+        assert report.max_excursion == RecordStat(*best_peak)
+        assert report.max_total_stopping_time == RecordStat(*best_steps)
+
+
+def test_table_matches_per_start_walks():
+    # the first block [2, 2^12) and the doubling blocks after it
+    for budget in (40, DEFAULT_STEP_BUDGET):
+        steps, peak = verifier_mod._build_cache(5000, budget)
+        for x in range(1, 5000):
+            n = total_stopping_time(x)
+            if n is None or n > budget:
+                assert (steps[x], peak[x]) == (-1, -1)
+            else:
+                expected = 1 if x == 1 else classify_trajectory(x).max_excursion
+                assert (steps[x], peak[x]) == (n, expected)
+
+
+LAZY_IMPORT = """
+import sys
+
+import collatzkit
+import collatzkit.cli
+
+assert "numpy" not in sys.modules
+assert collatzkit.verify_range is collatzkit.verifier.verify_range
+assert "numpy" in sys.modules
+"""
+
+
+def test_import_leaves_numpy_out():
+    package_root = Path(collatzkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 FORKSERVER_SWEEP = """
@@ -297,7 +390,13 @@ def test_forkserver_workers_get_the_table():
 
 @st.composite
 def sweep_cases(draw):
-    lo = draw(st.integers(1, 50_000))
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, 50_000))
+        entries = draw(st.integers(2, 4096))
+    else:
+        # full-length blocks: starts above a table of 2^13 to 2^15 entries
+        entries = draw(st.integers(1 << 13, 1 << 15))
+        lo = draw(st.integers(entries, 4 * entries))
     size = draw(st.integers(1, 1500))
     # a chunk count, not a chunk size: 1-start chunks cost ~0.5 ms each
     chunks = draw(st.integers(1, 16))
@@ -306,7 +405,7 @@ def sweep_cases(draw):
         "range_hi": lo + size - 1,
         "step_budget": draw(st.one_of(st.integers(1, 120), st.just(DEFAULT_STEP_BUDGET))),
         "assume_verified_below": draw(st.integers(1, lo)),
-        "dense_cache_entries": draw(st.integers(2, 4096)),
+        "dense_cache_entries": entries,
         "chunk_size": -(-size // chunks),
         "worker_count": 1,
     }
