@@ -15,12 +15,12 @@ for its residue mod 2^k, the parity-vector form of Terras (1976), from
 per-residue tables with k up to K = 12; the block's step count and exact
 peak come from the same tables. k is cut to the table's size so that no
 block passes through 1, and lanes too large for a block take 1-step
-blocks. Lanes whose next step could leave int64, and every lane of a
-chunk beyond the vector range, finish in one exact big-integer walker,
-so correctness never depends on 64 bits being enough. Worker processes
-receive the table when they start and sweep disjoint chunks; each
-chunk's report is merged by merge_reports, which makes reports
-independent of chunk size and worker count.
+blocks. A lane whose next step could leave int64, or whose start does
+not fit, steps in one exact big-integer walker until it is back well
+inside int64 and rejoins, so correctness never depends on 64 bits being
+enough. Worker processes receive the table when they start and sweep
+disjoint chunks; each chunk's report is merged by merge_reports, which
+makes reports independent of chunk size and worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -55,11 +55,10 @@ _MAX_CACHE_ENTRIES = 1 << 32
 _VALUE_LIMIT = (2**63 - 2) // 3
 # Longest block in the lane kernel, in steps of T. Every value of a
 # k-step block from x is below 2·(3/2)^k·(x + 1), so lanes up to the
-# block limit (about 2^55, below _VALUE_LIMIT) stay within int64.
+# block limit (about 2^55, below _VALUE_LIMIT) stay within int64; lanes
+# between the two limits take 1-step blocks.
 K = 12
 _BLOCK_LIMIT = 2 ** (62 + K) // 3**K - 1
-# Chunks ending beyond this skip the vector path entirely.
-_RANGE_LIMIT = 2**62
 
 _TRIVIAL_LOOP = (1, 4, 2, 1)
 
@@ -259,35 +258,44 @@ def _advance(table: tuple, k: int, cur, r, pk) -> None:
 
 def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     """Walk every start in [lo, hi] in int64 lanes, one block per round,
-    until it drops strictly below stop or passes budget col-steps; when
-    hi is beyond _RANGE_LIMIT, every start goes to _exact_walk.
+    until it drops strictly below stop or passes budget col-steps.
 
     A lane up to _BLOCK_LIMIT takes a k-step block, a larger one a
-    1-step block, and an odd lane past _VALUE_LIMIT, whose next 3x+1
-    would leave int64, finishes in _exact_walk. k is cut so that
-    stop >= 2^(k+1): then no block passes through 1, and a lane may land
-    past its first value below stop, since its steps plus the landing's
-    total are still its total.
+    1-step block; k is cut so that stop >= 2^(k+1), so no block passes
+    through 1, and a lane may land past its first value below stop, as
+    its steps plus the landing's total are still its total. Starts past
+    _VALUE_LIMIT, and odd lanes past it, whose next 3x+1 would leave
+    int64, step in _exact_walk to half of it or below, and rejoin.
 
     Returns (landing, steps, peak, exact), indexed by x - lo: landing is
-    -1 where the budget ran out; exact maps the index of a lane
-    _exact_walk finished to its peak, which may not fit int64.
+    -1 where the budget ran out; exact holds the peaks past int64.
     """
     n = hi - lo + 1
     landing = np.full(n, -1, dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    peak = np.zeros(n, dtype=np.int64)
+    steps, peak = np.zeros((2, n), dtype=np.int64)
     exact: dict[int, int] = {}
-    if hi > _RANGE_LIMIT:
-        for j in range(n):
-            landing[j], steps[j], exact[j] = _exact_walk(lo + j, stop, 0, lo + j, budget)
-        return landing, steps, peak, exact
     k = max(1, min(K, stop.bit_length() - 2))
     table, one = _block_table(k), _block_table(1)
+    # Under every lane that an exact walk gets, so each walk takes a step.
+    floor = max(stop - 1, _VALUE_LIMIT >> 1)
     lane = np.arange(n, dtype=np.int64)
-    cur = lane + lo
-    r = np.zeros(n, dtype=np.int64)
+    cur, r = np.zeros((2, n), dtype=np.int64)
+    m = min(n, max(0, _VALUE_LIMIT + 1 - lo))
+    if m:  # the starts after these may not fit int64
+        cur[:m] = lane[:m] + lo
     pk = cur.copy()
+
+    def walk_exactly(j: int, c: int) -> None:
+        # A value below stop, or -1 once over budget, retires it next round.
+        i = int(lane[j])
+        cur[j], r[j], p = _exact_walk(c, floor, int(r[j]), max(c, exact.get(i, int(pk[j]))), budget)
+        if p >> 63:
+            exact[i] = p
+        else:
+            pk[j] = p
+
+    for j in range(m, n):
+        walk_exactly(j, lo + j)
     while lane.size:
         out = (cur < stop) | (r > budget)
         if out.any():
@@ -298,20 +306,15 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
             peak[d] = pk[out]
             keep = ~out
             lane, cur, r, pk = lane[keep], cur[keep], r[keep], pk[keep]
-        if not lane.size:
-            break
-        if cur.max() <= _BLOCK_LIMIT:
+        if cur.max(initial=0) <= _BLOCK_LIMIT:
             _advance(table, k, cur, r, pk)
+        elif risky := np.flatnonzero((cur > _VALUE_LIMIT) & (cur & 1).astype(bool)).tolist():
+            for j in risky:
+                walk_exactly(j, int(cur[j]))
         else:
-            risky = (cur > _VALUE_LIMIT) & (cur & 1).astype(bool)
-            for j in np.flatnonzero(risky).tolist():
-                i = int(lane[j])
-                landing[i], steps[i], exact[i] = _exact_walk(
-                    int(cur[j]), stop, int(r[j]), int(pk[j]), budget
-                )
             # Big lanes first, so each kind of block runs on a slice.
-            big = (cur > _BLOCK_LIMIT) & ~risky
-            order = np.concatenate((np.flatnonzero(big), np.flatnonzero(~big & ~risky)))
+            big = cur > _BLOCK_LIMIT
+            order = np.concatenate((np.flatnonzero(big), np.flatnonzero(~big)))
             lane, cur, r, pk = lane[order], cur[order], r[order], pk[order]
             nb = int(np.count_nonzero(big))
             _advance(one, 1, cur[:nb], r[:nb], pk[:nb])
@@ -319,11 +322,11 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     return landing, steps, peak, exact
 
 
-def _exact_walk(c: int, stop: int, r: int, p: int, budget: int):
+def _exact_walk(c: int, floor: int, r: int, p: int, budget: int):
     """Continue one lane with exact integers from value c, r steps taken
-    and peak p, until it drops below stop. Returns (landing, steps,
-    peak), landing -1 if the budget ran out."""
-    while c >= stop:
+    and peak p, until it is at or below floor. Returns (value, steps,
+    peak), value -1 if the budget ran out first."""
+    while c > floor:
         if r >= budget:
             return -1, r, p
         c = c // 2 if c % 2 == 0 else 3 * c + 1
@@ -341,8 +344,8 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
 
     Returns (total, top, crossed, big), indexed by x - lo: total steps
     and orbit peak, -1 unless resolved, and whether an unresolved orbit
-    dropped below cutoff within budget. Lanes that _exact_walk finished
-    hold -1 in top; big maps those that resolved to their peak.
+    dropped below cutoff within budget. Lanes whose peak does not fit
+    int64 hold -1 in top; big maps those that resolved to their peak.
     """
     cache_steps, cache_peak = table
     landing, steps, peak, exact = _walk_lanes(lo, hi, len(cache_steps), budget)
@@ -352,14 +355,14 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
     ok = (landing >= 0) & (tail >= 0) & (total <= budget)
     total[~ok] = -1
     top = np.where(ok, np.maximum(peak, cache_peak[landing]), -1)
-    big = {j: max(p, int(cache_peak[landing[j]])) for j, p in exact.items() if ok[j]}
+    big = {j: p for j, p in exact.items() if ok[j]}
     top[list(exact)] = -1
     crossed = np.zeros(len(total), dtype=bool)
     if cutoff > 1:
         # Each start the table did not resolve is walked exactly toward
         # the cutoff; at the default budget there are almost none.
         for j in np.flatnonzero(~ok).tolist():
-            crossed[j] = _exact_walk(lo + j, cutoff, 0, 0, budget)[0] >= 0
+            crossed[j] = _exact_walk(lo + j, cutoff - 1, 0, 0, budget)[0] >= 0
     return total, top, crossed, big
 
 
@@ -379,11 +382,8 @@ def _build_cache(cache_len: int, step_budget: int):
     steps[1], peak[1] = 0, 1
     n, hi = 2, min(cache_len, 1 << 12) - 1
     while n < cache_len:
-        total, top, _, big = _resolve(n, hi, (steps[:n], peak[:n]), step_budget, 1)
-        steps[n:hi + 1] = total
-        peak[n:hi + 1] = top
-        # The size cap keeps these peaks within int64; numpy raises if not.
-        peak[[n + j for j in big]] = list(big.values())
+        # The size cap keeps every peak within int64, so none is in big.
+        steps[n:hi + 1], peak[n:hi + 1], _, _ = _resolve(n, hi, (steps[:n], peak[:n]), step_budget, 1)
         n = hi + 1
         hi = min(2 * n, cache_len) - 1
     return steps, peak

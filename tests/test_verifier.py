@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -210,49 +211,61 @@ def test_small_budget_chunking_stable():
     assert reference.unresolved != ()
 
 
+def classified_records(lo, hi):
+    """(value, argmax) records of steps and peak from per-start
+    classify_trajectory, ties to the smaller start."""
+    recs = [(classify_trajectory(x), x) for x in range(lo, hi + 1)]
+    steps = max(((r.outcome.steps, x) for r, x in recs), key=lambda t: (t[0], -t[1]))
+    peak = max(((r.max_excursion, x) for r, x in recs), key=lambda t: (t[0], -t[1]))
+    return steps, peak
+
+
+def report_records(report):
+    steps, peak = report.max_total_stopping_time, report.max_excursion
+    return (steps.value, steps.argmax), (peak.value, peak.argmax)
+
+
 def test_values_beyond_int64_are_exact():
-    # odd start just below 2^62: the very first triple step leaves int64;
-    # the range ending at it stays on the lane kernel, which escalates it,
-    # and the range crossing 2^62 goes to the exact walker whole
+    # odd start just below 2^62: the very first triple step leaves int64,
+    # so the lane kernel escalates it, in a range ending at it and in one
+    # crossing 2^62
     x0 = (1 << 62) - 1
     for lo in (x0 - 4, x0):
         report = verify_range(VerifyConfig(lo, lo + 4))
         assert report.verified_count == 5
-        recs = {x: classify_trajectory(x) for x in range(lo, lo + 5)}
-        expected_peak = max(
-            ((r.max_excursion, x) for x, r in recs.items()), key=lambda t: (t[0], -t[1])
-        )
-        assert (report.max_excursion.value, report.max_excursion.argmax) == expected_peak
+        assert report_records(report) == classified_records(lo, lo + 4)
         assert report.max_excursion.value > (1 << 63) - 1
-        expected_steps = max(
-            ((r.outcome.steps, x) for x, r in recs.items()), key=lambda t: (t[0], -t[1])
-        )
-        assert (report.max_total_stopping_time.value, report.max_total_stopping_time.argmax) == expected_steps
 
 
 def test_range_beyond_vector_path():
-    y0 = (1 << 70) + 1
-    report = verify_range(VerifyConfig(y0, y0 + 2))
-    assert report.verified_count == 3
-    recs = {x: classify_trajectory(x) for x in range(y0, y0 + 3)}
-    expected_steps = max(
-        ((r.outcome.steps, x) for x, r in recs.items()), key=lambda t: (t[0], -t[1])
-    )
-    expected_peak = max(
-        ((r.max_excursion, x) for x, r in recs.items()), key=lambda t: (t[0], -t[1])
-    )
-    assert (report.max_total_stopping_time.value, report.max_total_stopping_time.argmax) == expected_steps
-    assert (report.max_excursion.value, report.max_excursion.argmax) == expected_peak
+    # starts that do not fit int64 walk an exact prefix and join the lane
+    # kernel; 2^64 is its own peak; a chunk holds starts on both sides of
+    # 2^63; every start of the last window is above _BLOCK_LIMIT and
+    # begins in 1-step blocks
+    for lo, hi, chunk in (
+        ((1 << 70) + 1, (1 << 70) + 3, 1 << 16),
+        (1 << 64, 1 << 64, 1),
+        ((1 << 63) - 40, (1 << 63) + 40, 37),
+        ((1 << 56) + 1, (1 << 56) + 4096, 1 << 16),
+    ):
+        report = verify_range(VerifyConfig(lo, hi, chunk_size=chunk))
+        assert report.verified_count == hi - lo + 1
+        assert report_records(report) == classified_records(lo, hi)
 
 
 def test_forced_escalation_paths_agree(monkeypatch):
-    # vector, forced escalation, and forced all-exact runs, at the default
-    # budget and at small budgets with and without a cutoff
+    # vector, forced escalation, and forced exact-prefix runs, at the
+    # default budget and at small budgets with and without a cutoff; the
+    # path record 8,528,817,511 peaks past 2^63 and then descends, so its
+    # lane escalates and rejoins the kernel
+    record = VerifyConfig(8528817447, 8528817575, chunk_size=37, dense_cache_entries=4096)
     for cfg in (
         VerifyConfig(1, 3000, dense_cache_entries=64),
         VerifyConfig(1000, 5000, step_budget=40, assume_verified_below=1000, dense_cache_entries=64),
         VerifyConfig(1000, 5000, step_budget=40, dense_cache_entries=4096),
         VerifyConfig(1, 3000, step_budget=25, dense_cache_entries=2),
+        replace(record, worker_count=1),
+        replace(record, worker_count=2),
     ):
         base = verify_range(cfg).payload()
         # every lane in 1-step blocks, then 1-step lanes above 2000 beside
@@ -269,10 +282,15 @@ def test_forced_escalation_paths_agree(monkeypatch):
             patch.setattr(verifier_mod, "_VALUE_LIMIT", 10)
             assert verify_range(cfg).payload() == base
 
+            # with a 2-entry table the exact walks stop at 5, above the
+            # table, so every start past 10 walks an exact prefix and
+            # rejoins the kernel
             verifier_mod._cache_slot = None
-            patch.setattr(verifier_mod, "_RANGE_LIMIT", 0)
-            assert verify_range(cfg).payload() == base
+            assert verify_range(replace(cfg, dense_cache_entries=2)).payload() == base
         verifier_mod._cache_slot = None
+    report = verify_range(record)
+    assert report.max_excursion == RecordStat(18_144_594_937_356_598_024, 8_528_817_511)
+    assert report_records(report) == classified_records(record.range_lo, record.range_hi)
 
 
 def test_block_tables_are_exact():
