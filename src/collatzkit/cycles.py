@@ -14,9 +14,11 @@ from typing import Iterable, Sequence
 from .dynamics import (
     DEFAULT_STEP_BUDGET,
     DomainError,
+    EntersCycle,
     MapVariant,
+    ReachesOne,
     _as_positive,
-    _orbit_search,
+    classify_trajectory,
     step_function,
 )
 
@@ -122,24 +124,30 @@ def loop_power(loop: ClosedLoop, m: int) -> ClosedLoop:
     return ClosedLoop(loop.values + lap * (m - 1), loop.variant)
 
 
+_LOOP_THROUGH_ONE = {
+    MapVariant.STANDARD: validate_loop((1, 4, 2, 1)),
+    MapVariant.STAR: validate_loop((1, 1), MapVariant.STAR),
+}
+
+
 def find_cycle(
     start: int,
     variant: MapVariant = MapVariant.STANDARD,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> ClosedLoop | None:
-    """Follow the orbit of start until it repeats a value, or give up.
+    """The loop the orbit of start falls into, or None if the budget runs out.
 
-    Unlike classify_trajectory this does not halt on reaching 1, so
-    under STANDARD every orbit that stays within budget lands in some
-    cycle (conjecturally always 1-4-2-1). Returns None only when the
-    budget runs out before the repeat is witnessed.
+    This reads classify_trajectory's outcome. An orbit that arrives at 1
+    is on the variant's loop through 1 (1-4-2-1 under STANDARD, the
+    fixed point under STAR), so that loop is returned as soon as the
+    arrival falls within step_budget. Any other loop is returned once
+    Brent's method closes it within the budget; otherwise the result
+    is None.
     """
     start = _as_positive(start, "start")
-    if step_budget < 1:
-        raise DomainError(f"step_budget must be >= 1, got {step_budget}")
-    step = step_function(variant)
-    kind, *rest = _orbit_search(start, step, step_budget, False, None, False)
-    if kind != "cycle":
-        return None
-    _mu, loop_values, _max_seen, _values = rest
-    return ClosedLoop._from_core(loop_values, variant)
+    outcome = classify_trajectory(start, variant, step_budget).outcome
+    if isinstance(outcome, EntersCycle):
+        return outcome.loop
+    if isinstance(outcome, ReachesOne):
+        return _LOOP_THROUGH_ONE[variant]
+    return None

@@ -55,9 +55,7 @@ def col(x: int) -> int:
 def col_star(x: int) -> int:
     """Loop-breaking variant: fixes 1, agrees with col everywhere else."""
     x = _as_positive(x)
-    if x == 1:
-        return 1
-    return x // 2 if x % 2 == 0 else 3 * x + 1
+    return 1 if x == 1 else col(x)
 
 
 def step_function(variant: MapVariant) -> Callable[[int], int]:
@@ -157,81 +155,6 @@ class TrajectoryRecord:
     values: tuple[int, ...] | None = None
 
 
-def _orbit_search(
-    start: int,
-    step: Callable[[int], int],
-    step_budget: int,
-    halt_at_one: bool,
-    value_bound: int | None,
-    record: bool,
-):
-    """Walk an orbit with Brent's cycle detection in constant memory.
-
-    The hare walks the orbit one application per budget unit; the
-    tortoise teleports to the hare's position whenever the gap between
-    them reaches a power of two. Equality of the two then witnesses a
-    cycle whose length is exactly the current gap. Returns one of:
-
-      ("one",    steps, max_seen, values)
-      ("cycle",  tail_length, loop_values, max_seen, values)
-      ("budget", steps, max_seen, values)
-      ("bound",  steps, max_seen, values)
-
-    values is None unless record is set; for "cycle" it is trimmed to
-    the tail plus one full lap, ending where the loop closes.
-    """
-    cur = start
-    max_seen = start
-    values = [start] if record else None
-    tortoise = start
-    power = 1
-    gap = 0
-    steps = 0
-    found = False
-    while steps < step_budget:
-        cur = step(cur)
-        steps += 1
-        gap += 1
-        if record:
-            values.append(cur)
-        if cur > max_seen:
-            max_seen = cur
-        if halt_at_one and cur == 1:
-            return "one", steps, max_seen, values
-        if value_bound is not None and cur > value_bound:
-            return "bound", steps, max_seen, values
-        if cur == tortoise:
-            found = True
-            break
-        if gap == power:
-            tortoise = cur
-            power *= 2
-            gap = 0
-    if not found:
-        return "budget", steps, max_seen, values
-
-    lam = gap
-    # Find the tail length: advance one pointer lam steps ahead, then
-    # move both in lockstep until they meet at the loop's entry point.
-    ahead = start
-    for _ in range(lam):
-        ahead = step(ahead)
-    behind = start
-    mu = 0
-    while behind != ahead:
-        behind = step(behind)
-        ahead = step(ahead)
-        mu += 1
-    loop_values = [behind]
-    v = behind
-    for _ in range(lam - 1):
-        v = step(v)
-        loop_values.append(v)
-    if record:
-        values = values[: mu + lam + 1]
-    return "cycle", mu, loop_values, max_seen, values
-
-
 def classify_trajectory(
     x: int,
     variant: MapVariant = MapVariant.STANDARD,
@@ -245,6 +168,12 @@ def classify_trajectory(
     1 is not an arrival: the orbit proceeds and is classified as the
     cycle it immediately enters (the 1-4-2-1 loop under STANDARD, the
     fixed point under STAR).
+
+    Cycles are found by Brent's method in constant memory: the walk
+    takes one step per budget unit, and a tortoise jumps to the
+    walk's position whenever the gap between them reaches a power of
+    two. Equality of the two witnesses a cycle whose period is exactly
+    the current gap; the tail length is then found by a second walk.
 
     An orbit is Unresolved when step_budget applications pass without
     arrival or cycle detection, or when a value exceeds value_bound.
@@ -261,19 +190,41 @@ def classify_trajectory(
     if value_bound is not None:
         value_bound = _as_positive(value_bound, "value_bound")
     step = step_function(variant)
-    # Reaching 1 means arriving from elsewhere; the orbit of 1 itself
-    # has nowhere to arrive from and classifies as the cycle it is on.
-    kind, *rest = _orbit_search(x, step, step_budget, x != 1, value_bound, record_values)
-    if kind == "one":
-        steps, max_seen, values = rest
-        outcome: TrajectoryOutcome = ReachesOne(steps)
-    elif kind == "cycle":
-        mu, loop_values, max_seen, values = rest
-        from .cycles import ClosedLoop  # deferred: cycles imports this module
-
-        outcome = EntersCycle(ClosedLoop._from_core(loop_values, variant), mu)
-    else:
-        steps, max_seen, values = rest
+    fixes_one = variant is MapVariant.STAR
+    cur = tortoise = max_seen = x
+    values = [x] if record_values else None
+    power = 1
+    gap = steps = 0
+    outcome = None
+    while steps < step_budget:
+        # step(cur), taken inline: the value needs no validation here.
+        if cur % 2 == 0:
+            cur //= 2
+        elif not (fixes_one and cur == 1):
+            cur = 3 * cur + 1
+        steps += 1
+        gap += 1
+        if values is not None:
+            values.append(cur)
+        if cur > max_seen:
+            max_seen = cur
+        # Reaching 1 means arriving from elsewhere; the orbit of 1 itself
+        # has nowhere to arrive from and classifies as the cycle it is on.
+        if cur == 1 and x != 1:
+            outcome = ReachesOne(steps)
+            break
+        if value_bound is not None and cur > value_bound:
+            break
+        if cur == tortoise:
+            outcome = _entered_cycle(x, gap, step, variant)
+            if values is not None:
+                values = values[: outcome.tail_length + gap + 1]
+            break
+        if gap == power:
+            tortoise = cur
+            power *= 2
+            gap = 0
+    if outcome is None:
         outcome = Unresolved(steps_taken=steps, max_value_seen=max_seen)
     return TrajectoryRecord(
         start=x,
@@ -281,3 +232,29 @@ def classify_trajectory(
         max_excursion=max_seen,
         values=tuple(values) if values is not None else None,
     )
+
+
+def _entered_cycle(
+    start: int, period: int, step: Callable[[int], int], variant: MapVariant
+) -> EntersCycle:
+    """The cycle of the given period that the orbit of start falls into.
+
+    One pointer goes a full period ahead, then both move in lockstep
+    until they meet at the loop's entry point; the steps they take to
+    meet are the tail length.
+    """
+    from .cycles import ClosedLoop  # deferred: cycles imports this module
+
+    ahead = start
+    for _ in range(period):
+        ahead = step(ahead)
+    behind = start
+    tail = 0
+    while behind != ahead:
+        behind = step(behind)
+        ahead = step(ahead)
+        tail += 1
+    core = [behind]
+    for _ in range(period - 1):
+        core.append(step(core[-1]))
+    return EntersCycle(ClosedLoop._from_core(core, variant), tail)

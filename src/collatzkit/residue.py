@@ -157,7 +157,13 @@ def strongly_connected_components(graph: TransitionGraph) -> list[list[int]]:
     """Tarjan's algorithm, iterative. Components are returned with
     members ascending, ordered by their minimum vertex."""
     m = graph.modulus
-    adj = [sorted({e.dst for e in graph.edges_from(v)}) for v in range(m)]
+    # Edges are sorted by (src, dst, branch), so one pass builds each
+    # vertex's successors ascending, with both branches to one dst merged.
+    adj: list[list[int]] = [[] for _ in range(m)]
+    for e in graph.edges:
+        succ = adj[e.src]
+        if not succ or succ[-1] != e.dst:
+            succ.append(e.dst)
     index = [-1] * m
     low = [0] * m
     on_stack = [False] * m

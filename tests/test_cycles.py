@@ -115,6 +115,16 @@ def test_find_cycle_trivial():
 
 def test_find_cycle_budget_exhaustion():
     assert find_cycle(27, step_budget=10) is None
+    # 27 arrives at 1 on step 111, so the loop through 1 is known from
+    # there, before Brent's method would close it (step 130).
+    assert find_cycle(27, step_budget=110) is None
+    assert find_cycle(27, step_budget=111).values == (1, 4, 2, 1)
+    assert find_cycle(27, MapVariant.STAR, 111).values == (1, 1)
+    # Start 1 arrives nowhere; Brent's method closes its loop on step 6,
+    # or on step 1 for the STAR fixed point.
+    assert find_cycle(1, step_budget=5) is None
+    assert find_cycle(1, step_budget=6).values == (1, 4, 2, 1)
+    assert find_cycle(1, MapVariant.STAR, 1).values == (1, 1)
 
 
 def test_find_cycle_random_starts():

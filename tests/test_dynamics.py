@@ -1,19 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collatzkit import (
     DomainError,
     EntersCycle,
     MapVariant,
     ReachesOne,
+    TrajectoryRecord,
     Unresolved,
     classify_trajectory,
     col,
     col_star,
+    find_cycle,
     iterate_k,
     preimage,
     total_stopping_time,
+    validate_loop,
 )
 
 
@@ -229,6 +234,60 @@ def test_classify_excursion_matches_naive():
         x = rng.randrange(2, 10**5)
         rec = classify_trajectory(x)
         assert rec.max_excursion == max(naive_orbit_to_one(x))
+
+
+# The loop through 1 under each variant, and the step on which Brent's
+# method closes it for the orbit of 1, which has no arrival to stop at.
+LOOP_OF_ONE = {MapVariant.STANDARD: ((1, 4, 2, 1), 6), MapVariant.STAR: ((1, 1), 1)}
+
+
+def plain_record(x, variant, budget, bound, record):
+    """The record classify_trajectory must give, from a plain list walk.
+
+    From x >= 2 the orbit reaches 1, runs out of budget or passes the
+    bound; the orbit of 1 ends on the step that closes its loop.
+    """
+    loop, closes_on = LOOP_OF_ONE[variant]
+    step = col_star if variant is MapVariant.STAR else col
+    values = [x]
+    outcome = None
+    while outcome is None and len(values) <= budget:
+        values.append(step(values[-1]))
+        steps = len(values) - 1
+        if x != 1 and values[-1] == 1:
+            outcome = ReachesOne(steps)
+        elif bound is not None and values[-1] > bound:
+            outcome = Unresolved(steps, max(values))
+        elif x == 1 and steps == closes_on:
+            outcome = EntersCycle(validate_loop(loop, variant), 0)
+            values = list(loop)
+    if outcome is None:
+        outcome = Unresolved(budget, max(values))
+    return TrajectoryRecord(x, outcome, max(values), tuple(values) if record else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.one_of(
+        st.just(1),
+        st.integers(2, 10**5),
+        st.sampled_from([2**64 + 1, 2**65, 3 * 2**64, 2**70 + 27]),
+    ),
+    budget=st.integers(1, 400),
+    bound=st.none() | st.integers(1, 80).flatmap(lambda bits: st.integers(1, 2**bits)),
+    record=st.booleans(),
+)
+def test_classify_matches_plain_walk(x, budget, bound, record):
+    for variant in MapVariant:
+        expected = plain_record(x, variant, budget, bound, record)
+        assert classify_trajectory(x, variant, budget, bound, record) == expected
+        # find_cycle has no bound: it finds the loop through 1 exactly
+        # when the unbounded walk ends on it within the budget.
+        unbounded = plain_record(x, variant, budget, None, False).outcome
+        if isinstance(unbounded, Unresolved):
+            assert find_cycle(x, variant, budget) is None
+        else:
+            assert find_cycle(x, variant, budget) == validate_loop(LOOP_OF_ONE[variant][0], variant)
 
 
 def test_step_budget_must_be_positive():
