@@ -46,6 +46,13 @@ def _as_positive(x, name: str = "x") -> int:
     return x
 
 
+def _as_budget(step_budget) -> int:
+    # bool is an int subclass but no step count; VerifyConfig refuses it too.
+    if isinstance(step_budget, bool):
+        raise DomainError(f"step_budget must be a positive integer, got {step_budget!r}")
+    return _as_positive(step_budget, "step_budget")
+
+
 def col(x: int) -> int:
     """One step of the map: x/2 for even x, 3x+1 for odd x."""
     x = _as_positive(x)
@@ -92,8 +99,7 @@ def total_stopping_time(x: int, step_budget: int = DEFAULT_STEP_BUDGET) -> int |
     that does not happen for any x known to science.
     """
     x = _as_positive(x)
-    if step_budget < 1:
-        raise DomainError(f"step_budget must be >= 1, got {step_budget}")
+    step_budget = _as_budget(step_budget)
     if x == 1:
         return 0
     steps = 0
@@ -185,8 +191,7 @@ def classify_trajectory(
     or everything seen before giving up.
     """
     x = _as_positive(x)
-    if step_budget < 1:
-        raise DomainError(f"step_budget must be >= 1, got {step_budget}")
+    step_budget = _as_budget(step_budget)
     if value_bound is not None:
         value_bound = _as_positive(value_bound, "value_bound")
     step = step_function(variant)

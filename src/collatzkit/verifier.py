@@ -59,6 +59,7 @@ _VALUE_LIMIT = (2**63 - 2) // 3
 # between the two limits take 1-step blocks.
 K = 12
 _BLOCK_LIMIT = 2 ** (62 + K) // 3**K - 1
+_PARKED = -(2**62)  # r of a parked lane: negative for longer than any walk
 
 _TRIVIAL_LOOP = (1, 4, 2, 1)
 
@@ -265,7 +266,10 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     through 1, and a lane may land past its first value below stop, as
     its steps plus the landing's total are still its total. Starts past
     _VALUE_LIMIT, and odd lanes past it, whose next 3x+1 would leave
-    int64, step in _exact_walk to half of it or below, and rejoin.
+    int64, step in _exact_walk to half of it or below, and rejoin. Each
+    round retires only the lanes just finished, by index, and parks them
+    at -1, a fixed point of every block, with r at _PARKED; they drop out
+    once fewer than half the lanes are live, and in the big-first reorder.
 
     Returns (landing, steps, peak, exact), indexed by x - lo: landing is
     -1 where the budget ran out; exact holds the peaks past int64.
@@ -286,9 +290,9 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     pk = cur.copy()
 
     def walk_exactly(j: int, c: int) -> None:
-        # A value below stop, or -1 once over budget, retires it next round.
         i = int(lane[j])
-        cur[j], r[j], p = _exact_walk(c, floor, int(r[j]), max(c, exact.get(i, int(pk[j]))), budget)
+        c, s, p = _exact_walk(c, floor, int(r[j]), max(c, exact.get(i, int(pk[j]))), budget)
+        cur[j], r[j] = c, s if c >= 0 else budget + 1  # a -1 alone reads as parked
         if p >> 63:
             exact[i] = p
         else:
@@ -296,27 +300,31 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
 
     for j in range(m, n):
         walk_exactly(j, lo + j)
-    while lane.size:
-        out = (cur < stop) | (r > budget)
-        if out.any():
-            # A lane past budget has more than budget steps to 1.
+    live = n
+    while live > 0:
+        out = np.flatnonzero((cur.view(np.uint64) < stop) | (r > budget))  # parked: 2^64 - 1
+        if out.size:
             d = lane[out]
-            landing[d] = np.where(r[out] > budget, -1, cur[out])
+            landing[d] = cur[out]
             steps[d] = r[out]
             peak[d] = pk[out]
-            keep = ~out
-            lane, cur, r, pk = lane[keep], cur[keep], r[keep], pk[keep]
+            landing[d[steps[d] > budget]] = -1  # more than budget steps to 1
+            cur[out], r[out] = -1, _PARKED
+            live -= out.size
+            if 2 * live < lane.size:
+                keep = np.flatnonzero(r >= 0)
+                lane, cur, r, pk = lane[keep], cur[keep], r[keep], pk[keep]
         if cur.max(initial=0) <= _BLOCK_LIMIT:
             _advance(table, k, cur, r, pk)
         elif risky := np.flatnonzero((cur > _VALUE_LIMIT) & (cur & 1).astype(bool)).tolist():
             for j in risky:
                 walk_exactly(j, int(cur[j]))
         else:
-            # Big lanes first, so each kind of block runs on a slice.
-            big = cur > _BLOCK_LIMIT
-            order = np.concatenate((np.flatnonzero(big), np.flatnonzero(~big)))
+            # Big lanes first, each kind of block on a slice; parked lanes drop.
+            small = np.flatnonzero(cur.view(np.uint64) <= _BLOCK_LIMIT)
+            order = np.concatenate((np.flatnonzero(cur > _BLOCK_LIMIT), small))
             lane, cur, r, pk = lane[order], cur[order], r[order], pk[order]
-            nb = int(np.count_nonzero(big))
+            nb = live - small.size
             _advance(one, 1, cur[:nb], r[:nb], pk[:nb])
             _advance(table, k, cur[nb:], r[nb:], pk[nb:])
     return landing, steps, peak, exact

@@ -291,7 +291,13 @@ def test_classify_matches_plain_walk(x, budget, bound, record):
 
 
 def test_step_budget_must_be_positive():
-    with pytest.raises(DomainError):
-        classify_trajectory(5, step_budget=0)
-    with pytest.raises(DomainError):
-        total_stopping_time(5, step_budget=0)
+    # a float, a bool and a string are refused as x and k are, not
+    # truncated, counted as 1 or passed on to a TypeError
+    for budget in (0, -3, 2.5, True, False, "3"):
+        for call in (
+            lambda: classify_trajectory(27, step_budget=budget),
+            lambda: total_stopping_time(2, step_budget=budget),
+            lambda: find_cycle(27, step_budget=budget),
+        ):
+            with pytest.raises(DomainError, match="step_budget"):
+                call()

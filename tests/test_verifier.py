@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -351,6 +352,61 @@ def test_table_matches_per_start_walks():
             else:
                 expected = 1 if x == 1 else classify_trajectory(x).max_excursion
                 assert (steps[x], peak[x]) == (n, expected)
+
+
+def test_walk_lanes_matches_plain_walk():
+    # The lane contract, apart from blocks and lane bookkeeping: a lane
+    # lands below stop, on the value x reaches after exactly its steps,
+    # with the largest value of that walk as its peak (in exact when the
+    # peak is past int64); a landing of -1 means more than budget steps
+    # to 1. The windows straddle each stop, so lanes retire in round 0;
+    # small budgets run out inside a block and inside an exact walk; the
+    # 2^60 window escalates lanes past _VALUE_LIMIT, starts past 2^63
+    # walk an exact prefix, and both rejoin the kernel.
+    windows = (
+        (1, 300),
+        (4000, 4200),
+        ((1 << 20) - 100, (1 << 20) + 100),
+        ((1 << 60) + 1, (1 << 60) + 100),
+        ((1 << 63) - 50, (1 << 63) + 50),
+        (8528817447, 8528817575),
+    )
+    for stop in (64, 4096, 1 << 20):
+        for budget in (1, 40, 300, DEFAULT_STEP_BUDGET):
+            for lo, hi in windows:
+                landing, steps, peak, exact = verifier_mod._walk_lanes(lo, hi, stop, budget)
+                assert set(exact) <= set(range(hi - lo + 1))
+                for i, x in enumerate(range(lo, hi + 1)):
+                    if landing[i] == -1:
+                        assert total_stopping_time(x, budget) is None
+                        continue
+                    c = p = x
+                    for _ in range(steps[i]):
+                        c = c // 2 if c % 2 == 0 else 3 * c + 1
+                        p = max(p, c)
+                    assert c == landing[i] < stop and steps[i] <= budget
+                    assert (i in exact) == (p > 2**63 - 1)
+                    assert p == exact.get(i, peak[i])
+
+
+def test_payload_hash_grid():
+    # Payload hashes that every change to the kernel keeps: first 16 hex
+    # digits of sha256 over the sorted-key JSON payload. Small budgets
+    # with and without a cutoff, windows at 2^61, past 2^62 and past
+    # int64, the path record 8,528,817,511, and the dense sweep.
+    grid = (
+        (VerifyConfig(1000, 5000, 40, 1000, 137, dense_cache_entries=64), "d64152976b066303"),
+        (VerifyConfig(1000, 5000, 40, chunk_size=137, dense_cache_entries=4096), "9d698c28950a57fc"),
+        (VerifyConfig(1, 3000, 25, chunk_size=137, dense_cache_entries=64), "69047d72e9e0a41a"),
+        (VerifyConfig(1 << 61, (1 << 61) + 4095), "c73bd2b17e83a115"),
+        (VerifyConfig((1 << 62) + 1, (1 << 62) + 4096), "a19ec917d6abf0f6"),
+        (VerifyConfig((1 << 70) + 1, (1 << 70) + 3), "84301d4cce293ca0"),
+        (VerifyConfig(8528817447, 8528817575, chunk_size=37), "cbc18b665f0d9825"),
+        (VerifyConfig(1, 10**7, worker_count=2), "a761c96312adb8e5"),
+    )
+    for cfg, expected in grid:
+        payload = json.dumps(verify_range(cfg).payload(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest()[:16] == expected, cfg
 
 
 LAZY_IMPORT = """
