@@ -140,7 +140,7 @@ def _cmd_graph(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     # Imported here so that the other commands skip numpy.
-    from .verifier import ConfigError, VerifyConfig, verify_range
+    from .verifier import VerifyConfig, verify_range
 
     config = VerifyConfig(
         range_lo=ns.range_lo,
@@ -148,11 +148,7 @@ def _cmd_verify(ns) -> int:
         assume_verified_below=ns.assume_verified_below,
         worker_count=ns.workers,
     )
-    try:
-        report = verify_range(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = verify_range(config)
     if ns.format == "json":
         print(report.to_json())
     else:

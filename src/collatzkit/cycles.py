@@ -13,11 +13,10 @@ from typing import Iterable, Sequence
 
 from .dynamics import (
     DEFAULT_STEP_BUDGET,
-    DomainError,
     EntersCycle,
     MapVariant,
     ReachesOne,
-    _as_positive,
+    _as_int,
     classify_trajectory,
     step_function,
 )
@@ -90,12 +89,9 @@ def validate_loop(
     map exactly. Rejections raise the LoopError subclass naming the
     first violated requirement.
     """
-    values = tuple(candidate)
+    values = tuple(_as_int(v, "loop element", error=ZeroElementError) for v in candidate)
     if len(values) == 0:
         raise EmptySequenceError("loop candidate is empty")
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ZeroElementError(f"loop elements must be positive integers, got {v!r}")
     if len(values) == 1:
         raise LoopTooShortError("loop candidate needs at least one step")
     if values[-1] != values[0]:
@@ -116,8 +112,7 @@ def loop_power(loop: ClosedLoop, m: int) -> ClosedLoop:
     The result walks the same cycle m times, so its tuple has length
     m * period + 1 and still validates. m == 1 returns the loop itself.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    m = _as_int(m, "m")
     if m == 1:
         return loop
     lap = loop.values[1:]
@@ -144,7 +139,7 @@ def find_cycle(
     Brent's method closes it within the budget; otherwise the result
     is None.
     """
-    start = _as_positive(start, "start")
+    start = _as_int(start, "start")
     outcome = classify_trajectory(start, variant, step_budget).outcome
     if isinstance(outcome, EntersCycle):
         return outcome.loop

@@ -34,34 +34,38 @@ class MapVariant(enum.Enum):
     STAR = "star"
 
 
-def _as_positive(x, name: str = "x") -> int:
-    # operator.index admits ints and int-like types (numpy integers)
-    # while rejecting floats and strings outright.
-    try:
-        x = operator.index(x)
-    except TypeError:
-        raise DomainError(f"{name} must be a positive integer, got {x!r}") from None
-    if x < 1:
-        raise DomainError(f"{name} must be a positive integer, got {x}")
-    return x
+def _as_int(value, name: str, lo: int = 1, hi: int | None = None, error=DomainError) -> int:
+    """value as a plain int in [lo, hi], with no upper end when hi is None.
 
-
-def _as_budget(step_budget) -> int:
-    # bool is an int subclass but no step count; VerifyConfig refuses it too.
-    if isinstance(step_budget, bool):
-        raise DomainError(f"step_budget must be a positive integer, got {step_budget!r}")
-    return _as_positive(step_budget, "step_budget")
+    Every public integer argument of the package comes through here.
+    operator.index admits ints and int-likes (numpy integers) and refuses
+    floats and strings; bool is an int subclass but no count, bound or
+    residue, so it is refused too. A refusal raises error, and its
+    message names the argument.
+    """
+    # Plain ints, the common case, skip operator.index; type(True) is bool.
+    if type(value) is int and value >= lo and (hi is None or value <= hi):
+        return value
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            n = None
+        if n is not None and n >= lo and (hi is None or n <= hi):
+            return n
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise error(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def col(x: int) -> int:
     """One step of the map: x/2 for even x, 3x+1 for odd x."""
-    x = _as_positive(x)
+    x = _as_int(x, "x")
     return x // 2 if x % 2 == 0 else 3 * x + 1
 
 
 def col_star(x: int) -> int:
     """Loop-breaking variant: fixes 1, agrees with col everywhere else."""
-    x = _as_positive(x)
+    x = _as_int(x, "x")
     return 1 if x == 1 else col(x)
 
 
@@ -76,13 +80,8 @@ def step_function(variant: MapVariant) -> Callable[[int], int]:
 
 def iterate_k(x: int, k: int, variant: MapVariant = MapVariant.STANDARD) -> int:
     """Apply the step map k times and return the final value."""
-    x = _as_positive(x)
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}") from None
-    if k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k}")
+    x = _as_int(x, "x")
+    k = _as_int(k, "k", lo=0)
     star = variant is MapVariant.STAR
     for _ in range(k):
         if star and x == 1:
@@ -98,8 +97,8 @@ def total_stopping_time(x: int, step_budget: int = DEFAULT_STEP_BUDGET) -> int |
     within step_budget applications of the map; with the default budget
     that does not happen for any x known to science.
     """
-    x = _as_positive(x)
-    step_budget = _as_budget(step_budget)
+    x = _as_int(x, "x")
+    step_budget = _as_int(step_budget, "step_budget")
     if x == 1:
         return 0
     steps = 0
@@ -118,7 +117,7 @@ def preimage(x: int) -> set[int]:
     when x == 4 (mod 6): x - 1 must be divisible by 3 and the quotient
     must come out odd and >= 1, which pins x to that residue class.
     """
-    x = _as_positive(x)
+    x = _as_int(x, "x")
     out = {2 * x}
     if x % 6 == 4:
         y = (x - 1) // 3
@@ -190,10 +189,10 @@ def classify_trajectory(
     through the arrival at 1, through the first closed lap of a cycle,
     or everything seen before giving up.
     """
-    x = _as_positive(x)
-    step_budget = _as_budget(step_budget)
+    x = _as_int(x, "x")
+    step_budget = _as_int(step_budget, "step_budget")
     if value_bound is not None:
-        value_bound = _as_positive(value_bound, "value_bound")
+        value_bound = _as_int(value_bound, "value_bound")
     step = step_function(variant)
     fixes_one = variant is MapVariant.STAR
     cur = tortoise = max_seen = x

@@ -20,7 +20,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
-from .dynamics import DomainError, _as_positive
+from .dynamics import _as_int
 
 
 class BranchLabel(enum.Enum):
@@ -45,8 +45,9 @@ class ResidueClass:
     residue: int
 
     def __post_init__(self):
-        _check_modulus(self.modulus)
-        _check_residue(self.modulus, self.residue)
+        modulus = _as_int(self.modulus, "modulus")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residue", _as_int(self.residue, "residue", 0, modulus - 1))
 
     def contains(self, x: int) -> bool:
         return x >= 1 and x % self.modulus == self.residue
@@ -60,46 +61,42 @@ class ResidueClass:
 class TransitionGraph:
     """Labeled digraph on residues 0..modulus-1, edges sorted and deduplicated.
 
-    Edges are sorted by (src, dst, branch), so the out-edges of a vertex
+    Whatever order the edges come in, the graph keeps them sorted by
+    (src, dst, branch) with repeats dropped, so the out-edges of a vertex
     form one contiguous run; edges_from finds it by bisection.
     """
 
     modulus: int
     edges: tuple[Edge, ...]
 
+    def __post_init__(self):
+        # Sorting puts repeated edges side by side; groupby keeps one of
+        # each, with tuple equality rather than Python-level Enum hashing.
+        # _value_ is the plain attribute behind the slower .value property.
+        edges = sorted(self.edges, key=lambda e: (e.src, e.dst, e.label._value_))
+        object.__setattr__(self, "edges", tuple(e for e, _ in groupby(edges)))
+
     @property
     def vertices(self) -> range:
         return range(self.modulus)
 
     def edges_from(self, residue: int) -> tuple[Edge, ...]:
-        _check_residue(self.modulus, residue)
+        residue = _as_int(residue, "residue", 0, self.modulus - 1)
         lo = bisect_left(self.edges, residue, key=_SRC)
         return self.edges[lo:bisect_right(self.edges, residue, lo=lo, key=_SRC)]
 
 
-def _check_modulus(modulus) -> int:
-    return _as_positive(modulus, "modulus")
-
-
-def _check_residue(modulus: int, residue) -> int:
-    if not isinstance(residue, int) or isinstance(residue, bool):
-        raise DomainError(f"residue must be an integer, got {residue!r}")
-    if not 0 <= residue < modulus:
-        raise DomainError(f"residue must lie in [0, {modulus}), got {residue}")
-    return residue
-
-
 def class_of(x: int, modulus: int) -> ResidueClass:
     """The residue class of x mod modulus."""
-    x = _as_positive(x)
-    modulus = _check_modulus(modulus)
+    x = _as_int(x, "x")
+    modulus = _as_int(modulus, "modulus")
     return ResidueClass(modulus, x % modulus)
 
 
 def transition_targets(modulus: int, residue: int) -> set[tuple[int, BranchLabel]]:
     """Labeled successors of a residue class under one step of the map."""
-    modulus = _check_modulus(modulus)
-    residue = _check_residue(modulus, residue)
+    modulus = _as_int(modulus, "modulus")
+    residue = _as_int(residue, "residue", 0, modulus - 1)
     if modulus % 2 == 0:
         # Class parity is fixed, so exactly one branch applies.
         if residue % 2 == 1:
@@ -120,12 +117,11 @@ def transition_targets(modulus: int, residue: int) -> set[tuple[int, BranchLabel
 
 def build_graph(modulus: int) -> TransitionGraph:
     """Transition graph on all residues mod modulus."""
-    modulus = _check_modulus(modulus)
+    modulus = _as_int(modulus, "modulus")
     edges = []
     for r in range(modulus):
         for dst, label in transition_targets(modulus, r):
             edges.append(Edge(r, dst, label))
-    edges.sort(key=lambda e: (e.src, e.dst, e.label.value))
     return TransitionGraph(modulus, tuple(edges))
 
 
@@ -237,21 +233,15 @@ def from_json(text: str) -> TransitionGraph:
     """Inverse of to_json. Raises ValueError on malformed input."""
     data = json.loads(text)
     try:
-        modulus = _check_modulus(data["modulus"])
+        modulus = _as_int(data["modulus"], "modulus")
         edges = tuple(
-            sorted(
-                (
-                    Edge(
-                        _check_residue(modulus, e["from"]),
-                        _check_residue(modulus, e["to"]),
-                        BranchLabel(e["branch"]),
-                    )
-                    for e in data["edges"]
-                ),
-                key=lambda e: (e.src, e.dst, e.label.value),
+            Edge(
+                _as_int(e["from"], "from", 0, modulus - 1),
+                _as_int(e["to"], "to", 0, modulus - 1),
+                BranchLabel(e["branch"]),
             )
+            for e in data["edges"]
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed transition graph JSON: {exc}") from exc
-    # Sorting puts repeated edges side by side; keep one of each.
-    return TransitionGraph(modulus, tuple(e for e, _ in groupby(edges)))
+    return TransitionGraph(modulus, edges)

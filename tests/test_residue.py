@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from collatzkit import (
     DomainError,
     Edge,
     ResidueClass,
+    TransitionGraph,
     build_graph,
     class_of,
     col,
@@ -226,6 +228,8 @@ def test_from_json_malformed():
         from_json('{"modulus":4,"edges":[{"from":0,"to":1,"branch":"Square"}]}')
     with pytest.raises(ValueError):
         from_json('{"modulus":4,"edges":[{"from":9,"to":1,"branch":"Halve"}]}')
+    with pytest.raises(ValueError):
+        from_json('{"modulus":true,"edges":[]}')
 
 
 def test_modulus_domain():
@@ -264,3 +268,32 @@ def test_edges_from_matches_full_scan():
     assert sparse.edges_from(2) == (Edge(2, 1, BranchLabel.HALVE),)
     assert to_json(sparse).count('"from":2') == 1
     assert sparse.edges_from(0) == sparse.edges_from(6) == ()
+
+
+def test_graph_canonicalizes_unordered_repeated_edges():
+    H, T = BranchLabel.HALVE, BranchLabel.TRIPLE
+    canonical = (Edge(0, 1, H), Edge(0, 2, T), Edge(1, 0, H), Edge(2, 0, H))
+    # out of order, and (2, 0, H) twice
+    g = TransitionGraph(
+        3, (Edge(2, 0, H), Edge(0, 2, T), Edge(1, 0, H), Edge(0, 1, H), Edge(2, 0, H))
+    )
+    assert g.edges == canonical
+    assert g.edges_from(0) == canonical[:2]
+    assert g.edges_from(2) == (Edge(2, 0, H),)
+    assert g == TransitionGraph(3, canonical)
+    assert from_json(to_json(g)) == g
+
+
+def test_output_hash_grid():
+    # DOT, JSON and SCC output that every change to the residue module
+    # keeps: first 16 hex digits of sha256 over each artifact, moduli
+    # 1..200, 3^7 and 2^13 in turn.
+    dot, js, scc = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for m in (*range(1, 201), 3**7, 2**13):
+        g = build_graph(m)
+        dot.update(to_dot(g).encode())
+        js.update(to_json(g).encode())
+        scc.update(json.dumps(strongly_connected_components(g)).encode())
+    assert dot.hexdigest()[:16] == "fb747aae4f5c18f3"
+    assert js.hexdigest()[:16] == "ff9c07e78114d260"
+    assert scc.hexdigest()[:16] == "77ae623c02dd989c"

@@ -413,8 +413,16 @@ LAZY_IMPORT = """
 import sys
 
 import collatzkit
-import collatzkit.cli
+from collatzkit.cli import dispatch
 
+for argv in (
+    ["traj", "27"],
+    ["preimage", "16"],
+    ["cycle", "1"],
+    ["graph", "--modulus", "10"],
+    ["graph", "--modulus", "10", "--format", "json"],
+):
+    assert dispatch(argv) == 0, argv
 assert "numpy" not in sys.modules
 assert collatzkit.verify_range is collatzkit.verifier.verify_range
 assert "numpy" in sys.modules
