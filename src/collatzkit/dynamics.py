@@ -82,12 +82,12 @@ def iterate_k(x: int, k: int, variant: MapVariant = MapVariant.STANDARD) -> int:
     """Apply the step map k times and return the final value."""
     x = _as_int(x, "x")
     k = _as_int(k, "k", lo=0)
-    star = variant is MapVariant.STAR
-    for _ in range(k):
-        if star and x == 1:
-            continue
+    while k and x != 1:
         x = x // 2 if x % 2 == 0 else 3 * x + 1
-    return x
+        k -= 1
+    # Once at 1 the orbit is periodic: fixed under STAR, 1 -> 4 -> 2 -> 1
+    # under STANDARD, so the steps left need not be walked.
+    return x if x != 1 or variant is MapVariant.STAR else (1, 4, 2)[k % 3]
 
 
 def total_stopping_time(x: int, step_budget: int = DEFAULT_STEP_BUDGET) -> int | None:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import enum
 import json
-from bisect import bisect_left, bisect_right
+from array import array
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
-from .dynamics import _as_int
+from .dynamics import DomainError, _as_int
 
 
 class BranchLabel(enum.Enum):
@@ -32,9 +31,6 @@ class Edge(NamedTuple):
     src: int
     dst: int
     label: BranchLabel
-
-
-_SRC = attrgetter("src")
 
 
 @dataclass(frozen=True)
@@ -61,20 +57,38 @@ class ResidueClass:
 class TransitionGraph:
     """Labeled digraph on residues 0..modulus-1, edges sorted and deduplicated.
 
-    Whatever order the edges come in, the graph keeps them sorted by
-    (src, dst, branch) with repeats dropped, so the out-edges of a vertex
-    form one contiguous run; edges_from finds it by bisection.
+    Construction checks the modulus and every edge: both endpoints in
+    [0, modulus) and a BranchLabel, or DomainError. Whatever order the
+    edges come in, the graph keeps them sorted by (src, dst, branch) with
+    repeats dropped, so the out-edges of vertex v are the one run
+    edges[_first[v]:_first[v + 1]] of an offset index that edges_from
+    and the SCC pass both read.
     """
 
     modulus: int
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        m = _as_int(self.modulus, "modulus")
+        edges = list(self.edges)
+        for i, (src, dst, label) in enumerate(edges):
+            if type(label) is not BranchLabel:
+                raise DomainError(f"edge label must be a BranchLabel, got {label!r}")
+            # In-range plain ints, the common case, keep the edge as given.
+            if not (type(src) is int and type(dst) is int and 0 <= src < m and 0 <= dst < m):
+                src = _as_int(src, "edge src", 0, m - 1)
+                edges[i] = Edge(src, _as_int(dst, "edge dst", 0, m - 1), label)
         # Sorting puts repeated edges side by side; groupby keeps one of
         # each, with tuple equality rather than Python-level Enum hashing.
         # _value_ is the plain attribute behind the slower .value property.
-        edges = sorted(self.edges, key=lambda e: (e.src, e.dst, e.label._value_))
-        object.__setattr__(self, "edges", tuple(e for e, _ in groupby(edges)))
+        edges.sort(key=lambda e: (e.src, e.dst, e.label._value_))
+        edges = tuple(e for e, _ in groupby(edges))
+        counts = [0] * (m + 1)
+        for e in edges:
+            counts[e.src + 1] += 1
+        object.__setattr__(self, "modulus", m)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_first", array("q", accumulate(counts)))
 
     @property
     def vertices(self) -> range:
@@ -82,8 +96,7 @@ class TransitionGraph:
 
     def edges_from(self, residue: int) -> tuple[Edge, ...]:
         residue = _as_int(residue, "residue", 0, self.modulus - 1)
-        lo = bisect_left(self.edges, residue, key=_SRC)
-        return self.edges[lo:bisect_right(self.edges, residue, lo=lo, key=_SRC)]
+        return self.edges[self._first[residue]:self._first[residue + 1]]
 
 
 def class_of(x: int, modulus: int) -> ResidueClass:
@@ -93,36 +106,33 @@ def class_of(x: int, modulus: int) -> ResidueClass:
     return ResidueClass(modulus, x % modulus)
 
 
+def _targets(m: int, r: int) -> tuple[tuple[int, BranchLabel], ...]:
+    """Labeled successors of residue r mod m, in (dst, branch) order."""
+    if m % 2 == 0:
+        # Class parity is fixed, so exactly one branch applies.
+        if r % 2 == 1:
+            return (((3 * r + 1) % m, BranchLabel.TRIPLE),)
+        return ((r // 2, BranchLabel.HALVE), (r // 2 + m // 2, BranchLabel.HALVE))
+    # Odd modulus: both parities occur in every class, so both branches
+    # leave it. Halving is inversion of doubling mod m.
+    half, triple = r * ((m + 1) // 2) % m, (3 * r + 1) % m
+    if triple < half:
+        return ((triple, BranchLabel.TRIPLE), (half, BranchLabel.HALVE))
+    return ((half, BranchLabel.HALVE), (triple, BranchLabel.TRIPLE))
+
+
 def transition_targets(modulus: int, residue: int) -> set[tuple[int, BranchLabel]]:
     """Labeled successors of a residue class under one step of the map."""
     modulus = _as_int(modulus, "modulus")
-    residue = _as_int(residue, "residue", 0, modulus - 1)
-    if modulus % 2 == 0:
-        # Class parity is fixed, so exactly one branch applies.
-        if residue % 2 == 1:
-            return {((3 * residue + 1) % modulus, BranchLabel.TRIPLE)}
-        half = residue // 2
-        return {
-            (half, BranchLabel.HALVE),
-            (half + modulus // 2, BranchLabel.HALVE),
-        }
-    # Odd modulus: both parities occur in every class, so both branches
-    # leave it. Halving is inversion of doubling mod m.
-    inv2 = (modulus + 1) // 2
-    return {
-        ((residue * inv2) % modulus, BranchLabel.HALVE),
-        ((3 * residue + 1) % modulus, BranchLabel.TRIPLE),
-    }
+    return set(_targets(modulus, _as_int(residue, "residue", 0, modulus - 1)))
 
 
 def build_graph(modulus: int) -> TransitionGraph:
     """Transition graph on all residues mod modulus."""
-    modulus = _as_int(modulus, "modulus")
-    edges = []
-    for r in range(modulus):
-        for dst, label in transition_targets(modulus, r):
-            edges.append(Edge(r, dst, label))
-    return TransitionGraph(modulus, tuple(edges))
+    m = _as_int(modulus, "modulus")
+    return TransitionGraph(
+        m, tuple(Edge(r, dst, label) for r in range(m) for dst, label in _targets(m, r))
+    )
 
 
 def out_degree(graph: TransitionGraph, residue: int) -> int:
@@ -153,13 +163,8 @@ def strongly_connected_components(graph: TransitionGraph) -> list[list[int]]:
     """Tarjan's algorithm, iterative. Components are returned with
     members ascending, ordered by their minimum vertex."""
     m = graph.modulus
-    # Edges are sorted by (src, dst, branch), so one pass builds each
-    # vertex's successors ascending, with both branches to one dst merged.
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for e in graph.edges:
-        succ = adj[e.src]
-        if not succ or succ[-1] != e.dst:
-            succ.append(e.dst)
+    first = graph._first
+    dsts = [e.dst for e in graph.edges]
     index = [-1] * m
     low = [0] * m
     on_stack = [False] * m
@@ -169,20 +174,20 @@ def strongly_connected_components(graph: TransitionGraph) -> list[list[int]]:
     for root in range(m):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, first[root])]
         while work:
             v, edge_pos = work[-1]
-            if edge_pos == 0:
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
             descended = False
-            for i in range(edge_pos, len(adj[v])):
-                w = adj[v][i]
+            for i in range(edge_pos, first[v + 1]):
+                w = dsts[i]
                 if index[w] == -1:
                     work[-1] = (v, i + 1)
-                    work.append((w, 0))
+                    work.append((w, first[w]))
                     descended = True
                     break
                 if on_stack[w]:
@@ -233,15 +238,7 @@ def from_json(text: str) -> TransitionGraph:
     """Inverse of to_json. Raises ValueError on malformed input."""
     data = json.loads(text)
     try:
-        modulus = _as_int(data["modulus"], "modulus")
-        edges = tuple(
-            Edge(
-                _as_int(e["from"], "from", 0, modulus - 1),
-                _as_int(e["to"], "to", 0, modulus - 1),
-                BranchLabel(e["branch"]),
-            )
-            for e in data["edges"]
-        )
+        edges = tuple(Edge(e["from"], e["to"], BranchLabel(e["branch"])) for e in data["edges"])
+        return TransitionGraph(data["modulus"], edges)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed transition graph JSON: {exc}") from exc
-    return TransitionGraph(modulus, edges)

@@ -11,6 +11,7 @@ import pytest
 from collatzkit import (
     DomainError,
     ResidueClass,
+    TransitionGraph,
     VerifyConfig,
     ZeroElementError,
     build_graph,
@@ -65,6 +66,7 @@ CASES = [
     ("transition_targets", "modulus", lambda v: transition_targets(v, 8), 10),
     ("transition_targets", "residue", lambda v: transition_targets(10, v), 8),
     ("build_graph", "modulus", lambda v: build_graph(v), 10),
+    ("TransitionGraph", "modulus", lambda v: TransitionGraph(v, GRAPH.edges), 10),
     ("edges_from", "residue", lambda v: GRAPH.edges_from(v), 8),
     ("out_degree", "residue", lambda v: out_degree(GRAPH, v), 8),
     ("VerifyConfig", "range_lo", lambda v: sweep(range_lo=v), 100),

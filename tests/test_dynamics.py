@@ -102,6 +102,20 @@ def test_iterate_k_star_fixed_point():
     assert iterate_k(5, 100, MapVariant.STAR) == 1
 
 
+def test_iterate_k_huge_count_after_reaching_one():
+    # 27 reaches 1 in 111 steps; from there STAR stays at 1 and STANDARD
+    # cycles 1 -> 4 -> 2 -> 1, so the result has a closed form.
+    k = 10**18
+    for x, steps in ((1, 0), (27, 111)):
+        assert iterate_k(x, k, MapVariant.STAR) == 1
+        assert iterate_k(x, k, MapVariant.STANDARD) == (1, 4, 2)[(k - steps) % 3]
+    # the closed form agrees with the walk on both sides of the arrival
+    walked = naive_orbit_to_one(27) + [4, 2, 1] * 3
+    for k in range(105, 120):
+        assert iterate_k(27, k) == walked[k]
+        assert iterate_k(27, k, MapVariant.STAR) == walked[min(k, 111)]
+
+
 def test_iterate_k_rejects_negative_count():
     with pytest.raises(DomainError):
         iterate_k(3, -1)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from collatzkit import (
@@ -169,6 +170,11 @@ def brute_sccs(graph):
 def test_scc_matches_reachability_oracle(modulus):
     g = build_graph(modulus)
     assert strongly_connected_components(g) == brute_sccs(g)
+    # Graphs with edges dropped from the end, as the benchmark's
+    # corrupt-graph check builds them: the last vertices lose out-edges.
+    for k in (1, 2, 5, len(g.edges) // 2):
+        sub = TransitionGraph(modulus, g.edges[:-k])
+        assert strongly_connected_components(sub) == brute_sccs(sub)
 
 
 def test_scc_mod10_single_component():
@@ -268,6 +274,7 @@ def test_edges_from_matches_full_scan():
     assert sparse.edges_from(2) == (Edge(2, 1, BranchLabel.HALVE),)
     assert to_json(sparse).count('"from":2') == 1
     assert sparse.edges_from(0) == sparse.edges_from(6) == ()
+    assert strongly_connected_components(sparse) == brute_sccs(sparse)
 
 
 def test_graph_canonicalizes_unordered_repeated_edges():
@@ -284,6 +291,32 @@ def test_graph_canonicalizes_unordered_repeated_edges():
     assert from_json(to_json(g)) == g
 
 
+def test_graph_refuses_bad_modulus_and_edges():
+    H = BranchLabel.HALVE
+    bad = [
+        (3, (Edge(5, 0, H),)),  # endpoint past the modulus
+        (3, (Edge(0, 5, H),)),
+        (3, (Edge(-1, 0, H),)),  # as a list index, -1 is vertex 2
+        (0, ()),
+        (True, ()),
+        (3, (Edge(0, 1, "Halve"),)),
+        (3, (Edge(True, 1, H),)),
+        (3, (Edge(0, 1.0, H),)),
+    ]
+    for modulus, edges in bad:
+        with pytest.raises(DomainError):
+            TransitionGraph(modulus, edges)
+
+
+def test_graph_stores_int_like_endpoints_as_ints():
+    H, T = BranchLabel.HALVE, BranchLabel.TRIPLE
+    g = TransitionGraph(np.int64(3), (Edge(np.int64(2), np.int64(0), H), Edge(0, np.int64(1), T)))
+    assert g == TransitionGraph(3, (Edge(0, 1, T), Edge(2, 0, H)))
+    assert type(g.modulus) is int
+    assert all(type(v) is int for e in g.edges for v in (e.src, e.dst))
+    assert from_json(to_json(g)) == g
+
+
 def test_output_hash_grid():
     # DOT, JSON and SCC output that every change to the residue module
     # keeps: first 16 hex digits of sha256 over each artifact, moduli
@@ -297,3 +330,18 @@ def test_output_hash_grid():
     assert dot.hexdigest()[:16] == "fb747aae4f5c18f3"
     assert js.hexdigest()[:16] == "ff9c07e78114d260"
     assert scc.hexdigest()[:16] == "77ae623c02dd989c"
+
+
+@pytest.mark.parametrize(
+    "modulus, digests",
+    [
+        (3**10, ("dc8732bc3dea4826", "2dce5feaa8ae58b8", "3737f95f8af8edd4")),
+        (2**16, ("5f445313deba61d6", "6cf8bc6d0ece57f0", "704690cd4a53b2cd")),
+    ],
+)
+def test_output_hash_large_moduli(modulus, digests):
+    # The larger moduli of the residue-graph scaling target, pinned one by
+    # one: DOT, JSON and SCC output, first 16 hex digits of sha256 each.
+    g = build_graph(modulus)
+    artifacts = (to_dot(g), to_json(g), json.dumps(strongly_connected_components(g)))
+    assert tuple(hashlib.sha256(a.encode()).hexdigest()[:16] for a in artifacts) == digests
