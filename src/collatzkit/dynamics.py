@@ -82,6 +82,7 @@ def iterate_k(x: int, k: int, variant: MapVariant = MapVariant.STANDARD) -> int:
     """Apply the step map k times and return the final value."""
     x = _as_int(x, "x")
     k = _as_int(k, "k", lo=0)
+    step_function(variant)  # refuses an unknown variant
     while k and x != 1:
         x = x // 2 if x % 2 == 0 else 3 * x + 1
         k -= 1

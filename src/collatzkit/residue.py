@@ -57,8 +57,9 @@ class ResidueClass:
 class TransitionGraph:
     """Labeled digraph on residues 0..modulus-1, edges sorted and deduplicated.
 
-    Construction checks the modulus and every edge: both endpoints in
-    [0, modulus) and a BranchLabel, or DomainError. Whatever order the
+    Construction checks the modulus and every edge: an Edge or a plain
+    (src, dst, label) tuple, both endpoints in [0, modulus) and a
+    BranchLabel, or DomainError. Whatever order the
     edges come in, the graph keeps them sorted by (src, dst, branch) with
     repeats dropped, so the out-edges of vertex v are the one run
     edges[_first[v]:_first[v + 1]] of an offset index that edges_from
@@ -71,7 +72,12 @@ class TransitionGraph:
     def __post_init__(self):
         m = _as_int(self.modulus, "modulus")
         edges = list(self.edges)
-        for i, (src, dst, label) in enumerate(edges):
+        for i, e in enumerate(edges):
+            if type(e) is not Edge:
+                if type(e) is not tuple or len(e) != 3:
+                    raise DomainError(f"edge must be an Edge or a (src, dst, label) tuple, got {e!r}")
+                e = edges[i] = Edge(*e)
+            src, dst, label = e
             if type(label) is not BranchLabel:
                 raise DomainError(f"edge label must be a BranchLabel, got {label!r}")
             # In-range plain ints, the common case, keep the edge as given.

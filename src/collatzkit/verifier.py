@@ -9,15 +9,16 @@ below the table, then add the entry it landed on. The table is built
 by that rule in blocks of doubling size from [2, 4), each against the
 part already built.
 
-One int64 lane kernel does every vectorized walk. Each round it moves a
-lane by the affine block map of k steps of T (x/2, or (3x+1)/2 on odd x)
-for its residue mod 2^k, the parity-vector form of Terras (1976), from
+One lane kernel does every vectorized walk. Each round it moves a lane
+by the affine block map of k steps of T (x/2, or (3x+1)/2 on odd x) for
+its residue mod 2^k, the parity-vector form of Terras (1976), from
 per-residue tables with k up to K = 12; the block's step count and exact
 peak come from the same tables. k is cut to the table's size so that no
-block passes through 1, and lanes too large for a block take 1-step
-blocks. A lane whose next step could leave int64, or whose start does
-not fit, steps in one exact big-integer walker until it is back well
-inside int64 and rejoins, so correctness never depends on 64 bits being
+block passes through 1. Lanes too large for int64 blocks take the same
+blocks in two int64 limbs, as fixed-width multi-word verifiers do
+(Oliveira e Silva 2010; Barina 2021). Values too large for the limbs,
+and starts among them, step in one exact big-integer walker until they
+fit again, so correctness never depends on fixed-width integers being
 enough. Worker processes receive the table when they start and sweep
 disjoint chunks; each chunk's report is merged by merge_reports, which
 makes reports independent of chunk size and worker count.
@@ -51,14 +52,15 @@ DENSE_CACHE_ENTRIES = 1 << 20
 # 90,239,155,648.
 _MAX_CACHE_ENTRIES = 1 << 32
 
-# 3x+1 on a value above this would leave int64.
-_VALUE_LIMIT = (2**63 - 2) // 3
 # Longest block in the lane kernel, in steps of T. Every value of a
-# k-step block from x is below 2·(3/2)^k·(x + 1), so lanes up to the
-# block limit (about 2^55, below _VALUE_LIMIT) stay within int64; lanes
-# between the two limits take 1-step blocks.
+# k-step block from x is below 2·(3/2)^k·(x + 1), so int64 lanes up to
+# the block limit (about 2^55) stay within int64. Larger lanes are held
+# in two limbs, h·2^32 + l, whose block products stay within int64 below
+# the wide limit (h < 2^52); values from there on walk exactly.
 K = 12
 _BLOCK_LIMIT = 2 ** (62 + K) // 3**K - 1
+_WIDE_LIMIT = 1 << 84
+_LOW = (1 << 32) - 1  # low limb mask
 _PARKED = -(2**62)  # r of a parked lane: negative for longer than any walk
 
 _TRIVIAL_LOOP = (1, 4, 2, 1)
@@ -246,19 +248,44 @@ def _advance(table: tuple, k: int, cur, r, pk) -> None:
     np.add(mult[j] * a, off[j], out=cur)
 
 
-def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
-    """Walk every start in [lo, hi] in int64 lanes, one block per round,
-    until it drops strictly below stop or passes budget col-steps.
+def _advance_wide(table: tuple, k: int, h, l, r, ph, pl):
+    """Take one k-step block on every lane h·2^32 + l. r and the peak
+    limbs (ph, pl) update in place; returns the new limbs."""
+    mult, off, steps, peak_m, peak_e = table
+    j = l & ((1 << k) - 1)
+    ah = h >> k
+    al = (h & ((1 << k) - 1)) << (32 - k) | l >> k
+    pm = peak_m[j]
+    t = pm * al + peak_e[j]
+    bh, bl = pm * ah + (t >> 32), t & _LOW
+    up = (bh > ph) | ((bh == ph) & (bl > pl))
+    np.copyto(ph, bh, where=up)
+    np.copyto(pl, bl, where=up)
+    r += steps[j]
+    m = mult[j]
+    t = m * al + off[j]
+    return m * ah + (t >> 32), t & _LOW
 
-    A lane up to _BLOCK_LIMIT takes a k-step block, a larger one a
-    1-step block; k is cut so that stop >= 2^(k+1), so no block passes
-    through 1, and a lane may land past its first value below stop, as
-    its steps plus the landing's total are still its total. Starts past
-    _VALUE_LIMIT, and odd lanes past it, whose next 3x+1 would leave
-    int64, step in _exact_walk to half of it or below, and rejoin. Each
-    round retires only the lanes just finished, by index, and parks them
-    at -1, a fixed point of every block, with r at _PARKED; they drop out
-    once fewer than half the lanes are live, and in the big-first reorder.
+
+def _at_least(h, l, v: int):
+    """Whether each lane h·2^32 + l is at least v."""
+    return (h > v >> 32) | ((h == v >> 32) & (l >= v & _LOW))
+
+
+def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
+    """Walk every start in [lo, hi] in lanes, one block per round, until
+    it drops strictly below stop or passes budget col-steps.
+
+    k is cut so that stop >= 2^(k+1), so no block passes through 1, and
+    a lane may land past its first value below stop, as its steps plus
+    the landing's total are still its total. Lanes past _BLOCK_LIMIT take
+    the same blocks in two limbs, h·2^32 + l, in wide rounds until each
+    is back at or below it or over budget; the int64 lanes wait out that
+    round, so a returning lane retires before its next block. Values
+    from _WIDE_LIMIT on, starts among them, first step in _exact_walk to
+    half of it. Each round retires only the lanes just finished, by
+    index, and parks them at -1, a fixed point of every block, with r at
+    _PARKED; they drop out once fewer than half the lanes are live.
 
     Returns (landing, steps, peak, exact), indexed by x - lo: landing is
     -1 where the budget ran out; exact holds the peaks past int64.
@@ -268,27 +295,58 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     steps, peak = np.zeros((2, n), dtype=np.int64)
     exact: dict[int, int] = {}
     k = max(1, min(K, stop.bit_length() - 2))
-    table, one = _block_table(k), _block_table(1)
-    # Under every lane that an exact walk gets, so each walk takes a step.
-    floor = max(stop - 1, _VALUE_LIMIT >> 1)
+    table = _block_table(k)
+    wide, back = _WIDE_LIMIT, _BLOCK_LIMIT + 1  # read per call, so patches apply
     lane = np.arange(n, dtype=np.int64)
     cur, r = np.zeros((2, n), dtype=np.int64)
-    m = min(n, max(0, _VALUE_LIMIT + 1 - lo))
-    if m:  # the starts after these may not fit int64
+    m = min(n, max(0, back - lo))
+    if m:  # the starts after these begin wide
         cur[:m] = lane[:m] + lo
     pk = cur.copy()
 
-    def walk_exactly(j: int, c: int) -> None:
-        i = int(lane[j])
-        c, s, p = _exact_walk(c, floor, int(r[j]), max(c, exact.get(i, int(pk[j]))), budget)
-        cur[j], r[j] = c, s if c >= 0 else budget + 1  # a -1 alone reads as parked
-        if p >> 63:
-            exact[i] = p
-        else:
-            pk[j] = p
+    def exactly(i: int, c: int, s: int, p: int):
+        """(value, steps, limb peak) of lane i after an exact walk from c
+        to half the wide limit; a peak past int64 goes to exact."""
+        c, s, q = _exact_walk(c, wide >> 1, s, max(c, p, exact.get(i, 0)), budget)
+        if q >> 63:
+            exact[i], q = q, p
+        return c, s if c >= 0 else budget + 1, q  # a -1 alone reads as parked
 
-    for j in range(m, n):
-        walk_exactly(j, lo + j)
+    def walk_wide(j, h, l, ph, pl) -> None:
+        """Wide rounds on lanes j. A lane at or below _BLOCK_LIMIT, or over
+        budget (at -1), goes back to cur, r and pk, and parks in limbs."""
+        rj, live = r[j], j.size
+        while live > 0:
+            if h.max() >= wide >> 32:
+                for q in np.flatnonzero(_at_least(h, l, wide)).tolist():
+                    c, p = int(h[q]) << 32 | int(l[q]), int(ph[q]) << 32 | int(pl[q])
+                    c, rj[q], p = exactly(int(lane[j[q]]), c, int(rj[q]), p)
+                    h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
+            d = np.flatnonzero((rj > budget) | ~_at_least(h.view(np.uint64), l, back))  # parked: 2^64 - 1
+            if d.size:
+                jd, hp, lp = j[d], ph[d], pl[d]
+                cur[jd] = np.where(rj[d] > budget, -1, h[d] << 32 | l[d])
+                r[jd] = rj[d]
+                big = hp >= 1 << 31  # peaks past int64 go to exact
+                pk[jd] = np.where(big, pk[jd], hp << 32 | lp)
+                for i, a, b in zip(lane[jd[big]].tolist(), hp[big].tolist(), lp[big].tolist()):
+                    exact[i] = max(exact.get(i, 0), a << 32 | b)
+                h[d], l[d], rj[d] = -1, _LOW, _PARKED
+                live -= d.size
+                if 2 * live < j.size:
+                    keep = np.flatnonzero(rj >= 0)
+                    j, h, l, ph, pl, rj = j[keep], h[keep], l[keep], ph[keep], pl[keep], rj[keep]
+            h, l = _advance_wide(table, k, h, l, rj, ph, pl)
+
+    if m < n:  # limbs of the other starts, below the wide limit
+        base = min(lo + m, wide)
+        l = (base & _LOW) + lane[: n - m]
+        h, l = (base >> 32) + (l >> 32), l & _LOW
+        ph, pl = h.copy(), l.copy()
+        for q in range(max(0, wide - lo - m), n - m):  # and an exact prefix past it
+            c, r[m + q], p = exactly(m + q, lo + m + q, 0, 0)
+            h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
+        walk_wide(lane[m:], h, l, ph, pl)
     live = n
     while live > 0:
         out = np.flatnonzero((cur.view(np.uint64) < stop) | (r > budget))  # parked: 2^64 - 1
@@ -303,26 +361,20 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
             if 2 * live < lane.size:
                 keep = np.flatnonzero(r >= 0)
                 lane, cur, r, pk = lane[keep], cur[keep], r[keep], pk[keep]
-        if cur.max(initial=0) <= _BLOCK_LIMIT:
+        if cur.max(initial=0) < back:
             _advance(table, k, cur, r, pk)
-        elif risky := np.flatnonzero((cur > _VALUE_LIMIT) & (cur & 1).astype(bool)).tolist():
-            for j in risky:
-                walk_exactly(j, int(cur[j]))
         else:
-            # Big lanes first, each kind of block on a slice; parked lanes drop.
-            small = np.flatnonzero(cur.view(np.uint64) <= _BLOCK_LIMIT)
-            order = np.concatenate((np.flatnonzero(cur > _BLOCK_LIMIT), small))
-            lane, cur, r, pk = lane[order], cur[order], r[order], pk[order]
-            nb = live - small.size
-            _advance(one, 1, cur[:nb], r[:nb], pk[:nb])
-            _advance(table, k, cur[nb:], r[nb:], pk[nb:])
+            j = np.flatnonzero(cur >= back)
+            c, p = cur[j], pk[j]
+            walk_wide(j, c >> 32, c & _LOW, p >> 32, p & _LOW)
     return landing, steps, peak, exact
 
 
 def _exact_walk(c: int, floor: int, r: int, p: int, budget: int):
     """Continue one lane with exact integers from value c, r steps taken
-    and peak p, until it is at or below floor. Returns (value, steps,
-    peak), value -1 if the budget ran out first."""
+    and peak p, until it is at or below floor: half the wide limit in the
+    lane kernel, below the cutoff in the cutoff walk. Returns (value,
+    steps, peak), value -1 if the budget ran out first."""
     while c > floor:
         if r >= budget:
             return -1, r, p

@@ -121,6 +121,15 @@ def test_iterate_k_rejects_negative_count():
         iterate_k(3, -1)
 
 
+def test_iterate_k_rejects_unknown_variant():
+    # as classify_trajectory does, even when no step would read it
+    for x, k in ((2, 5), (1, 3), (7, 0)):
+        with pytest.raises(DomainError, match="variant"):
+            iterate_k(x, k, "bogus")
+    with pytest.raises(DomainError, match="variant"):
+        classify_trajectory(2, "bogus")
+
+
 def test_total_stopping_time_known():
     assert total_stopping_time(1) == 0
     assert total_stopping_time(2) == 1

@@ -302,10 +302,19 @@ def test_graph_refuses_bad_modulus_and_edges():
         (3, (Edge(0, 1, "Halve"),)),
         (3, (Edge(True, 1, H),)),
         (3, (Edge(0, 1.0, H),)),
+        (3, ((0, 1),)),  # not three items
+        (3, ((0, 1, H, H),)),
+        (3, (7,)),  # not iterable
+        (3, ([0, 1, H],)),  # only a plain tuple converts
+        (3, ((0, 5, H),)),  # a converted tuple is checked like an Edge
     ]
     for modulus, edges in bad:
         with pytest.raises(DomainError):
             TransitionGraph(modulus, edges)
+    # a plain (src, dst, label) tuple becomes an Edge
+    g = TransitionGraph(3, ((0, 1, H), Edge(2, 0, H)))
+    assert g == TransitionGraph(3, (Edge(0, 1, H), Edge(2, 0, H)))
+    assert all(type(e) is Edge for e in g.edges)
 
 
 def test_graph_stores_int_like_endpoints_as_ints():

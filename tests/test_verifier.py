@@ -228,7 +228,7 @@ def report_records(report):
 
 def test_values_beyond_int64_are_exact():
     # odd start just below 2^62: the very first triple step leaves int64,
-    # so the lane kernel escalates it, in a range ending at it and in one
+    # so its peak goes to exact, in a range ending at it and in one
     # crossing 2^62
     x0 = (1 << 62) - 1
     for lo in (x0 - 4, x0):
@@ -242,7 +242,7 @@ def test_range_beyond_vector_path():
     # starts that do not fit int64 walk an exact prefix and join the lane
     # kernel; 2^64 is its own peak; a chunk holds starts on both sides of
     # 2^63; every start of the last window is above _BLOCK_LIMIT and
-    # begins in 1-step blocks
+    # begins in the wide walk
     for lo, hi, chunk in (
         ((1 << 70) + 1, (1 << 70) + 3, 1 << 16),
         (1 << 64, 1 << 64, 1),
@@ -255,12 +255,15 @@ def test_range_beyond_vector_path():
 
 
 def test_forced_escalation_paths_agree(monkeypatch):
-    # vector, forced escalation, and forced exact-prefix runs, at the
-    # default budget and at small budgets with and without a cutoff; the
-    # path record 8,528,817,511 peaks past 2^63 and then descends, so its
-    # lane escalates and rejoins the kernel
+    # the default limits against patched (_BLOCK_LIMIT, _WIDE_LIMIT)
+    # pairs that send small lanes through the wide walk and, below the
+    # small wide limits, through exact walks inside it and exact prefixes,
+    # at the default budget and at small budgets with and without a
+    # cutoff. A patched _BLOCK_LIMIT stays at or above the table size. The
+    # path record 8,528,817,511 peaks past 2^63 and then descends.
     record = VerifyConfig(8528817447, 8528817575, chunk_size=37, dense_cache_entries=4096)
     for cfg in (
+        VerifyConfig(1, 3000),
         VerifyConfig(1, 3000, dense_cache_entries=64),
         VerifyConfig(1000, 5000, step_budget=40, assume_verified_below=1000, dense_cache_entries=64),
         VerifyConfig(1000, 5000, step_budget=40, dense_cache_entries=4096),
@@ -269,25 +272,12 @@ def test_forced_escalation_paths_agree(monkeypatch):
         replace(record, worker_count=2),
     ):
         base = verify_range(cfg).payload()
-        # every lane in 1-step blocks, then 1-step lanes above 2000 beside
-        # block lanes below it
-        for limit in (0, 2000):
+        for block, wide in ((1 << 13, verifier_mod._WIDE_LIMIT), (1 << 13, 1 << 16), (5000, 1 << 20)):
             with monkeypatch.context() as patch:
                 verifier_mod._cache_slot = None
-                patch.setattr(verifier_mod, "_BLOCK_LIMIT", limit)
-                assert verify_range(cfg).payload() == base
-        with monkeypatch.context() as patch:
-            # the kernel keeps _BLOCK_LIMIT below _VALUE_LIMIT
-            verifier_mod._cache_slot = None
-            patch.setattr(verifier_mod, "_BLOCK_LIMIT", 0)
-            patch.setattr(verifier_mod, "_VALUE_LIMIT", 10)
-            assert verify_range(cfg).payload() == base
-
-            # with a 2-entry table the exact walks stop at 5, above the
-            # table, so every start past 10 walks an exact prefix and
-            # rejoins the kernel
-            verifier_mod._cache_slot = None
-            assert verify_range(replace(cfg, dense_cache_entries=2)).payload() == base
+                patch.setattr(verifier_mod, "_BLOCK_LIMIT", block)
+                patch.setattr(verifier_mod, "_WIDE_LIMIT", wide)
+                assert verify_range(cfg).payload() == base, (cfg, block, wide)
         verifier_mod._cache_slot = None
     report = verify_range(record)
     assert report.max_excursion == RecordStat(18_144_594_937_356_598_024, 8_528_817_511)
@@ -298,8 +288,9 @@ def test_block_tables_are_exact():
     # Every col-step value of a k-step block from x = 2^k·a + r is m·a + e;
     # the table's peak term must dominate every (m, e) pair, so that it is
     # the block's peak for every a, and no value may leave int64 for x up
-    # to the block limit.
+    # to the block limit, or in a wide lane's limbs below the wide limit.
     limit = verifier_mod._BLOCK_LIMIT
+    h = (verifier_mod._WIDE_LIMIT >> 32) - 1  # the largest high limb below it
     for k in range(1, verifier_mod.K + 1):
         mult, off, steps, peak_m, peak_e = (t.tolist() for t in verifier_mod._block_table(k))
         for r in range(1 << k):
@@ -316,6 +307,12 @@ def test_block_tables_are_exact():
             assert all(vm <= peak_m[r] and ve <= peak_e[r] for vm, ve in values)
             a = (limit - r) >> k  # the largest a with 2^k·a + r <= limit
             assert peak_m[r] * a + peak_e[r] <= 2**63 - 1
+            # A wide lane h·2^32 + l below the wide limit: the low products
+            # carry into the high ones, which stay within int64.
+            a_h, a_l = h >> k, (1 << 32) - 1
+            for m, e in ((mult[r], off[r]), (peak_m[r], peak_e[r])):
+                assert m * a_l + e <= 2**63 - 1
+                assert m * a_h + ((m * a_l + e) >> 32) <= 2**63 - 1
 
 
 def test_block_peak_record_inside_a_block():
@@ -354,15 +351,33 @@ def test_table_matches_per_start_walks():
                 assert (steps[x], peak[x]) == (n, expected)
 
 
-def test_walk_lanes_matches_plain_walk():
-    # The lane contract, apart from blocks and lane bookkeeping: a lane
-    # lands below stop, on the value x reaches after exactly its steps,
-    # with the largest value of that walk as its peak (in exact when the
-    # peak is past int64); a landing of -1 means more than budget steps
-    # to 1. The windows straddle each stop, so lanes retire in round 0;
-    # small budgets run out inside a block and inside an exact walk; the
-    # 2^60 window escalates lanes past _VALUE_LIMIT, starts past 2^63
-    # walk an exact prefix, and both rejoin the kernel.
+def check_walk_lanes(lo, hi, stop, budget):
+    """The lane contract, apart from blocks and lane bookkeeping: a lane
+    lands below stop, on the value x reaches after exactly its steps,
+    with the largest value of that walk as its peak (in exact when the
+    peak is past int64); a landing of -1 means more than budget steps
+    to 1."""
+    landing, steps, peak, exact = verifier_mod._walk_lanes(lo, hi, stop, budget)
+    assert set(exact) <= set(range(hi - lo + 1))
+    for i, x in enumerate(range(lo, hi + 1)):
+        if landing[i] == -1:
+            assert total_stopping_time(x, budget) is None
+            continue
+        c = p = x
+        for _ in range(steps[i]):
+            c = c // 2 if c % 2 == 0 else 3 * c + 1
+            p = max(p, c)
+        assert c == landing[i] < stop and steps[i] <= budget
+        assert (i in exact) == (p > 2**63 - 1)
+        assert p == exact.get(i, peak[i])
+
+
+def test_walk_lanes_matches_plain_walk(monkeypatch):
+    # The windows straddle each stop, so lanes retire in round 0; small
+    # budgets run out inside a block and inside an exact walk; the 2^60
+    # and 2^63 windows start wide and peak past int64; the windows at the
+    # wide limit start on both sides of it, and the lanes below it rise
+    # past it in the wide walk; starts past 2^95 do not fit two limbs.
     windows = (
         (1, 300),
         (4000, 4200),
@@ -370,23 +385,24 @@ def test_walk_lanes_matches_plain_walk():
         ((1 << 60) + 1, (1 << 60) + 100),
         ((1 << 63) - 50, (1 << 63) + 50),
         (8528817447, 8528817575),
+        ((1 << 84) - 40, (1 << 84) + 20),
+        ((1 << 83) - 20, (1 << 83) + 20),
+        ((1 << 95) + 1, (1 << 95) + 20),
     )
     for stop in (64, 4096, 1 << 20):
         for budget in (1, 40, 300, DEFAULT_STEP_BUDGET):
             for lo, hi in windows:
-                landing, steps, peak, exact = verifier_mod._walk_lanes(lo, hi, stop, budget)
-                assert set(exact) <= set(range(hi - lo + 1))
-                for i, x in enumerate(range(lo, hi + 1)):
-                    if landing[i] == -1:
-                        assert total_stopping_time(x, budget) is None
-                        continue
-                    c = p = x
-                    for _ in range(steps[i]):
-                        c = c // 2 if c % 2 == 0 else 3 * c + 1
-                        p = max(p, c)
-                    assert c == landing[i] < stop and steps[i] <= budget
-                    assert (i in exact) == (p > 2**63 - 1)
-                    assert p == exact.get(i, peak[i])
+                check_walk_lanes(lo, hi, stop, budget)
+    # Small limits send lanes of small starts wide and, past the wide
+    # limit, into exact walks whose peaks still fit int64 and must reach
+    # the lane's peak; starts from the wide limit on walk an exact prefix.
+    for block, wide in ((1 << 13, 1 << 16), (5000, 1 << 20)):
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier_mod, "_BLOCK_LIMIT", block)
+            patch.setattr(verifier_mod, "_WIDE_LIMIT", wide)
+            for budget in (40, DEFAULT_STEP_BUDGET):
+                for lo, hi in ((1, 3000), ((1 << 20) - 100, (1 << 20) + 100), (8528817447, 8528817575)):
+                    check_walk_lanes(lo, hi, 4096, budget)
 
 
 def test_payload_hash_grid():
@@ -407,6 +423,29 @@ def test_payload_hash_grid():
     for cfg, expected in grid:
         payload = json.dumps(verify_range(cfg).payload(), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest()[:16] == expected, cfg
+
+
+def test_payload_hash_pins_past_block_limit():
+    # Hashes taken before lanes past _BLOCK_LIMIT moved to two limbs, by
+    # the same rule as the grid: starts past 2^84 and 2^95, at 1 and 2
+    # workers, and windows 3000 wide with the cutoff at lo, whose orbits
+    # cross the block limit, at budgets 40 and 300.
+    def digest(cfg):
+        payload = json.dumps(verify_range(cfg).payload(), sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+    for workers in (1, 2):
+        assert digest(VerifyConfig(2**100, 2**100 + 50, worker_count=workers)) == "555f7dab04dd210d"
+        assert digest(VerifyConfig(2**90 + 1, 2**90 + 300, worker_count=workers)) == "1cd19d8019213387"
+    for lo, pins in (
+        (72064064662809063, ("18461db1fd1882d5", "8c9854754920154c")),
+        (1155474331410394239, ("982c0a9f4b3489ea", "a71fe7af8e071f6e")),
+        (9255382125081044196, ("03d90e6dfd64a949", "a3aba6c6e916137b")),
+        (73966824236731369637, ("09e5e4564b380f97", "94845fe7196ba8d2")),
+    ):
+        for budget, expected in zip((40, 300), pins):
+            cfg = VerifyConfig(lo, lo + 3000, budget, assume_verified_below=lo, worker_count=1)
+            assert digest(cfg) == expected, cfg
 
 
 LAZY_IMPORT = """
