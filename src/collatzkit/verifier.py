@@ -17,11 +17,12 @@ peak come from the same tables. k is cut to the table's size so that no
 block passes through 1. Lanes too large for int64 blocks take the same
 blocks in two int64 limbs, as fixed-width multi-word verifiers do
 (Oliveira e Silva 2010; Barina 2021). Values too large for the limbs,
-and starts among them, step in one exact big-integer walker until they
-fit again, so correctness never depends on fixed-width integers being
-enough. Worker processes receive the table when they start and sweep
-disjoint chunks; each chunk's report is merged by merge_reports, which
-makes reports independent of chunk size and worker count.
+and starts among them, walk in the package's one exact big-integer
+walker, dynamics._descend, until they fit again, so correctness never
+depends on fixed-width integers being enough. Worker processes receive
+the table when they start and sweep disjoint chunks; each chunk's
+report is merged by merge_reports, which makes reports independent of
+chunk size and worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -42,8 +43,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .cycles import ClosedLoop, find_cycle
-from .dynamics import DEFAULT_STEP_BUDGET, DomainError, MapVariant, _as_int
+from .cycles import ClosedLoop
+from .dynamics import DEFAULT_STEP_BUDGET, DomainError, EntersCycle, MapVariant
+from .dynamics import _as_int, _brent_walk, _descend
 
 DENSE_CACHE_ENTRIES = 1 << 20
 # Larger tables are refused so that every table peak fits in int64: the
@@ -282,10 +284,11 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     the same blocks in two limbs, h·2^32 + l, in wide rounds until each
     is back at or below it or over budget; the int64 lanes wait out that
     round, so a returning lane retires before its next block. Values
-    from _WIDE_LIMIT on, starts among them, first step in _exact_walk to
-    half of it. Each round retires only the lanes just finished, by
-    index, and parks them at -1, a fixed point of every block, with r at
-    _PARKED; they drop out once fewer than half the lanes are live.
+    from _WIDE_LIMIT on, starts among them, first walk exactly in
+    _descend to half of it. Each round retires only the lanes just
+    finished, by index, and parks them at -1, a fixed point of every
+    block, with r at _PARKED; they drop out once fewer than half the
+    lanes are live.
 
     Returns (landing, steps, peak, exact), indexed by x - lo: landing is
     -1 where the budget ran out; exact holds the peaks past int64.
@@ -307,7 +310,7 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     def exactly(i: int, c: int, s: int, p: int):
         """(value, steps, limb peak) of lane i after an exact walk from c
         to half the wide limit; a peak past int64 goes to exact."""
-        c, s, q = _exact_walk(c, wide >> 1, s, max(c, p, exact.get(i, 0)), budget)
+        c, s, q = _descend(c, wide >> 1, s, max(c, p, exact.get(i, 0)), budget)
         if q >> 63:
             exact[i], q = q, p
         return c, s if c >= 0 else budget + 1, q  # a -1 alone reads as parked
@@ -370,21 +373,6 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     return landing, steps, peak, exact
 
 
-def _exact_walk(c: int, floor: int, r: int, p: int, budget: int):
-    """Continue one lane with exact integers from value c, r steps taken
-    and peak p, until it is at or below floor: half the wide limit in the
-    lane kernel, below the cutoff in the cutoff walk. Returns (value,
-    steps, peak), value -1 if the budget ran out first."""
-    while c > floor:
-        if r >= budget:
-            return -1, r, p
-        c = c // 2 if c % 2 == 0 else 3 * c + 1
-        r += 1
-        if c > p:
-            p = c
-    return c, r, p
-
-
 def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
     """Resolve every start in [lo, hi] against table = (steps, peak)
     over [0, len): walk it until it drops below len, then add the entry
@@ -411,7 +399,7 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
         # Each start the table did not resolve is walked exactly toward
         # the cutoff; at the default budget there are almost none.
         for j in np.flatnonzero(~ok).tolist():
-            crossed[j] = _exact_walk(lo + j, cutoff - 1, 0, 0, budget)[0] >= 0
+            crossed[j] = _descend(lo + j, cutoff - 1, 0, lo + j, budget)[0] >= 0
     return total, top, crossed, big
 
 
@@ -479,11 +467,14 @@ def _sweep_chunk(job: tuple[int, int, int, int]) -> VerifyReport:
     steps_cands = [(int(total[j]), lo + j)] if total[j] >= 0 else []
     peak_cands = [(int(top[k]), lo + k)] if top[k] >= 0 else []
     peak_cands += [(p, lo + i) for i, p in big.items()]
+    # An unresolved start does not reach 1 within budget, so find_cycle's
+    # walk toward 1 would only fail; Brent's walk alone finds its loop.
+    outcomes = (_brent_walk(u, MapVariant.STANDARD, budget, None, False).outcome for u in unresolved)
     return VerifyReport(
         segments=((lo, hi),),
         verified_count=int(np.count_nonzero(certified)),
         unresolved=tuple(unresolved),
-        cycles_found=_distinct_loops(find_cycle(u, MapVariant.STANDARD, budget) for u in unresolved),
+        cycles_found=_distinct_loops(o.loop for o in outcomes if isinstance(o, EntersCycle)),
         max_total_stopping_time=_best(steps_cands),
         max_excursion=_best(peak_cands),
         wall_time=0.0,

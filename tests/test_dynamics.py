@@ -20,6 +20,7 @@ from collatzkit import (
     total_stopping_time,
     validate_loop,
 )
+from collatzkit.dynamics import _K, _blocks, _brent_walk, _descend
 
 
 def naive_orbit_to_one(x):
@@ -324,3 +325,68 @@ def test_step_budget_must_be_positive():
         ):
             with pytest.raises(DomainError, match="step_budget"):
                 call()
+
+
+def plain_descend(c, floor, r, p, budget):
+    """_descend's contract, one col-step at a time."""
+    while c > floor:
+        if r >= budget:
+            return -1, r, p
+        c = c // 2 if c % 2 == 0 else 3 * c + 1
+        r += 1
+        p = max(p, c)
+    return c, r, p
+
+
+@st.composite
+def descend_cases(draw):
+    c = draw(st.integers(0, 310).flatmap(lambda bits: st.integers(1, 2**bits)))
+    kind = draw(st.sampled_from(("one", "large", "threshold")))
+    if kind == "one":
+        floor = 1
+    elif kind == "large":
+        floor = draw(st.integers(1, 2**300))
+    else:
+        # c just above or just below (floor + 1)·2^K, where blocks start
+        floor = max(1, (c >> _K) - 1 + draw(st.integers(-2, 2)))
+    r = draw(st.integers(0, 50))
+    p = c + draw(st.one_of(st.just(0), st.integers(1, 2**320)))
+    # Small budgets run out inside the first blocks.
+    budget = r + draw(st.one_of(st.integers(-2, 40), st.integers(41, 10**5)))
+    return c, floor, r, p, max(1, budget)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=descend_cases())
+def test_descend_matches_plain_walk(case):
+    assert _descend(*case) == plain_descend(*case)
+
+
+def test_blocks_match_verifier_table():
+    from collatzkit.verifier import _block_table
+
+    columns = [tuple(column) for column in zip(*_blocks())]
+    assert columns == [tuple(column.tolist()) for column in _block_table(_K)]
+
+
+SEEDED_300_BIT = random.Random(300).getrandbits(300) | 1 << 299
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 27, 2**64 + 1, SEEDED_300_BIT])
+def test_arrival_walk_agrees_with_brent(x):
+    # classify_trajectory walks toward 1 first and falls back to Brent's
+    # walk; both must give one record at budgets around the total
+    # stopping time t and bounds around the peak and below the start.
+    _, t, peak = plain_descend(x, 1, 0, x, 10**6)
+    for variant in MapVariant:
+        loop, closes_on = LOOP_OF_ONE[variant]
+        for budget in sorted({max(1, t - 1), max(1, t), t + 1}):
+            for bound in (None, peak - 1, peak, x - 1):
+                if bound is not None and bound < 1:
+                    continue
+                fast = classify_trajectory(x, variant, budget, bound)
+                assert fast == _brent_walk(x, variant, budget, bound, False)
+            assert total_stopping_time(x, budget) == (t if t <= budget else None)
+            arrives = t <= budget if x != 1 else closes_on <= budget
+            expected = validate_loop(loop, variant) if arrives else None
+            assert find_cycle(x, variant, budget) == expected

@@ -20,11 +20,23 @@ from collatzkit import (
     RecordStat,
     VerifyConfig,
     VerifyReport,
-    classify_trajectory,
     merge_reports,
-    total_stopping_time,
     verify_range,
 )
+
+
+def plain_walk(x, budget=DEFAULT_STEP_BUDGET):
+    """(steps, peak) of the orbit of x down to 1 in plain col-steps, or
+    None when that takes more than budget steps. The per-start oracle of
+    these tests: it shares no code with the package's walkers."""
+    c, p, r = x, x, 0
+    while c != 1:
+        if r == budget:
+            return None
+        c = c // 2 if c % 2 == 0 else 3 * c + 1
+        p = max(p, c)
+        r += 1
+    return r, p
 
 
 def oracle_sweep(lo, hi):
@@ -106,20 +118,7 @@ def reference_sweep(lo, hi, budget, cutoff):
 
 def test_oracle_against_naive_prefix():
     # the memoized oracle itself, checked against direct iteration
-    best_steps, best_peak = oracle_sweep(1, 300)
-    direct_steps = max(
-        ((total_stopping_time(x), x) for x in range(1, 301)),
-        key=lambda t: (t[0], -t[1]),
-    )
-    assert best_steps == direct_steps
-    peaks = []
-    for x in range(1, 301):
-        c, p = x, x
-        while c != 1:
-            c = c // 2 if c % 2 == 0 else 3 * c + 1
-            p = max(p, c)
-        peaks.append((p, x))
-    assert best_peak == max(peaks, key=lambda t: (t[0], -t[1]))
+    assert oracle_sweep(1, 300) == classified_records(1, 300)
 
 
 def test_chunk_size_independence():
@@ -141,7 +140,7 @@ def test_dense_cache_threshold_independence():
         got = verify_range(VerifyConfig(1, 3000, dense_cache_entries=entries)).payload()
         assert got == reference
     # at a small budget too, with and without a cutoff
-    assert total_stopping_time(4649) == 134
+    assert plain_walk(4649)[0] == 134
     for cutoff in (1, 1000):
         payloads = [
             verify_range(
@@ -213,11 +212,11 @@ def test_small_budget_chunking_stable():
 
 
 def classified_records(lo, hi):
-    """(value, argmax) records of steps and peak from per-start
-    classify_trajectory, ties to the smaller start."""
-    recs = [(classify_trajectory(x), x) for x in range(lo, hi + 1)]
-    steps = max(((r.outcome.steps, x) for r, x in recs), key=lambda t: (t[0], -t[1]))
-    peak = max(((r.max_excursion, x) for r, x in recs), key=lambda t: (t[0], -t[1]))
+    """(value, argmax) records of steps and peak from per-start plain
+    walks, ties to the smaller start."""
+    recs = [(plain_walk(x), x) for x in range(lo, hi + 1)]
+    steps = max(((w[0], x) for w, x in recs), key=lambda t: (t[0], -t[1]))
+    peak = max(((w[1], x) for w, x in recs), key=lambda t: (t[0], -t[1]))
     return steps, peak
 
 
@@ -343,12 +342,7 @@ def test_table_matches_per_start_walks():
     for budget in (40, DEFAULT_STEP_BUDGET):
         steps, peak = verifier_mod._build_cache(5000, budget)
         for x in range(1, 5000):
-            n = total_stopping_time(x)
-            if n is None or n > budget:
-                assert (steps[x], peak[x]) == (-1, -1)
-            else:
-                expected = 1 if x == 1 else classify_trajectory(x).max_excursion
-                assert (steps[x], peak[x]) == (n, expected)
+            assert (steps[x], peak[x]) == (plain_walk(x, budget) or (-1, -1))
 
 
 def check_walk_lanes(lo, hi, stop, budget):
@@ -361,7 +355,7 @@ def check_walk_lanes(lo, hi, stop, budget):
     assert set(exact) <= set(range(hi - lo + 1))
     for i, x in enumerate(range(lo, hi + 1)):
         if landing[i] == -1:
-            assert total_stopping_time(x, budget) is None
+            assert plain_walk(x, budget) is None
             continue
         c = p = x
         for _ in range(steps[i]):
@@ -543,15 +537,12 @@ def test_verifier_contract_property(case, other_table):
     assert verify_range(VerifyConfig(**{**case, "chunk_size": size})).payload() == payload
     if report.max_total_stopping_time is not None:
         rec = report.max_total_stopping_time
-        assert rec.value == total_stopping_time(rec.argmax)
+        assert rec.value == plain_walk(rec.argmax)[0]
     if report.max_excursion is not None:
         rec = report.max_excursion
-        # the orbit of 1 classifies as the 1-4-2-1 loop; the sweep stops at 1
-        expected = 1 if rec.argmax == 1 else classify_trajectory(rec.argmax).max_excursion
-        assert rec.value == expected
+        assert rec.value == plain_walk(rec.argmax)[1]
     for x in report.unresolved:
-        steps = total_stopping_time(x)
-        assert steps is None or steps > budget
+        assert plain_walk(x, budget) is None
     verified, unresolved, steps_rec, peak_rec = reference_sweep(
         case["range_lo"], case["range_hi"], budget, case["assume_verified_below"]
     )
