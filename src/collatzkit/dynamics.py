@@ -8,9 +8,11 @@ One exact walker, _descend, follows an orbit down to a floor for every
 scalar walk of the package: stopping times, the arrival walk of
 classify_trajectory, and the verifier's big-integer and cutoff walks.
 Far above the floor it jumps K steps of T (x/2, or (3x+1)/2 on odd x)
-at a time by the parity-vector block map of Terras (1976), with the
-block's col-step count and exact peak from a per-residue table, and
-its result is exactly that of a step-by-step walk.
+at a time by the parity-vector block map of Terras (1976), and its
+result is exactly that of a step-by-step walk. _blocks(k) is the
+package's one builder of that map: each k-step block's multiplier,
+offset, col-step count and exact peak for every residue mod 2^k, built
+by doubling from k - 1. The verifier's lane tables are its rows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ DEFAULT_STEP_BUDGET = 10**5
 
 # Block length of _descend, in steps of T. K = 12 walks 8-2048 bit starts
 # ~25% faster but starts below 2^18 ~40% slower (more of each walk is
-# below the block threshold), and its table takes ~10 ms to build.
+# below the block threshold).
 _K = 8
 
 
@@ -106,27 +108,33 @@ def iterate_k(x: int, k: int, variant: MapVariant = MapVariant.STANDARD) -> int:
 
 
 @functools.cache
-def _blocks() -> tuple:
-    """The affine block map over Z/2^KZ, built once per process.
+def _blocks(k: int) -> tuple:
+    """The affine block map over Z/2^kZ, built once per process and k.
 
-    For x = 2^K·a + j, K steps of T give T^K(x) = mult·a + off in steps
+    For x = 2^k·a + j, k steps of T give T^k(x) = mult·a + off in steps
     col-steps, and the largest col-step value on the way, x included, is
-    peak_mult·a + peak_off for every a. Returns one tuple (mult, off,
-    steps, peak_mult, peak_off) per residue j: the columns of the
-    verifier's numpy _block_table(K), built without numpy.
+    peak_mult·a + peak_off for every a: each col-step value is m·a + e,
+    and the one with the largest m also has the largest e (checked by
+    the tests for every k up to the verifier's K). Returns one tuple
+    (mult, off, steps, peak_mult, peak_off) per residue j in [0, 2^k).
+
+    Row j + b·2^(k-1) is row j of _blocks(k - 1) and one more step of T:
+    after its k - 1 steps, x = 2^(k-1)·(2a + b) + j is at 2m·a + m·b + e.
     """
+    if k == 0:
+        return ((1, 0, 0, 1, 0),)
     rows = []
-    for j in range(1 << _K):
-        m, e, steps = 1 << _K, j, _K  # 2^(K-i)·3^c and the offset after i steps
-        peak_m, peak_e = m, e
-        for _ in range(_K):
+    for b in (0, 1):
+        for m, e, steps, peak_m, peak_e in _blocks(k - 1):
+            e += m * b
+            peak_m, peak_e = 2 * peak_m, peak_m * b + peak_e
             if e & 1:
                 # Only a 3x+1 value can hold a new largest multiplier.
-                if 3 * m > peak_m:
-                    peak_m, peak_e = 3 * m, 3 * e + 1
-                m, e, steps = 3 * m, 3 * e + 1, steps + 1
-            m, e = m >> 1, e >> 1
-        rows.append((m, e, steps, peak_m, peak_e))
+                if 6 * m > peak_m:
+                    peak_m, peak_e = 6 * m, 3 * e + 1
+                rows.append((3 * m, (3 * e + 1) >> 1, steps + 2, peak_m, peak_e))
+            else:
+                rows.append((m, e >> 1, steps + 1, peak_m, peak_e))
     return tuple(rows)
 
 
@@ -138,13 +146,13 @@ def _descend(c: int, floor: int, r: int, p: int, budget: int) -> tuple[int, int,
     first.
 
     While c > (floor + 1)·2^K and the block fits the budget, the walk
-    takes a whole K-step block from _blocks(). Every value inside the
+    takes a whole K-step block from _blocks(K). Every value inside the
     block from c = 2^K·a + j is at least a > floor, so no block passes
     the first value at or below floor. The rest of the walk goes one
     col-step at a time, so the result is exactly that of a plain
     step-by-step walk.
     """
-    blocks = _blocks()
+    blocks = _blocks(_K)
     high, mask = (floor + 1) << _K, (1 << _K) - 1
     while c > floor:
         while c > high:

@@ -11,18 +11,18 @@ part already built.
 
 One lane kernel does every vectorized walk. Each round it moves a lane
 by the affine block map of k steps of T (x/2, or (3x+1)/2 on odd x) for
-its residue mod 2^k, the parity-vector form of Terras (1976), from
-per-residue tables with k up to K = 12; the block's step count and exact
-peak come from the same tables. k is cut to the table's size so that no
-block passes through 1. Lanes too large for int64 blocks take the same
-blocks in two int64 limbs, as fixed-width multi-word verifiers do
-(Oliveira e Silva 2010; Barina 2021). Values too large for the limbs,
-and starts among them, walk in the package's one exact big-integer
-walker, dynamics._descend, until they fit again, so correctness never
-depends on fixed-width integers being enough. Worker processes receive
-the table when they start and sweep disjoint chunks; each chunk's
-report is merged by merge_reports, which makes reports independent of
-chunk size and worker count.
+its residue mod 2^k, the parity-vector form of Terras (1976), with k up
+to K = 12; the map, with each block's step count and exact peak, is
+dynamics._blocks(k), held here as int64 columns. k is cut to the table's
+size so that no block passes through 1. Lanes too large for int64 blocks
+take the same blocks in two int64 limbs, as fixed-width multi-word
+verifiers do (Oliveira e Silva 2010; Barina 2021). Values too large for
+the limbs, and starts among them, walk in the package's one exact
+big-integer walker, dynamics._descend, until they fit again, so
+correctness never depends on fixed-width integers being enough. Worker
+processes receive the table when they start and sweep disjoint chunks;
+each chunk's report is merged by merge_reports, which makes reports
+independent of chunk size and worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -45,7 +45,7 @@ import numpy as np
 
 from .cycles import ClosedLoop
 from .dynamics import DEFAULT_STEP_BUDGET, DomainError, EntersCycle, MapVariant
-from .dynamics import _as_int, _brent_walk, _descend
+from .dynamics import _as_int, _blocks, _brent_walk, _descend
 
 DENSE_CACHE_ENTRIES = 1 << 20
 # Larger tables are refused so that every table peak fits in int64: the
@@ -213,31 +213,9 @@ def _distinct_loops(loops: Iterable[ClosedLoop | None]) -> tuple[ClosedLoop, ...
 
 @functools.cache
 def _block_table(k: int) -> tuple:
-    """The affine block map over Z/2^kZ, built once per process and k.
-
-    For x = 2^k·a + r, k steps of T (x/2 on even x, (3x+1)/2 on odd x)
-    give T^k(x) = 3^c·a + d in k + c col-steps, c the number of odd
-    steps. Every col-step value of the block is m·a + e for some m and
-    e, and the one with the largest m also has the largest e (checked
-    for every residue up to K by the tests), so it is the block's peak
-    for every a. Returns (mult, off, steps, peak_mult, peak_off),
-    indexed by r.
-    """
-    r = np.arange(1 << k, dtype=np.int64)
-    m = np.full(1 << k, 1 << k, dtype=np.int64)  # 2^(k-i)·3^c after i steps
-    e = r.copy()
-    steps = np.full(1 << k, k, dtype=np.int64)
-    peak_m, peak_e = m.copy(), e.copy()
-    for _ in range(k):
-        odd = (e & 1).astype(bool)
-        # Only a 3x+1 value can hold a new largest multiplier.
-        grows = odd & (3 * m > peak_m)
-        peak_m = np.where(grows, 3 * m, peak_m)
-        peak_e = np.where(grows, 3 * e + 1, peak_e)
-        m = np.where(odd, 3 * m, m) >> 1
-        e = np.where(odd, 3 * e + 1, e) >> 1
-        steps += odd
-    return m, e, steps, peak_m, peak_e
+    """dynamics._blocks(k) as int64 columns (mult, off, steps, peak_mult,
+    peak_off), each indexed by residue."""
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*_blocks(k)))
 
 
 def _advance(table: tuple, k: int, cur, r, pk) -> None:
@@ -379,10 +357,12 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
     it landed on. A start is resolved when its total steps to 1 are at
     most budget col-steps.
 
-    Returns (total, top, crossed, big), indexed by x - lo: total steps
-    and orbit peak, -1 unless resolved, and whether an unresolved orbit
-    dropped below cutoff within budget. Lanes whose peak does not fit
-    int64 hold -1 in top; big maps those that resolved to their peak.
+    Returns (total, top, crossed, big): total steps and orbit peak, -1
+    unless resolved, and whether an unresolved orbit dropped below
+    cutoff within budget, indexed by x - lo; and big, the largest
+    (peak, x - lo) among resolved lanes whose peak does not fit int64,
+    the smallest x among ties, or None. Such a peak outranks every peak
+    in top.
     """
     cache_steps, cache_peak = table
     landing, steps, peak, exact = _walk_lanes(lo, hi, len(cache_steps), budget)
@@ -392,15 +372,14 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
     ok = (landing >= 0) & (tail >= 0) & (total <= budget)
     total[~ok] = -1
     top = np.where(ok, np.maximum(peak, cache_peak[landing]), -1)
-    big = {j: p for j, p in exact.items() if ok[j]}
-    top[list(exact)] = -1
+    big = max(((p, -j) for j, p in exact.items() if ok[j]), default=None)
     crossed = np.zeros(len(total), dtype=bool)
     if cutoff > 1:
         # Each start the table did not resolve is walked exactly toward
         # the cutoff; at the default budget there are almost none.
         for j in np.flatnonzero(~ok).tolist():
             crossed[j] = _descend(lo + j, cutoff - 1, 0, lo + j, budget)[0] >= 0
-    return total, top, crossed, big
+    return total, top, crossed, None if big is None else (big[0], -big[1])
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +444,9 @@ def _sweep_chunk(job: tuple[int, int, int, int]) -> VerifyReport:
     # argmax keeps the first, so the smallest x among ties; -1 means none.
     j, k = int(np.argmax(total)), int(np.argmax(top))
     steps_cands = [(int(total[j]), lo + j)] if total[j] >= 0 else []
-    peak_cands = [(int(top[k]), lo + k)] if top[k] >= 0 else []
-    peak_cands += [(p, lo + i) for i, p in big.items()]
+    # A peak past int64 outranks every peak in top.
+    p, k = big or (int(top[k]), k)
+    peak_cands = [(p, lo + k)] if p >= 0 else []
     # An unresolved start does not reach 1 within budget, so find_cycle's
     # walk toward 1 would only fail; Brent's walk alone finds its loop.
     outcomes = (_brent_walk(u, MapVariant.STANDARD, budget, None, False).outcome for u in unresolved)

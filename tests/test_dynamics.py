@@ -20,7 +20,7 @@ from collatzkit import (
     total_stopping_time,
     validate_loop,
 )
-from collatzkit.dynamics import _K, _blocks, _brent_walk, _descend
+from collatzkit.dynamics import _K, _brent_walk, _descend
 
 
 def naive_orbit_to_one(x):
@@ -360,13 +360,6 @@ def descend_cases(draw):
 @given(case=descend_cases())
 def test_descend_matches_plain_walk(case):
     assert _descend(*case) == plain_descend(*case)
-
-
-def test_blocks_match_verifier_table():
-    from collatzkit.verifier import _block_table
-
-    columns = [tuple(column) for column in zip(*_blocks())]
-    assert columns == [tuple(column.tolist()) for column in _block_table(_K)]
 
 
 SEEDED_300_BIT = random.Random(300).getrandbits(300) | 1 << 299

@@ -241,12 +241,17 @@ def test_range_beyond_vector_path():
     # starts that do not fit int64 walk an exact prefix and join the lane
     # kernel; 2^64 is its own peak; a chunk holds starts on both sides of
     # 2^63; every start of the last window is above _BLOCK_LIMIT and
-    # begins in the wide walk
+    # begins in the wide walk. The orbits of 45487026724 and 45487026725
+    # meet at step 3 and pass 8,528,817,511, so both have its peak past
+    # int64 and the same total: the record goes to the smaller start,
+    # within one chunk and across two.
     for lo, hi, chunk in (
         ((1 << 70) + 1, (1 << 70) + 3, 1 << 16),
         (1 << 64, 1 << 64, 1),
         ((1 << 63) - 40, (1 << 63) + 40, 37),
         ((1 << 56) + 1, (1 << 56) + 4096, 1 << 16),
+        (45487026724, 45487026725, 2),
+        (45487026724, 45487026725, 1),
     ):
         report = verify_range(VerifyConfig(lo, hi, chunk_size=chunk))
         assert report.verified_count == hi - lo + 1
@@ -284,10 +289,12 @@ def test_forced_escalation_paths_agree(monkeypatch):
 
 
 def test_block_tables_are_exact():
-    # Every col-step value of a k-step block from x = 2^k·a + r is m·a + e;
-    # the table's peak term must dominate every (m, e) pair, so that it is
-    # the block's peak for every a, and no value may leave int64 for x up
-    # to the block limit, or in a wide lane's limbs below the wide limit.
+    # The lane tables are dynamics._blocks(k) as int64 columns; each row
+    # must match a plain walk of its residue. Every col-step value of a
+    # k-step block from x = 2^k·a + r is m·a + e; the table's peak term
+    # must dominate every (m, e) pair, so that it is the block's peak for
+    # every a, and no value may leave int64 for x up to the block limit,
+    # or in a wide lane's limbs below the wide limit.
     limit = verifier_mod._BLOCK_LIMIT
     h = (verifier_mod._WIDE_LIMIT >> 32) - 1  # the largest high limb below it
     for k in range(1, verifier_mod.K + 1):
