@@ -9,10 +9,11 @@ scalar walk of the package: stopping times, the arrival walk of
 classify_trajectory, and the verifier's big-integer and cutoff walks.
 Far above the floor it jumps K steps of T (x/2, or (3x+1)/2 on odd x)
 at a time by the parity-vector block map of Terras (1976), and its
-result is exactly that of a step-by-step walk. _blocks(k) is the
-package's one builder of that map: each k-step block's multiplier,
-offset, col-step count and exact peak for every residue mod 2^k, built
-by doubling from k - 1. The verifier's lane tables are its rows.
+result is exactly that of a step-by-step walk. _block_levels(k) is the
+package's one builder of that map: each j-step block's multiplier,
+offset, col-step count and exact peak for every residue mod 2^j, for
+j = 0..k in one doubling pass. The verifier's lane tables are its
+levels 1..12, _descend's blocks its level 8.
 """
 
 from __future__ import annotations
@@ -107,35 +108,47 @@ def iterate_k(x: int, k: int, variant: MapVariant = MapVariant.STANDARD) -> int:
     return x if x != 1 or variant is MapVariant.STAR else (1, 4, 2)[k % 3]
 
 
-@functools.cache
-def _blocks(k: int) -> tuple:
-    """The affine block map over Z/2^kZ, built once per process and k.
+def _block_levels(k: int):
+    """The affine block map over Z/2^jZ for j = 0, 1, ..., k in turn, from
+    one doubling pass that holds only the level it is on.
 
-    For x = 2^k·a + j, k steps of T give T^k(x) = mult·a + off in steps
+    For x = 2^j·a + r, j steps of T give T^j(x) = mult·a + off in steps
     col-steps, and the largest col-step value on the way, x included, is
     peak_mult·a + peak_off for every a: each col-step value is m·a + e,
     and the one with the largest m also has the largest e (checked by
-    the tests for every k up to the verifier's K). Returns one tuple
-    (mult, off, steps, peak_mult, peak_off) per residue j in [0, 2^k).
+    the tests for every j up to the verifier's K). Level j is one tuple
+    (mult, off, steps, peak_mult, peak_off) per residue r in [0, 2^j).
 
-    Row j + b·2^(k-1) is row j of _blocks(k - 1) and one more step of T:
-    after its k - 1 steps, x = 2^(k-1)·(2a + b) + j is at 2m·a + m·b + e.
+    Row r + b·2^(j-1) of level j is row r of level j - 1 and one more
+    step of T: after its j - 1 steps, x = 2^(j-1)·(2a + b) + r is at
+    2m·a + m·b + e.
     """
-    if k == 0:
-        return ((1, 0, 0, 1, 0),)
-    rows = []
-    for b in (0, 1):
-        for m, e, steps, peak_m, peak_e in _blocks(k - 1):
-            e += m * b
-            peak_m, peak_e = 2 * peak_m, peak_m * b + peak_e
-            if e & 1:
-                # Only a 3x+1 value can hold a new largest multiplier.
-                if 6 * m > peak_m:
-                    peak_m, peak_e = 6 * m, 3 * e + 1
-                rows.append((3 * m, (3 * e + 1) >> 1, steps + 2, peak_m, peak_e))
-            else:
-                rows.append((m, e >> 1, steps + 1, peak_m, peak_e))
-    return tuple(rows)
+    level = ((1, 0, 0, 1, 0),)
+    yield level
+    for _ in range(k):
+        rows = []
+        for b in (0, 1):
+            for m, e, steps, peak_m, peak_e in level:
+                e += m * b
+                peak_m, peak_e = 2 * peak_m, peak_m * b + peak_e
+                if e & 1:
+                    # Only a 3x+1 value can hold a new largest multiplier.
+                    if 6 * m > peak_m:
+                        peak_m, peak_e = 6 * m, 3 * e + 1
+                    rows.append((3 * m, (3 * e + 1) >> 1, steps + 2, peak_m, peak_e))
+                else:
+                    rows.append((m, e >> 1, steps + 1, peak_m, peak_e))
+        level = tuple(rows)
+        yield level
+
+
+@functools.cache
+def _blocks() -> tuple:
+    """Level _K of _block_levels, the blocks _descend takes: built once
+    per process, the one level held as Python rows."""
+    for level in _block_levels(_K):
+        pass
+    return level
 
 
 def _descend(c: int, floor: int, r: int, p: int, budget: int) -> tuple[int, int, int]:
@@ -146,13 +159,13 @@ def _descend(c: int, floor: int, r: int, p: int, budget: int) -> tuple[int, int,
     first.
 
     While c > (floor + 1)·2^K and the block fits the budget, the walk
-    takes a whole K-step block from _blocks(K). Every value inside the
+    takes a whole K-step block from _blocks(). Every value inside the
     block from c = 2^K·a + j is at least a > floor, so no block passes
     the first value at or below floor. The rest of the walk goes one
     col-step at a time, so the result is exactly that of a plain
     step-by-step walk.
     """
-    blocks = _blocks(_K)
+    blocks = _blocks()
     high, mask = (floor + 1) << _K, (1 << _K) - 1
     while c > floor:
         while c > high:

@@ -13,7 +13,7 @@ One lane kernel does every vectorized walk. Each round it moves a lane
 by the affine block map of k steps of T (x/2, or (3x+1)/2 on odd x) for
 its residue mod 2^k, the parity-vector form of Terras (1976), with k up
 to K = 12; the map, with each block's step count and exact peak, is
-dynamics._blocks(k), held here as int64 columns. k is cut to the table's
+dynamics._block_levels, held here as int64 columns. k is cut to the table's
 size so that no block passes through 1. Lanes too large for int64 blocks
 take the same blocks in two int64 limbs, as fixed-width multi-word
 verifiers do (Oliveira e Silva 2010; Barina 2021). Values too large for
@@ -45,7 +45,7 @@ import numpy as np
 
 from .cycles import ClosedLoop
 from .dynamics import DEFAULT_STEP_BUDGET, DomainError, EntersCycle, MapVariant
-from .dynamics import _as_int, _blocks, _brent_walk, _descend
+from .dynamics import _as_int, _block_levels, _brent_walk, _descend
 
 DENSE_CACHE_ENTRIES = 1 << 20
 # Larger tables are refused so that every table peak fits in int64: the
@@ -212,10 +212,19 @@ def _distinct_loops(loops: Iterable[ClosedLoop | None]) -> tuple[ClosedLoop, ...
 
 
 @functools.cache
+def _block_tables() -> tuple:
+    """Every level 0..K of dynamics._block_levels as int64 columns,
+    each converted as the doubling pass yields it, so that no Python
+    rows stay behind."""
+    return tuple(
+        tuple(np.array(c, dtype=np.int64) for c in zip(*level)) for level in _block_levels(K)
+    )
+
+
 def _block_table(k: int) -> tuple:
-    """dynamics._blocks(k) as int64 columns (mult, off, steps, peak_mult,
-    peak_off), each indexed by residue."""
-    return tuple(np.array(c, dtype=np.int64) for c in zip(*_blocks(k)))
+    """The k-step block map as int64 columns (mult, off, steps,
+    peak_mult, peak_off), each indexed by residue mod 2^k."""
+    return _block_tables()[k]
 
 
 def _advance(table: tuple, k: int, cur, r, pk) -> None:

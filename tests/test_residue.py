@@ -1,8 +1,12 @@
+import copy
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collatzkit import (
     BranchLabel,
@@ -354,3 +358,79 @@ def test_output_hash_large_moduli(modulus, digests):
     g = build_graph(modulus)
     artifacts = (to_dot(g), to_json(g), json.dumps(strongly_connected_components(g)))
     assert tuple(hashlib.sha256(a.encode()).hexdigest()[:16] for a in artifacts) == digests
+    assert from_json(artifacts[1]) == g
+
+
+def json_formula(graph):
+    """to_json as it was written over a tuple of Edge values."""
+    payload = {
+        "modulus": graph.modulus,
+        "edges": [{"from": e.src, "to": e.dst, "branch": e.label.value} for e in graph.edges],
+    }
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def dot_formula(graph):
+    """to_dot as it was written over a tuple of Edge values."""
+    lines = [f"digraph collatz_mod_{graph.modulus} {{"]
+    lines += [f"  {v};" for v in graph.vertices]
+    lines += [f'  {e.src} -> {e.dst} [label="Col", branch="{e.label.value}"];' for e in graph.edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@st.composite
+def edge_lists(draw):
+    """A modulus in 1..40 and a list of edges: Edge values and plain
+    tuples, repeated, in any order, some vertices with no out-edges and
+    one hub with up to 2m."""
+    m = draw(st.integers(1, 40))
+    vertex, label = st.integers(0, m - 1), st.sampled_from(list(BranchLabel))
+    raw = draw(st.lists(st.tuples(vertex, vertex, label), max_size=3 * m))
+    hub = draw(vertex)
+    raw += draw(st.lists(st.tuples(st.just(hub), vertex, label), max_size=2 * m))
+    if raw:
+        raw += draw(st.lists(st.sampled_from(raw), max_size=5))
+    edges = [Edge(*e) if draw(st.booleans()) else e for e in raw]
+    return m, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edge_lists())
+def test_columnar_graph_matches_reference(case):
+    m, edges = case
+    g = TransitionGraph(m, edges)
+    canonical = sorted({(s, d, label.value) for s, d, label in edges})
+    assert [(e.src, e.dst, e.label.value) for e in g.edges] == canonical
+    # The edges view behaves as the tuple of the same edges.
+    as_tuple = tuple(Edge(s, d, BranchLabel(b)) for s, d, b in canonical)
+    view = g.edges
+    assert len(view) == len(as_tuple)
+    assert view == as_tuple and as_tuple == view and not view != as_tuple
+    assert hash(view) == hash(as_tuple) and repr(view) == repr(as_tuple)
+    assert all(type(e) is Edge for e in view)
+    for i in (0, len(view) // 2, -1):
+        if as_tuple:
+            assert view[i] == as_tuple[i] and type(view[i]) is Edge
+    with pytest.raises(IndexError):
+        view[len(as_tuple)]
+    for sl in (slice(None), slice(1, -1), slice(None, None, 2), slice(None, None, -1), slice(3, 3)):
+        assert view[sl] == as_tuple[sl] and type(view[sl]) is tuple
+    for v in g.vertices:
+        assert g.edges_from(v) == tuple(e for e in as_tuple if e.src == v)
+        assert out_degree(g, v) == len({e.dst for e in as_tuple if e.src == v})
+    back = from_json(to_json(g))
+    assert back == g and hash(back) == hash(g)
+    assert to_json(g) == json_formula(g)
+    assert to_dot(g) == dot_formula(g)
+    assert strongly_connected_components(g) == brute_sccs(g)
+
+
+@pytest.mark.parametrize("modulus", [1, 10, 11, 64])
+def test_graph_survives_pickle_copy_and_hash(modulus):
+    g = build_graph(modulus)
+    pickled = [pickle.loads(pickle.dumps(g, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in (*pickled, copy.deepcopy(g), copy.copy(g)):
+        assert other == g and hash(other) == hash(g)
+        assert other.edges == g.edges and other.edges_from(0) == g.edges_from(0)
+    assert hash(g) == hash(from_json(to_json(g)))
+    assert g != build_graph(modulus + 1)
