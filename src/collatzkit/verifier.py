@@ -19,10 +19,14 @@ take the same blocks in two int64 limbs, as fixed-width multi-word
 verifiers do (Oliveira e Silva 2010; Barina 2021). Values too large for
 the limbs, and starts among them, walk in the package's one exact
 big-integer walker, dynamics._descend, until they fit again, so
-correctness never depends on fixed-width integers being enough. Worker
-processes receive the table when they start and sweep disjoint chunks;
-each chunk's report is merged by merge_reports, which makes reports
-independent of chunk size and worker count.
+correctness never depends on fixed-width integers being enough. A
+multi-worker sweep hands its chunks to one worker pool per process,
+kept across sweeps; its workers receive the table once, when they
+start. The pool belongs to the table's memo slot: replacing the table
+shuts it down, and so does a sweep with another worker count or start
+method, before the new pool starts. Each chunk's report is merged by
+merge_reports, which makes reports independent of chunk size and
+worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -418,22 +423,63 @@ def _build_cache(cache_len: int, step_budget: int):
 # ((cache_len, step_budget), (cache_steps, cache_peak)): the parent's
 # memo, and in each pool worker the parent's table installed at start-up.
 _cache_slot: tuple | None = None
+# (worker count, start method, owner pid, executor): the parent's pool,
+# whose workers hold the table of _cache_slot. A process forked from the
+# owner inherits the tuple but not the pool's threads or workers.
+_pool: tuple | None = None
 
 
 def _install_table(slot: tuple) -> None:
     """Pool initializer: keep the table the parent handed over, so no
-    start method makes a worker rebuild it."""
+    start method makes a worker rebuild it. A worker gets it once and
+    keeps it for the pool's life, which ends before the parent's table
+    is replaced."""
     global _cache_slot
     _cache_slot = slot
 
 
-def _cache_for(cache_len: int, step_budget: int) -> tuple:
+def _cache_for(cache_len: int, step_budget: int) -> None:
     """Single-slot memo so repeated sweeps in one process reuse the
-    table instead of rebuilding it."""
+    table instead of rebuilding it. Replacing the table first shuts down
+    the pool, whose workers and initializer arguments hold the old one."""
     key = (cache_len, step_budget)
     if _cache_slot is None or _cache_slot[0] != key:
+        _drop_pool()
         _install_table((key, _build_cache(cache_len, step_budget)))
-    return _cache_slot
+
+
+def _drop_pool() -> None:
+    """Forget the pool, first shutting it down and waiting for its
+    workers and threads when this process owns it."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and pool[2] == os.getpid():
+        pool[3].shutdown(cancel_futures=True)
+
+
+def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
+    """Each job's report, in order, from the pool for _cache_slot's
+    table with this many workers under the current start method. Any
+    other pool, or one that a dead worker broke, is shut down before a
+    new one starts, so that no pool forks while another's threads run;
+    concurrent.futures' own exit hook stops the last one when the
+    interpreter exits. Jobs still queued when the call ends early, by
+    an error or an interrupt, are cancelled so that they do not delay
+    the next sweep."""
+    global _pool
+    key = (workers, multiprocessing.get_start_method(), os.getpid())
+    if _pool is None or _pool[:3] != key or _pool[3]._broken:
+        _drop_pool()
+        pool = ProcessPoolExecutor(workers, initializer=_install_table, initargs=(_cache_slot,))
+        _pool = (*key, pool)
+    futures = []
+    try:
+        for job in jobs:
+            futures.append(_pool[3].submit(_sweep_chunk, job))
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()  # a no-op once a job has started
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +533,7 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
     cfg = config.validated()
     t0 = time.perf_counter()
     cache_len = max(2, min(cfg.dense_cache_entries, cfg.range_hi + 1))
-    slot = _cache_for(cache_len, cfg.step_budget)
+    _cache_for(cache_len, cfg.step_budget)
 
     jobs = [
         (lo, min(lo + cfg.chunk_size - 1, cfg.range_hi), cfg.step_budget, cfg.assume_verified_below)
@@ -497,10 +543,7 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
     if workers <= 1:
         parts = [_sweep_chunk(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_install_table, initargs=(slot,)
-        ) as pool:
-            parts = list(pool.map(_sweep_chunk, jobs))
+        parts = _sweep_pooled(workers, jobs)
     return replace(merge_reports(*parts), wall_time=time.perf_counter() - t0)
 
 

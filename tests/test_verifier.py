@@ -3,8 +3,12 @@ import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -481,14 +485,29 @@ def test_import_leaves_numpy_out():
 FORKSERVER_SWEEP = """
 import json
 import multiprocessing
+import os
 
+import collatzkit.verifier as verifier
 from collatzkit import VerifyConfig, verify_range
 
 cfg = VerifyConfig(1 << 20, (1 << 20) + 4 * 4096 - 1, chunk_size=4096, worker_count=2)
 for method in ("fork", "forkserver"):
     multiprocessing.set_start_method(method, force=True)
-    print(json.dumps(verify_range(cfg).payload()))
+    payload = verify_range(cfg).payload()
+    pool, pids = verifier._pool[-1], set()
+    while len(pids) < 2:
+        pids |= {f.result() for f in [pool.submit(os.getpid) for _ in range(16)]}
+    print(json.dumps(payload))
+    print(json.dumps(sorted(pids)))
 """
+
+
+def pid_exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 @pytest.mark.skipif(
@@ -497,7 +516,9 @@ for method in ("fork", "forkserver"):
 )
 def test_forkserver_workers_get_the_table():
     # workers started by forkserver share no memory with the parent, so
-    # they sweep with the table handed to them at start-up
+    # they sweep with the table handed to them at start-up. A new start
+    # method gets a new pool, and no worker outlives the interpreter:
+    # concurrent.futures' exit hook stops the pool still cached.
     package_root = Path(collatzkit.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root))
     proc = subprocess.run(
@@ -505,9 +526,142 @@ def test_forkserver_workers_get_the_table():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    fork, forkserver = proc.stdout.splitlines()
-    assert json.loads(forkserver) == json.loads(fork)
-    assert json.loads(fork)["verified_count"] == 4 * 4096
+    fork, fork_pids, forkserver, forkserver_pids = map(json.loads, proc.stdout.splitlines())
+    assert forkserver == fork
+    assert fork["verified_count"] == 4 * 4096
+    assert len(fork_pids) == len(forkserver_pids) == 2
+    assert not set(fork_pids) & set(forkserver_pids)
+    assert not [pid for pid in fork_pids + forkserver_pids if pid_exists(pid)]
+
+
+POOL_SWEEP = VerifyConfig(1, 4 * 4096, chunk_size=4096, worker_count=2, dense_cache_entries=4096)
+
+
+def pool_pids(workers=2):
+    """Pids of the workers of the verifier's pool, each reported by the
+    worker itself: os.getpid is submitted until every worker answered."""
+    pool, pids = verifier_mod._pool[-1], set()
+    while len(pids) < workers:
+        pids |= {f.result(timeout=60) for f in [pool.submit(os.getpid) for _ in range(16)]}
+    return pids
+
+
+def test_pool_is_kept_per_table_and_worker_count():
+    # Sweeps with the same table and worker count reuse the pool; a new
+    # table, a cleared memo slot or another worker count each start a
+    # new one, so patched module globals reach freshly forked workers.
+    reference = verify_range(POOL_SWEEP).payload()
+    first = pool_pids()
+    assert verify_range(POOL_SWEEP).payload() == reference
+    assert pool_pids() == first
+    seen = set(first)
+
+    def new_pool(cfg, workers=2):
+        assert verify_range(cfg).payload() == reference
+        pids = pool_pids(workers)
+        assert not pids & seen, cfg
+        seen.update(pids)
+        return pids
+
+    new_pool(replace(POOL_SWEEP, dense_cache_entries=2048))
+    new_pool(replace(POOL_SWEEP, step_budget=500))
+    verifier_mod._cache_slot = None
+    new_pool(replace(POOL_SWEEP, step_budget=500))
+    three = new_pool(replace(POOL_SWEEP, step_budget=500, worker_count=3), 3)
+    # a 1-worker sweep runs in the parent and leaves the pool alone
+    assert verify_range(replace(POOL_SWEEP, step_budget=500, worker_count=1)).payload() == reference
+    assert pool_pids(3) == three
+    new_pool(replace(POOL_SWEEP, step_budget=500))
+
+
+SLOW_POOL_SWEEP = replace(POOL_SWEEP, range_hi=1 << 21)  # ~0.5 s at 2 workers
+
+
+def submitting(pool, monkeypatch, first):
+    """Futures the pool's submit makes from now on; first() runs just
+    before the first one is submitted."""
+    futures = []
+
+    def submit(*args):
+        if not futures:
+            first()
+        futures.append(ProcessPoolExecutor.submit(pool, *args))
+        return futures[-1]
+
+    monkeypatch.setattr(pool, "submit", submit)
+    return futures
+
+
+def test_pool_recovers_from_a_killed_worker(monkeypatch):
+    reference = verify_range(replace(POOL_SWEEP, worker_count=1)).payload()
+    verify_range(POOL_SWEEP)
+    victim = min(pool_pids())
+    os.kill(victim, signal.SIGKILL)
+    # the pool reaps its workers only once it has marked itself broken
+    deadline = time.monotonic() + 60
+    while pid_exists(victim) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert verify_range(POOL_SWEEP).payload() == reference
+    assert victim not in pool_pids()
+    # a worker killed during a sweep fails that sweep, not the next one
+    verify_range(SLOW_POOL_SWEEP)
+    victim = min(pool_pids())
+    submitting(verifier_mod._pool[-1], monkeypatch, lambda: os.kill(victim, signal.SIGKILL))
+    with pytest.raises(BrokenProcessPool):
+        verify_range(SLOW_POOL_SWEEP)
+    monkeypatch.undo()
+    assert verify_range(POOL_SWEEP).payload() == reference
+    assert victim not in pool_pids()
+
+
+def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
+    reference = verify_range(SLOW_POOL_SWEEP).payload()
+    pool = verifier_mod._pool[-1]
+
+    def interrupt(*_):
+        raise KeyboardInterrupt
+
+    futures = submitting(pool, monkeypatch, lambda: signal.setitimer(signal.ITIMER_REAL, 0.1))
+    handler = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            verify_range(SLOW_POOL_SWEEP)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    # only the jobs already handed to the workers may still run: one in
+    # each worker and a call queue of one more than the workers
+    assert sum(not f.done() for f in futures) <= 5
+    assert any(f.cancelled() for f in futures)
+    monkeypatch.undo()
+    assert verify_range(SLOW_POOL_SWEEP).payload() == reference
+    assert verifier_mod._pool[-1] is pool
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_starts_its_own_pool():
+    # a process forked from one with a pool inherits the pool's record
+    # but not its threads or workers, so it must start its own
+    reference = verify_range(POOL_SWEEP).payload()
+    parent = pool_pids()
+    child = os.fork()
+    if child == 0:  # leaves only through os._exit, and stops its own pool first
+        code = 1
+        try:
+            try:
+                code = int(verify_range(POOL_SWEEP).payload() != reference or bool(pool_pids() & parent))
+            finally:
+                verifier_mod._drop_pool()
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(child, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+    assert done[0] == child and os.waitstatus_to_exitcode(done[1]) == 0
+    assert pool_pids() == parent
 
 
 @st.composite
