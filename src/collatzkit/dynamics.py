@@ -151,22 +151,24 @@ def _blocks() -> tuple:
     return level
 
 
-def _descend(c: int, floor: int, r: int, p: int, budget: int) -> tuple[int, int, int]:
+def _descend(
+    c: int, floor: int, r: int, p: int, budget: int, high: int | None = None
+) -> tuple[int, int, int]:
     """Walk the orbit on from value c, with r col-steps taken and peak
     p >= c, until it is at or below floor. Returns (value, steps, peak):
-    the first value at or below floor, the col-steps taken in all and
-    the largest value seen; value is -1 if budget col-steps run out
-    first.
+    a value at or below floor, the col-steps taken in all and the
+    largest value seen; value is -1 if budget col-steps run out first.
 
-    While c > (floor + 1)·2^K and the block fits the budget, the walk
-    takes a whole K-step block from _blocks(). Every value inside the
-    block from c = 2^K·a + j is at least a > floor, so no block passes
-    the first value at or below floor. The rest of the walk goes one
-    col-step at a time, so the result is exactly that of a plain
-    step-by-step walk.
+    While c > high and the block fits the budget, the walk takes a
+    whole K-step block from _blocks(). Every value inside the block from
+    c = 2^K·a + j is at least a, so with the default high, (floor + 1)·2^K,
+    no block passes the first value at or below floor, and that is the
+    value returned. A lower high may land further down the orbit. The
+    rest of the walk goes one col-step at a time, so steps and peak are
+    exactly those of a plain step-by-step walk to the value returned.
     """
     blocks = _blocks()
-    high, mask = (floor + 1) << _K, (1 << _K) - 1
+    high, mask = (floor + 1) << _K if high is None else high, (1 << _K) - 1
     while c > floor:
         while c > high:
             mult, off, n, peak_m, peak_e = blocks[c & mask]

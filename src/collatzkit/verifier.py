@@ -19,14 +19,26 @@ take the same blocks in two int64 limbs, as fixed-width multi-word
 verifiers do (Oliveira e Silva 2010; Barina 2021). Values too large for
 the limbs, and starts among them, walk in the package's one exact
 big-integer walker, dynamics._descend, until they fit again, so
-correctness never depends on fixed-width integers being enough. A
-multi-worker sweep hands its chunks to one worker pool per process,
+correctness never depends on fixed-width integers being enough.
+
+Each thread walks in its own workspace: fixed int64 and bool rows of
+2^16 lanes, made on its first walk, that hold the lanes, a spare of
+each for compaction, the outputs and every temporary. numpy writes
+into them through out= arguments and np.take(..., mode="wrap"), so a
+warm sweep allocates no lane arrays, and its speed does not depend on
+how the C allocator is tuned. Chunks and table blocks longer than that
+are walked in 2^16-lane slices, so memory does not grow with either:
+building the 2^20-entry table peaks about 28 MB above the import, 16
+MB of it the table, where one 2^19-lane walk of its last block took
+58 MB.
+
+A multi-worker sweep hands its chunks to one worker pool per process,
 kept across sweeps; its workers receive the table once, when they
-start. The pool belongs to the table's memo slot: replacing the table
-shuts it down, and so does a sweep with another worker count or start
-method, before the new pool starts. Each chunk's report is merged by
-merge_reports, which makes reports independent of chunk size and
-worker count.
+start, and each walks in a workspace of its own. The pool belongs to
+the table's memo slot: replacing the table shuts it down, and so does
+a sweep with another worker count or start method, before the new
+pool starts. Each chunk's report is merged by merge_reports, which
+makes reports independent of chunk size and worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -41,6 +53,7 @@ import functools
 import json
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -69,6 +82,10 @@ _BLOCK_LIMIT = 2 ** (62 + K) // 3**K - 1
 _WIDE_LIMIT = 1 << 84
 _LOW = (1 << 32) - 1  # low limb mask
 _PARKED = -(2**62)  # r of a parked lane: negative for longer than any walk
+# Most lanes in one walk: _resolve walks a longer chunk, and the table
+# build each block, in slices of this many lanes.
+_SLICE = 1 << 16
+_PIECE = 1 << 13  # lanes per flatnonzero call, 64 KB of indices
 
 _TRIVIAL_LOOP = (1, 4, 2, 1)
 
@@ -217,53 +234,189 @@ def _distinct_loops(loops: Iterable[ClosedLoop | None]) -> tuple[ClosedLoop, ...
 
 
 @functools.cache
-def _block_tables() -> tuple:
-    """Every level 0..K of dynamics._block_levels as int64 columns,
-    each converted as the doubling pass yields it, so that no Python
-    rows stay behind."""
-    return tuple(
-        tuple(np.array(c, dtype=np.int64) for c in zip(*level)) for level in _block_levels(K)
-    )
-
-
 def _block_table(k: int) -> tuple:
-    """The k-step block map as int64 columns (mult, off, steps,
-    peak_mult, peak_off), each indexed by residue mod 2^k."""
-    return _block_tables()[k]
+    """Level k of dynamics._block_levels, the k-step block map, as int64
+    columns (mult, off, steps, peak_mult, peak_off), each indexed by
+    residue mod 2^k; no Python rows stay behind."""
+    for level in _block_levels(k):
+        pass
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*level))
 
 
-def _advance(table: tuple, k: int, cur, r, pk) -> None:
-    """Take one k-step block on every lane, in place."""
+def _take(col, j, out):
+    """col[j] into out. numpy writes out directly under "wrap", but copies
+    it under the default "raise"; -1 still reads the last entry."""
+    return col.take(j, out=out, mode="wrap")
+
+
+def _nonzero(mask, out):
+    """The positions of mask's True entries. Past _PIECE of them they are
+    found piece by piece into out, so no temporary reaches 128 KB, the C
+    allocator's default mmap threshold."""
+    if np.count_nonzero(mask) <= _PIECE:
+        return np.flatnonzero(mask)
+    c = 0
+    for s in range(0, mask.size, _PIECE):
+        piece = np.flatnonzero(mask[s:s + _PIECE])
+        c += np.add(piece, s, out=out[c:c + piece.size]).size
+    return out[:c]
+
+
+_local = threading.local()
+
+
+def _workspace(n: int):
+    """This thread's lane buffers, made on its first walk and reused by
+    every walk after it: int64 and bool rows of at least n lanes. Views
+    [:n] of them hold the lanes, outputs and temporaries of _walk_lanes
+    and _resolve, so a walk allocates no lane arrays, and threads that
+    sweep at once share none."""
+    ws = _local
+    if getattr(ws, "size", 0) < n:
+        ws.size = max(n, _SLICE)
+        i, ws.b = np.empty((30, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
+        ws.out, ws.t, ws.idx, ws.iota = i[0:3], i[3:9], i[9], np.arange(ws.size)
+        ws.ints, ws.wide = (i[10:14], i[14:18]), (i[18:24], i[24:30])  # (rows, spares)
+    return ws
+
+
+class _Lanes:
+    """Lanes as columns, views [:size] of workspace rows with a spare
+    row each, the step count r last. retire(done, put) hands the lanes
+    where done to put(d, *columns), d their positions, and parks them
+    at parked (None leaves a column), a fixed point of every block with
+    r negative for longer than any walk. Once fewer than half are live,
+    the rest move, in order, to the spare rows, which swap in."""
+
+    def __init__(self, ws, rows: tuple, size: int, parked: tuple):
+        self.ws, (self.rows, self.spares), self.parked = ws, rows, parked
+        self.size = self.live = size
+
+    def cols(self) -> list:
+        return [row[:self.size] for row in self.rows]
+
+    def retire(self, done, put) -> None:
+        d, cols = _nonzero(done, self.ws.idx), self.cols()
+        if not d.size:
+            return
+        put(d, *cols)
+        for col, v in zip(cols, self.parked):
+            if v is not None:
+                col[d] = v
+        self.live -= d.size
+        if 2 * self.live < self.size:
+            keep = _nonzero(np.greater_equal(cols[-1], 0, out=self.ws.b[0, :self.size]), self.ws.idx)
+            for col, spare in zip(cols, self.spares):
+                _take(col, keep, spare[:self.live])
+            self.rows, self.spares, self.size = self.spares, self.rows, self.live
+
+
+def _advance(table: tuple, k: int, cur, r, pk, t) -> None:
+    """Take one k-step block on every lane, in place; t is scratch."""
     mult, off, steps, peak_m, peak_e = table
-    j = cur & ((1 << k) - 1)
-    a = cur >> k
-    np.maximum(pk, peak_m[j] * a + peak_e[j], out=pk)
-    r += steps[j]
-    np.add(mult[j] * a, off[j], out=cur)
+    j, x, y = t[:3]
+    np.bitwise_and(cur, (1 << k) - 1, out=j)
+    cur >>= k  # a, where each lane was 2^k·a + j
+    np.multiply(_take(peak_m, j, x), cur, out=x)
+    np.maximum(pk, np.add(x, _take(peak_e, j, y), out=x), out=pk)
+    r += _take(steps, j, x)
+    cur *= _take(mult, j, x)
+    cur += _take(off, j, x)
 
 
-def _advance_wide(table: tuple, k: int, h, l, r, ph, pl):
-    """Take one k-step block on every lane h·2^32 + l. r and the peak
-    limbs (ph, pl) update in place; returns the new limbs."""
+def _advance_wide(table: tuple, k: int, h, l, r, ph, pl, t, b) -> None:
+    """Take one k-step block on every lane h·2^32 + l, in place, with r
+    and the peak limbs (ph, pl); t and b are scratch."""
     mult, off, steps, peak_m, peak_e = table
-    j = l & ((1 << k) - 1)
-    ah = h >> k
-    al = (h & ((1 << k) - 1)) << (32 - k) | l >> k
-    pm = peak_m[j]
-    t = pm * al + peak_e[j]
-    bh, bl = pm * ah + (t >> 32), t & _LOW
-    up = (bh > ph) | ((bh == ph) & (bl > pl))
-    np.copyto(ph, bh, where=up)
-    np.copyto(pl, bl, where=up)
-    r += steps[j]
-    m = mult[j]
-    t = m * al + off[j]
-    return m * ah + (t >> 32), t & _LOW
+    j, ah, al, x, y, z = t
+    np.bitwise_and(l, (1 << k) - 1, out=j)
+    np.right_shift(h, k, out=ah)
+    np.left_shift(np.bitwise_and(h, (1 << k) - 1, out=al), 32 - k, out=al)
+    al |= np.right_shift(l, k, out=z)
+
+    def block(m_col, e_col, hi, lo):  # hi·2^32 + lo = m·a + e
+        m = _take(m_col, j, hi)
+        np.add(np.multiply(m, al, out=lo), _take(e_col, j, z), out=lo)
+        hi *= ah
+        hi += np.right_shift(lo, 32, out=z)
+        lo &= _LOW
+
+    block(peak_m, peak_e, x, y)
+    up, tie = b
+    np.logical_and(np.equal(x, ph, out=tie), np.greater(y, pl, out=up), out=tie)
+    np.putmask(ph, np.logical_or(np.greater(x, ph, out=up), tie, out=up), x)
+    np.putmask(pl, up, y)
+    r += _take(steps, j, x)
+    block(mult, off, h, l)
 
 
-def _at_least(h, l, v: int):
-    """Whether each lane h·2^32 + l is at least v."""
-    return (h > v >> 32) | ((h == v >> 32) & (l >= v & _LOW))
+def _exactly(exact: dict, i: int, c: int, s: int, p: int, budget: int):
+    """(value, steps, limb peak) of lane i, at c after s steps with limb
+    peak p, after an exact walk in blocks back below _WIDE_LIMIT and on
+    to half of it. A peak past int64 goes to exact; past budget the
+    value is -1 and the steps budget + 1, which reads as parked."""
+    c, s, q = _descend(c, _WIDE_LIMIT >> 1, s, max(c, p, exact.get(i, 0)), budget, _WIDE_LIMIT)
+    if q >> 63:
+        exact[i], q = q, p
+    return c, s if c >= 0 else budget + 1, q
+
+
+def _walk_wide(ws, ints: _Lanes, w, table: tuple, k: int, budget: int, exact: dict, start=None) -> None:
+    """Wide rounds on the lanes at positions w of ints, which wait
+    meanwhile, until each is back at or below _BLOCK_LIMIT, or over
+    budget (at -1), and so back in ints. Their limbs come from ints,
+    or are those of the consecutive starts from start, which do not fit
+    there. Values from _WIDE_LIMIT on walk exactly first."""
+    lane, cur, pk, r = ints.cols()
+    wide = _Lanes(ws, ws.wide, w.size, (None, -1, _LOW, None, None, _PARKED))
+    j, h, l, ph, pl, rj = wide.cols()
+    j[:] = w
+    if start is None:
+        _take(r, w, rj)
+        for src, hi_limb, lo_limb in ((cur, h, l), (pk, ph, pl)):
+            np.right_shift(_take(src, w, lo_limb), 32, out=hi_limb)
+            lo_limb &= _LOW
+    else:
+        base = min(start, _WIDE_LIMIT)
+        np.add(ws.iota[:w.size], base & _LOW, out=l)
+        np.add(np.right_shift(l, 32, out=h), base >> 32, out=h)
+        l &= _LOW
+        ph[:], pl[:], rj[:] = h, l, 0
+        for q in range(max(0, _WIDE_LIMIT - start), w.size):  # an exact prefix past the wide limit
+            c, rj[q], p = _exactly(exact, int(w[q]), start + q, 0, 0, budget)
+            h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
+
+    def put(d, j, h, l, ph, pl, rj):
+        jd, x, y = ws.t[:3, :d.size]
+        r[_take(j, d, jd)] = _take(rj, d, x)
+        over = np.greater(x, budget, out=ws.b[1, :d.size])
+        np.left_shift(_take(h, d, x), 32, out=x)
+        x |= _take(l, d, y)
+        np.putmask(x, over, -1)
+        cur[jd] = x
+        hp, lp = _take(ph, d, x), _take(pl, d, y)
+        big = np.greater_equal(hp, 1 << 31, out=ws.b[1, :d.size])  # peaks past int64 go to exact
+        for i, a, b in zip(lane[jd[big]].tolist(), hp[big].tolist(), lp[big].tolist()):
+            exact[i] = max(exact.get(i, 0), a << 32 | b)
+        hp <<= 32
+        hp |= lp
+        np.putmask(hp, big, _take(pk, jd, y))
+        pk[jd] = hp
+
+    back = _BLOCK_LIMIT + 1
+    while wide.live:
+        if h.max() >= _WIDE_LIMIT >> 32:  # from _WIDE_LIMIT, whose low limb is 0, on
+            for q in np.flatnonzero(h >= _WIDE_LIMIT >> 32).tolist():
+                c, p = int(h[q]) << 32 | int(l[q]), int(ph[q]) << 32 | int(pl[q])
+                c, rj[q], p = _exactly(exact, int(lane[j[q]]), c, int(rj[q]), p, budget)
+                h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
+        # Back at or below _BLOCK_LIMIT, or over budget; parked h reads 2^64 - 1.
+        (done, tmp), hu = ws.b[:, :wide.size], h.view(np.uint64)
+        np.logical_and(np.less(l, back & _LOW, out=done), np.equal(hu, back >> 32, out=tmp), out=done)
+        np.logical_or(done, np.less(hu, back >> 32, out=tmp), out=done)
+        wide.retire(np.logical_or(done, np.greater(rj, budget, out=tmp), out=done), put)
+        j, h, l, ph, pl, rj = wide.cols()
+        _advance_wide(table, k, h, l, rj, ph, pl, ws.t[:, :wide.size], ws.b[:, :wide.size])
 
 
 def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
@@ -277,91 +430,47 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     is back at or below it or over budget; the int64 lanes wait out that
     round, so a returning lane retires before its next block. Values
     from _WIDE_LIMIT on, starts among them, first walk exactly in
-    _descend to half of it. Each round retires only the lanes just
-    finished, by index, and parks them at -1, a fixed point of every
-    block, with r at _PARKED; they drop out once fewer than half the
-    lanes are live.
+    _descend. Each round retires and parks the lanes just finished.
 
     Returns (landing, steps, peak, exact), indexed by x - lo: landing is
-    -1 where the budget ran out; exact holds the peaks past int64.
+    -1 where the budget ran out; exact holds the peaks past int64. The
+    arrays are views of this thread's workspace, valid until its next
+    walk.
     """
     n = hi - lo + 1
-    landing = np.full(n, -1, dtype=np.int64)
-    steps, peak = np.zeros((2, n), dtype=np.int64)
+    ws = _workspace(n)
+    landing, steps, peak = ws.out[:, :n]
     exact: dict[int, int] = {}
     k = max(1, min(K, stop.bit_length() - 2))
-    table = _block_table(k)
-    wide, back = _WIDE_LIMIT, _BLOCK_LIMIT + 1  # read per call, so patches apply
-    lane = np.arange(n, dtype=np.int64)
-    cur, r = np.zeros((2, n), dtype=np.int64)
-    m = min(n, max(0, back - lo))
-    if m:  # the starts after these begin wide
-        cur[:m] = lane[:m] + lo
-    pk = cur.copy()
+    table, back = _block_table(k), _BLOCK_LIMIT + 1  # read per call, so patches apply
+    ints = _Lanes(ws, ws.ints, n, (None, -1, None, _PARKED))
+    lane, cur, pk, r = ints.cols()
+    lane[:], r[:] = ws.iota[:n], 0
+    m = min(n, max(0, back - lo))  # the starts after these begin wide
+    if m:
+        np.add(lane[:m], lo, out=cur[:m])
+    pk[:] = cur
 
-    def exactly(i: int, c: int, s: int, p: int):
-        """(value, steps, limb peak) of lane i after an exact walk from c
-        to half the wide limit; a peak past int64 goes to exact."""
-        c, s, q = _descend(c, wide >> 1, s, max(c, p, exact.get(i, 0)), budget)
-        if q >> 63:
-            exact[i], q = q, p
-        return c, s if c >= 0 else budget + 1, q  # a -1 alone reads as parked
+    def put(d, lane, cur, pk, r):
+        ids, x = ws.t[:2, :d.size]
+        steps[_take(lane, d, ids)] = _take(r, d, x)
+        over = np.greater(x, budget, out=ws.b[1, :d.size])  # more than budget steps to 1
+        np.putmask(_take(cur, d, x), over, -1)
+        landing[ids] = x
+        peak[ids] = _take(pk, d, x)
 
-    def walk_wide(j, h, l, ph, pl) -> None:
-        """Wide rounds on lanes j. A lane at or below _BLOCK_LIMIT, or over
-        budget (at -1), goes back to cur, r and pk, and parks in limbs."""
-        rj, live = r[j], j.size
-        while live > 0:
-            if h.max() >= wide >> 32:
-                for q in np.flatnonzero(_at_least(h, l, wide)).tolist():
-                    c, p = int(h[q]) << 32 | int(l[q]), int(ph[q]) << 32 | int(pl[q])
-                    c, rj[q], p = exactly(int(lane[j[q]]), c, int(rj[q]), p)
-                    h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
-            d = np.flatnonzero((rj > budget) | ~_at_least(h.view(np.uint64), l, back))  # parked: 2^64 - 1
-            if d.size:
-                jd, hp, lp = j[d], ph[d], pl[d]
-                cur[jd] = np.where(rj[d] > budget, -1, h[d] << 32 | l[d])
-                r[jd] = rj[d]
-                big = hp >= 1 << 31  # peaks past int64 go to exact
-                pk[jd] = np.where(big, pk[jd], hp << 32 | lp)
-                for i, a, b in zip(lane[jd[big]].tolist(), hp[big].tolist(), lp[big].tolist()):
-                    exact[i] = max(exact.get(i, 0), a << 32 | b)
-                h[d], l[d], rj[d] = -1, _LOW, _PARKED
-                live -= d.size
-                if 2 * live < j.size:
-                    keep = np.flatnonzero(rj >= 0)
-                    j, h, l, ph, pl, rj = j[keep], h[keep], l[keep], ph[keep], pl[keep], rj[keep]
-            h, l = _advance_wide(table, k, h, l, rj, ph, pl)
-
-    if m < n:  # limbs of the other starts, below the wide limit
-        base = min(lo + m, wide)
-        l = (base & _LOW) + lane[: n - m]
-        h, l = (base >> 32) + (l >> 32), l & _LOW
-        ph, pl = h.copy(), l.copy()
-        for q in range(max(0, wide - lo - m), n - m):  # and an exact prefix past it
-            c, r[m + q], p = exactly(m + q, lo + m + q, 0, 0)
-            h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
-        walk_wide(lane[m:], h, l, ph, pl)
-    live = n
-    while live > 0:
-        out = np.flatnonzero((cur.view(np.uint64) < stop) | (r > budget))  # parked: 2^64 - 1
-        if out.size:
-            d = lane[out]
-            landing[d] = cur[out]
-            steps[d] = r[out]
-            peak[d] = pk[out]
-            landing[d[steps[d] > budget]] = -1  # more than budget steps to 1
-            cur[out], r[out] = -1, _PARKED
-            live -= out.size
-            if 2 * live < lane.size:
-                keep = np.flatnonzero(r >= 0)
-                lane, cur, r, pk = lane[keep], cur[keep], r[keep], pk[keep]
+    if m < n:
+        _walk_wide(ws, ints, lane[m:], table, k, budget, exact, lo + m)
+    while ints.live:
+        b0, b1 = ws.b[:, :ints.size]
+        done = np.less(cur.view(np.uint64), stop, out=b0)  # parked: 2^64 - 1
+        ints.retire(np.logical_or(done, np.greater(r, budget, out=b1), out=b0), put)
+        lane, cur, pk, r = ints.cols()
         if cur.max(initial=0) < back:
-            _advance(table, k, cur, r, pk)
+            _advance(table, k, cur, r, pk, ws.t[:, :ints.size])
         else:
-            j = np.flatnonzero(cur >= back)
-            c, p = cur[j], pk[j]
-            walk_wide(j, c >> 32, c & _LOW, p >> 32, p & _LOW)
+            w = _nonzero(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), ws.idx)
+            _walk_wide(ws, ints, w, table, k, budget, exact)
     return landing, steps, peak, exact
 
 
@@ -371,29 +480,33 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
     it landed on. A start is resolved when its total steps to 1 are at
     most budget col-steps.
 
-    Returns (total, top, crossed, big): total steps and orbit peak, -1
-    unless resolved, and whether an unresolved orbit dropped below
-    cutoff within budget, indexed by x - lo; and big, the largest
-    (peak, x - lo) among resolved lanes whose peak does not fit int64,
-    the smallest x among ties, or None. Such a peak outranks every peak
-    in top.
+    Yields, for each slice of at most _SLICE starts from s, in order,
+    (s, total, top, missed, big): total steps and orbit peak, -1 unless
+    resolved, and whether a start is neither resolved nor dropped below
+    cutoff within budget, indexed by x - s, all views of this thread's
+    workspace valid until the next slice; and big, the largest
+    (peak, x - s) among resolved lanes whose peak does not fit int64,
+    the smallest x among ties, or None. It outranks every peak in top.
     """
     cache_steps, cache_peak = table
-    landing, steps, peak, exact = _walk_lanes(lo, hi, len(cache_steps), budget)
-    # A landing of -1 reads the last entry; ok discards it.
-    tail = cache_steps[landing]
-    total = steps + tail
-    ok = (landing >= 0) & (tail >= 0) & (total <= budget)
-    total[~ok] = -1
-    top = np.where(ok, np.maximum(peak, cache_peak[landing]), -1)
-    big = max(((p, -j) for j, p in exact.items() if ok[j]), default=None)
-    crossed = np.zeros(len(total), dtype=bool)
-    if cutoff > 1:
-        # Each start the table did not resolve is walked exactly toward
-        # the cutoff; at the default budget there are almost none.
-        for j in np.flatnonzero(~ok).tolist():
-            crossed[j] = _descend(lo + j, cutoff - 1, 0, lo + j, budget)[0] >= 0
-    return total, top, crossed, None if big is None else (big[0], -big[1])
+    for s in range(lo, hi + 1, _SLICE):
+        landing, total, top, exact = _walk_lanes(s, min(s + _SLICE - 1, hi), len(cache_steps), budget)
+        ws, n = _local, landing.size
+        tail, (ok, missed) = ws.t[0, :n], ws.b[:, :n]
+        # A landing of -1 reads the last entry, but its steps are already
+        # over budget, so ok drops it.
+        total += _take(cache_steps, landing, tail)
+        np.logical_and(np.greater_equal(tail, 0, out=ok), np.less_equal(total, budget, out=missed), out=ok)
+        np.maximum(top, _take(cache_peak, landing, tail), out=top)
+        np.putmask(total, np.logical_not(ok, out=missed), -1)
+        np.putmask(top, missed, -1)
+        big = max(((p, -j) for j, p in exact.items() if ok[j]), default=None)
+        if cutoff > 1:
+            # Each start the table did not resolve is walked exactly toward
+            # the cutoff; at the default budget there are almost none.
+            for j in _nonzero(missed, ws.idx).tolist():
+                missed[j] = _descend(s + j, cutoff - 1, 0, s + j, budget)[0] < 0
+        yield s, total, top, missed, None if big is None else (big[0], -big[1])
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +517,18 @@ def _build_cache(cache_len: int, step_budget: int):
     """Exact (total steps to 1, orbit peak) for every x in [0, cache_len),
     -1 in both where x does not reach 1 within step_budget col-steps.
     Blocks [n, 2n) of doubling size, from [2, 4), are each resolved
-    against the part [0, n) built so far, by the same rule as a chunk.
+    against the part [0, n) built so far, by the same rule as a chunk,
+    in slices of at most _SLICE lanes.
     """
     steps = np.full(cache_len, -1, dtype=np.int64)
     peak = np.full(cache_len, -1, dtype=np.int64)
     steps[1], peak[1] = 0, 1
     n = 2
     while n < cache_len:
-        # Blocks capped at 2^16 cut peak RSS 86 -> 52 MB, but then glibc's mmap
-        # threshold stays low and later sweeps in this process run ~1.6x slower.
         hi = min(2 * n, cache_len) - 1
         # The size cap keeps every peak within int64, so none is in big.
-        steps[n:hi + 1], peak[n:hi + 1], _, _ = _resolve(n, hi, (steps[:n], peak[:n]), step_budget, 1)
+        for s, total, top, _, _ in _resolve(n, hi, (steps[:n], peak[:n]), step_budget, 1):
+            steps[s:s + total.size], peak[s:s + top.size] = total, top
         n = hi + 1
     return steps, peak
 
@@ -490,28 +603,28 @@ def _sweep_chunk(job: tuple[int, int, int, int]) -> VerifyReport:
     """Classify every x in [lo, hi] against the installed memo table and
     report on the chunk alone, cycle search included."""
     lo, hi, budget, cutoff = job
-    total, top, crossed, big = _resolve(lo, hi, _cache_slot[1], budget, cutoff)
-    # A start is verified when resolved, certified by the cutoff alone
-    # when it crossed the cutoff, and unresolved otherwise. Lanes are
-    # offsets from lo, which fit int64 whatever lo is.
-    certified = (total >= 0) | crossed
-    unresolved = [lo + j for j in np.flatnonzero(~certified).tolist()]
-    # argmax keeps the first, so the smallest x among ties; -1 means none.
-    j, k = int(np.argmax(total)), int(np.argmax(top))
-    steps_cands = [(int(total[j]), lo + j)] if total[j] >= 0 else []
-    # A peak past int64 outranks every peak in top.
-    p, k = big or (int(top[k]), k)
-    peak_cands = [(p, lo + k)] if p >= 0 else []
+    unresolved, steps_cands, peak_cands = [], [], []
+    for s, total, top, missed, big in _resolve(lo, hi, _cache_slot[1], budget, cutoff):
+        # A start is verified when resolved or certified by the cutoff
+        # alone, and unresolved otherwise. Lanes are offsets from s,
+        # which fit int64 whatever s is.
+        unresolved += [s + j for j in np.flatnonzero(missed).tolist()]
+        # argmax keeps the first, so the smallest x among ties; -1 means none.
+        j, k = int(np.argmax(total)), int(np.argmax(top))
+        steps_cands.append((int(total[j]), s + j))
+        # A peak past int64 outranks every peak in top.
+        p, k = big or (int(top[k]), k)
+        peak_cands.append((p, s + k))
     # An unresolved start does not reach 1 within budget, so find_cycle's
     # walk toward 1 would only fail; Brent's walk alone finds its loop.
     outcomes = (_brent_walk(u, MapVariant.STANDARD, budget, None, False).outcome for u in unresolved)
     return VerifyReport(
         segments=((lo, hi),),
-        verified_count=int(np.count_nonzero(certified)),
+        verified_count=hi - lo + 1 - len(unresolved),
         unresolved=tuple(unresolved),
         cycles_found=_distinct_loops(o.loop for o in outcomes if isinstance(o, EntersCycle)),
-        max_total_stopping_time=_best(steps_cands),
-        max_excursion=_best(peak_cands),
+        max_total_stopping_time=_best(c for c in steps_cands if c[0] >= 0),
+        max_excursion=_best(c for c in peak_cands if c[0] >= 0),
         wall_time=0.0,
     )
 

@@ -362,6 +362,26 @@ def test_descend_matches_plain_walk(case):
     assert _descend(*case) == plain_descend(*case)
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=descend_cases(), data=st.data())
+def test_descend_with_a_lower_block_threshold(case, data):
+    # Blocks from above a lower threshold may pass the first value at or
+    # below floor, so the walk may land further down the orbit; steps
+    # and peak stay those of a plain walk to the value returned, and -1
+    # means the orbit stayed above floor and every block's floor.
+    c, floor, r, p, budget = case
+    high = data.draw(st.integers(floor, (floor + 1) << _K))
+    value, steps, peak = _descend(c, floor, r, p, budget, high)
+    if value < 0:
+        assert plain_descend(c, min(high >> _K, floor + 1) - 1, r, p, budget)[0] == -1
+        return
+    assert value <= floor and r <= steps <= max(r, budget)
+    for _ in range(steps - r):
+        c = c // 2 if c % 2 == 0 else 3 * c + 1
+        p = max(p, c)
+    assert (value, peak) == (c, p)
+
+
 SEEDED_300_BIT = random.Random(300).getrandbits(300) | 1 << 299
 
 

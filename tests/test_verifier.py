@@ -6,6 +6,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -354,6 +355,96 @@ def test_table_matches_per_start_walks():
         steps, peak = verifier_mod._build_cache(5000, budget)
         for x in range(1, 5000):
             assert (steps[x], peak[x]) == (plain_walk(x, budget) or (-1, -1))
+
+
+def test_capped_table_matches_per_start_walks(monkeypatch):
+    # Table blocks and chunks are walked in slices of at most _SLICE
+    # lanes; small caps cut every doubling block and chunk into many.
+    cfg = VerifyConfig(1000, 9000, chunk_size=2500, dense_cache_entries=4096)
+    base = verify_range(cfg).payload()
+    for cap in (37, 1000):
+        monkeypatch.setattr(verifier_mod, "_SLICE", cap)
+        for budget in (40, DEFAULT_STEP_BUDGET):
+            steps, peak = verifier_mod._build_cache(5000, budget)
+            for x in range(1, 5000):
+                assert (steps[x], peak[x]) == (plain_walk(x, budget) or (-1, -1))
+        assert verify_range(cfg).payload() == base
+
+
+def test_threads_sweep_at_once():
+    # Each thread walks in its own workspace, so sweeps running at once
+    # in one process, more threads than cores and switching often,
+    # through the int64 lanes and the wide ones, give the payloads of
+    # serial runs.
+    configs = (
+        VerifyConfig(10**7, 10**7 + 4 * 2**16 - 1, worker_count=1),
+        VerifyConfig(2**60, 2**60 + 2**16 - 1, worker_count=1),
+    ) * 2
+    serial = [verify_range(cfg).payload() for cfg in configs]
+    results = [None] * len(configs)
+
+    def sweep(i):
+        results[i] = [verify_range(configs[i]).payload() for _ in range(2)]
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[p] * 2 for p in serial]
+
+
+WARM_SWEEPS = """
+import resource
+import sys
+
+usage = lambda: resource.getrusage(resource.RUSAGE_SELF)
+
+
+def peak_mb():
+    # ru_maxrss carries the parent's peak over fork and exec, so where
+    # /proc has it, read this process's own high-water mark instead.
+    try:
+        with open("/proc/self/status") as f:
+            return next(int(line.split()[1]) for line in f if line.startswith("VmHWM")) / 1024
+    except OSError:
+        return usage().ru_maxrss / (2**20 if sys.platform == "darwin" else 1024)
+
+
+import collatzkit.verifier
+from collatzkit import VerifyConfig, verify_range
+
+before = peak_mb()
+verify_range(VerifyConfig((1 << 20) - 1, (1 << 20) - 1, worker_count=1))
+print(peak_mb() - before)
+for _ in range(2):
+    faults = usage().ru_minflt
+    verify_range(VerifyConfig(1, 2 * 10**6, worker_count=1))
+    print(usage().ru_minflt - faults)
+"""
+
+
+def test_sweeps_do_not_depend_on_the_allocator():
+    # Warm sweeps reuse their thread's lane buffers, so they take no
+    # page faults whatever the C allocator's mmap threshold happens to
+    # be, the first sweep after the table build included; and the build,
+    # walked in slices, adds little more than the 16 MB table itself.
+    pytest.importorskip("resource")
+    package_root = Path(collatzkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-c", WARM_SWEEPS], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth_mb, *faults = map(float, proc.stdout.split())
+    assert growth_mb <= 32
+    assert len(faults) == 2 and max(faults) < 2000, faults
 
 
 def check_walk_lanes(lo, hi, stop, budget):
