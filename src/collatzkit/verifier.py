@@ -21,6 +21,14 @@ the limbs, and starts among them, walk in the package's one exact
 big-integer walker, dynamics._descend, until they fit again, so
 correctness never depends on fixed-width integers being enough.
 
+Starts 2^k·a + j whose residues j share a block map land on one value
+after the same steps of T; only 1,535 of the 4,096 maps mod 2^12 are
+distinct. So a slice wholly at or above the table and at or below
+_BLOCK_LIMIT is sieved: every start takes its first block in one pass,
+and only the smallest start of each class in a 2^k-aligned block walks
+on. Convergence-only verifiers drop the rest (Barina 2021); here each
+takes that walk's landing, steps and later peak, so results stay exact.
+
 Each thread walks in its own workspace: fixed int64 and bool rows of
 2^16 lanes, made on its first walk, that hold the lanes, a spare of
 each for compaction, the outputs and every temporary. numpy writes
@@ -51,11 +59,9 @@ from __future__ import annotations
 
 import functools
 import json
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -243,6 +249,16 @@ def _block_table(k: int) -> tuple:
     return tuple(np.array(c, dtype=np.int64) for c in zip(*level))
 
 
+@functools.cache
+def _canon(k: int):
+    """For each residue j mod 2^k, the smallest residue with the same
+    (mult, off, steps) in _block_table(k), as int64: 2^k·a + j and its
+    representative land on one value after their first k-step block."""
+    first: dict = {}
+    rows = zip(*(c.tolist() for c in _block_table(k)[:3]))
+    return np.array([first.setdefault(row, j) for j, row in enumerate(rows)], dtype=np.int64)
+
+
 def _take(col, j, out):
     """col[j] into out. numpy writes out directly under "wrap", but copies
     it under the default "raise"; -1 still reads the last entry."""
@@ -274,9 +290,10 @@ def _workspace(n: int):
     ws = _local
     if getattr(ws, "size", 0) < n:
         ws.size = max(n, _SLICE)
-        i, ws.b = np.empty((30, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
+        i, ws.b = np.empty((32, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
         ws.out, ws.t, ws.idx, ws.iota = i[0:3], i[3:9], i[9], np.arange(ws.size)
         ws.ints, ws.wide = (i[10:14], i[14:18]), (i[18:24], i[24:30])  # (rows, spares)
+        ws.sieve = i[30:32]
     return ws
 
 
@@ -305,10 +322,13 @@ class _Lanes:
                 col[d] = v
         self.live -= d.size
         if 2 * self.live < self.size:
-            keep = _nonzero(np.greater_equal(cols[-1], 0, out=self.ws.b[0, :self.size]), self.ws.idx)
-            for col, spare in zip(cols, self.spares):
-                _take(col, keep, spare[:self.live])
-            self.rows, self.spares, self.size = self.spares, self.rows, self.live
+            self.keep(_nonzero(np.greater_equal(cols[-1], 0, out=self.ws.b[0, :self.size]), self.ws.idx))
+
+    def keep(self, keep) -> None:
+        for col, spare in zip(self.cols(), self.spares):
+            _take(col, keep, spare[:keep.size])
+        self.rows, self.spares, self.size = self.spares, self.rows, keep.size
+        self.live = keep.size
 
 
 def _advance(table: tuple, k: int, cur, r, pk, t) -> None:
@@ -431,6 +451,11 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     round, so a returning lane retires before its next block. Values
     from _WIDE_LIMIT on, starts among them, first walk exactly in
     _descend. Each round retires and parks the lanes just finished.
+    When stop <= lo and hi <= _BLOCK_LIMIT, every start first takes one
+    block at once, and only its representative, from _canon(k), walks on
+    unless it lies before lo; the start then takes its landing and steps,
+    and as peak the larger of its own first-block peak and the peak of
+    the representative's walk after that block.
 
     Returns (landing, steps, peak, exact), indexed by x - lo: landing is
     -1 where the budget ran out; exact holds the peaks past int64. The
@@ -449,6 +474,17 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     m = min(n, max(0, back - lo))  # the starts after these begin wide
     if m:
         np.add(lane[:m], lo, out=cur[:m])
+    sieve = stop <= lo and hi < back
+    if sieve:
+        (rep, first), j, mask = ws.sieve[:, :n], ws.t[0, :n], (1 << k) - 1
+        np.subtract(_take(_canon(k), np.bitwise_and(cur, mask, out=j), rep), j, out=rep)
+        rep += lane  # lane - j + canon[j]
+        head = rep[:mask + 1]  # a start whose representative lies before lo walks itself
+        np.putmask(head, np.less(head, 0, out=ws.b[0, :head.size]), lane)
+        first[:] = cur
+        _advance(table, k, cur, r, first, ws.t[:, :n])
+        ints.keep(_nonzero(np.equal(rep, lane, out=ws.b[0, :n]), ws.idx))
+        lane, cur, pk, r = ints.cols()
     pk[:] = cur
 
     def put(d, lane, cur, pk, r):
@@ -471,6 +507,13 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
         else:
             w = _nonzero(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), ws.idx)
             _walk_wide(ws, ints, w, table, k, budget, exact)
+    if sieve:
+        for col in (landing, steps, peak):
+            col[:] = _take(col, rep, ws.t[0, :n])
+        np.maximum(peak, first, out=peak)
+        for e, p in list(exact.items()):  # e stands only for starts of its own 2^k-aligned block
+            stood = np.flatnonzero(rep[e:e + mask + 1] == e) + e
+            exact.update(dict.fromkeys(stood.tolist(), p))
     return landing, steps, peak, exact
 
 
@@ -576,19 +619,26 @@ def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
     other pool, or one that a dead worker broke, is shut down before a
     new one starts, so that no pool forks while another's threads run;
     concurrent.futures' own exit hook stops the last one when the
-    interpreter exits. Jobs still queued when the call ends early, by
-    an error or an interrupt, are cancelled so that they do not delay
-    the next sweep."""
+    interpreter exits. At most 2·workers + 1 jobs, what its workers and
+    call queue hold, are in the pool at once, so only those may still
+    run when the call ends early, by an error or an interrupt. A sweep
+    at one worker does not import multiprocessing or concurrent.futures."""
     global _pool
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     key = (workers, multiprocessing.get_start_method(), os.getpid())
     if _pool is None or _pool[:3] != key or _pool[3]._broken:
         _drop_pool()
         pool = ProcessPoolExecutor(workers, initializer=_install_table, initargs=(_cache_slot,))
         _pool = (*key, pool)
-    futures = []
+    futures, live = [], set()
     try:
         for job in jobs:
+            if len(live) > 2 * workers:
+                live = wait(live, return_when=FIRST_COMPLETED).not_done
             futures.append(_pool[3].submit(_sweep_chunk, job))
+            live.add(futures[-1])
         return [f.result() for f in futures]
     finally:
         for f in futures:

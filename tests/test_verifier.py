@@ -8,7 +8,7 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -501,6 +501,45 @@ def test_walk_lanes_matches_plain_walk(monkeypatch):
                     check_walk_lanes(lo, hi, 4096, budget)
 
 
+def test_canon_is_the_smallest_residue_with_the_same_block():
+    # Over Z/2^12Z only 1,535 of the 4,096 residues have distinct block
+    # maps; each residue's representative is the smallest of its class.
+    for k in range(1, verifier_mod.K + 1):
+        classes = {}
+        for j, row in enumerate(zip(*(c.tolist() for c in verifier_mod._block_table(k)[:3]))):
+            classes.setdefault(row, []).append(j)
+        canon = verifier_mod._canon(k).tolist()
+        assert len(canon) == 1 << k
+        for members in classes.values():
+            assert all(canon[j] == min(members) for j in members)
+    assert len(set(canon)) == 1535
+
+
+def test_walk_lanes_sieve_matches_plain_walk(monkeypatch):
+    # Slices past stop and below the block limit walk only one start of
+    # each class in a 2^k-aligned block. Windows from one below a block
+    # boundary, cut into slices of 37 that start mid-block, put
+    # representatives before lo; budgets 1, 13 and 24 end inside or just
+    # after the first 12-step block. 45487026724 and 45487026725 share
+    # their block (their orbits meet at step 3) and peak past int64, so
+    # exact must reach the start that is not walked.
+    assert verifier_mod._canon(12)[45487026725 % 4096] == 45487026724 % 4096
+    monkeypatch.setattr(verifier_mod, "_SLICE", 37)
+    for stop in (4096, 1 << 20):
+        for lo in ((1 << 20) + 4095, 5 * 2**40 + 4095):
+            for budget in (1, 13, 24, 300, DEFAULT_STEP_BUDGET):
+                for s in range(lo, lo + 300, 37):
+                    check_walk_lanes(s, s + 36, stop, budget)
+                check_walk_lanes(lo, lo + 300, stop, budget)
+        for budget in (1, 13, DEFAULT_STEP_BUDGET):
+            check_walk_lanes(45487026724, 45487026725, stop, budget)
+            check_walk_lanes(45487026725, 45487026725, stop, budget)
+    # the same through chunks that _resolve cuts into slices of 37
+    lo = 45487026724 - 549  # 2^12 - 1 mod 2^12
+    report = verify_range(VerifyConfig(lo, lo + 4200, chunk_size=1000, worker_count=1, dense_cache_entries=4096))
+    assert report_records(report) == classified_records(lo, lo + 4200)
+
+
 def test_payload_hash_grid():
     # Payload hashes that every change to the kernel keeps: first 16 hex
     # digits of sha256 over the sorted-key JSON payload. Small budgets
@@ -561,6 +600,9 @@ for argv in (
 assert "numpy" not in sys.modules
 assert collatzkit.verify_range is collatzkit.verifier.verify_range
 assert "numpy" in sys.modules
+# only a sweep of more than one chunk at more than one worker needs a pool
+collatzkit.verify_range(collatzkit.VerifyConfig(1, 5000, chunk_size=1000, worker_count=1))
+assert "concurrent.futures.process" not in sys.modules
 """
 
 
@@ -708,8 +750,10 @@ def test_pool_recovers_from_a_killed_worker(monkeypatch):
 def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
     reference = verify_range(SLOW_POOL_SWEEP).payload()
     pool = verifier_mod._pool[-1]
+    done_at_interrupt = set()
 
     def interrupt(*_):
+        done_at_interrupt.update(f for f in futures if f.done())
         raise KeyboardInterrupt
 
     futures = submitting(pool, monkeypatch, lambda: signal.setitimer(signal.ITIMER_REAL, 0.1))
@@ -720,10 +764,14 @@ def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
-    # only the jobs already handed to the workers may still run: one in
-    # each worker and a call queue of one more than the workers
-    assert sum(not f.done() for f in futures) <= 5
-    assert any(f.cancelled() for f in futures)
+    # Count once the jobs already handed out have finished, as the pool
+    # may not yet have read a finished job's result at the interrupt.
+    # Only those jobs may have run on: one in each worker and a call
+    # queue of one more than the workers; the rest were never submitted.
+    ran_on = [f for f in futures if f not in done_at_interrupt and not f.cancelled()]
+    assert not wait(ran_on, timeout=60).not_done
+    assert len(ran_on) <= 5, len(ran_on)
+    assert len(futures) < SLOW_POOL_SWEEP.range_hi // SLOW_POOL_SWEEP.chunk_size
     monkeypatch.undo()
     assert verify_range(SLOW_POOL_SWEEP).payload() == reference
     assert verifier_mod._pool[-1] is pool
