@@ -16,18 +16,20 @@ to K = 12; the map, with each block's step count and exact peak, is
 dynamics._block_levels, held here as int64 columns. k is cut to the table's
 size so that no block passes through 1. Lanes too large for int64 blocks
 take the same blocks in two int64 limbs, as fixed-width multi-word
-verifiers do (Oliveira e Silva 2010; Barina 2021). Values too large for
-the limbs, and starts among them, walk in the package's one exact
-big-integer walker, dynamics._descend, until they fit again, so
-correctness never depends on fixed-width integers being enough.
+verifiers do (Oliveira e Silva 2010; Barina 2021), as are peaks past
+int64, in two rows by lane. Values too large for the limbs, and starts
+among them, walk in the package's one exact big-integer walker,
+dynamics._descend, until they fit again, and only peaks from 2^95 on
+are Python ints, so correctness never depends on fixed-width integers.
 
 Starts 2^k·a + j whose residues j share a block map land on one value
 after the same steps of T; only 1,535 of the 4,096 maps mod 2^12 are
-distinct. So a slice wholly at or above the table and at or below
-_BLOCK_LIMIT is sieved: every start takes its first block in one pass,
-and only the smallest start of each class in a 2^k-aligned block walks
-on. Convergence-only verifiers drop the rest (Barina 2021); here each
-takes that walk's landing, steps and later peak, so results stay exact.
+distinct. So a slice wholly at or above the table, and at or below
+_BLOCK_LIMIT or wholly between it and _WIDE_LIMIT, is sieved: every
+start takes its first block in one pass, in int64 or in limbs, and
+only the smallest start of each class in a 2^k-aligned block walks on.
+Convergence-only verifiers drop the rest (Barina 2021); here each takes
+that walk's landing, steps and later peak, so results stay exact.
 
 Each thread walks in its own workspace: fixed int64 and bool rows of
 2^16 lanes, made on its first walk, that hold the lanes, a spare of
@@ -50,9 +52,11 @@ makes reports independent of chunk size and worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
-an exact walk decides this for each start the table does not resolve.
-Record statistics still come only from exactly resolved trajectories, so
-the cutoff changes what is certified, never what is measured.
+an exact walk decides this for each start that the lanes, which still
+walk down to the table and so are sieved whatever the cutoff, leave
+unresolved. Record statistics still come only from exactly resolved
+trajectories, so the cutoff changes what is certified, never what is
+measured.
 """
 
 from __future__ import annotations
@@ -259,6 +263,17 @@ def _canon(k: int):
     return np.array([first.setdefault(row, j) for j, row in enumerate(rows)], dtype=np.int64)
 
 
+def _reps(low, lane, k: int, rep, j):
+    """Into rep, for each lane of consecutive starts with values or low
+    limbs low, the lane of its representative by _canon(k) in its 2^k-
+    aligned block, or its own where that lies before them; j is scratch."""
+    mask = (1 << k) - 1
+    np.subtract(_take(_canon(k), np.bitwise_and(low, mask, out=j), rep), j, out=rep)
+    rep += lane
+    np.putmask(rep[:mask + 1], rep[:mask + 1] < 0, lane)
+    return rep
+
+
 def _take(col, j, out):
     """col[j] into out. numpy writes out directly under "wrap", but copies
     it under the default "raise"; -1 still reads the last entry."""
@@ -293,8 +308,19 @@ def _workspace(n: int):
         i, ws.b = np.empty((32, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
         ws.out, ws.t, ws.idx, ws.iota = i[0:3], i[3:9], i[9], np.arange(ws.size)
         ws.ints, ws.wide = (i[10:14], i[14:18]), (i[18:24], i[24:30])  # (rows, spares)
-        ws.sieve = i[30:32]
+        # Apart from i, whose huge pages would make them resident in sweeps that never use them.
+        ws.sieve, ws.peaks = i[30:32], np.empty((2, ws.size), dtype=np.int64)
+    ws.big = False  # whether this walk uses ws.peaks; see _big_rows
     return ws
+
+
+def _big_rows(ws):
+    """This walk's rows (h, l) of peaks h·2^32 + l past int64 by lane, where
+    h >= 2^31; zeroed on first use, so walks with no such peak skip them."""
+    if not ws.big:
+        ws.big = True
+        ws.peaks.fill(0)
+    return ws.peaks
 
 
 class _Lanes:
@@ -362,31 +388,41 @@ def _advance_wide(table: tuple, k: int, h, l, r, ph, pl, t, b) -> None:
         lo &= _LOW
 
     block(peak_m, peak_e, x, y)
-    up, tie = b
-    np.logical_and(np.equal(x, ph, out=tie), np.greater(y, pl, out=up), out=tie)
-    np.putmask(ph, np.logical_or(np.greater(x, ph, out=up), tie, out=up), x)
-    np.putmask(pl, up, y)
+    _raise(ph, pl, x, y, b)
     r += _take(steps, j, x)
     block(mult, off, h, l)
+
+
+def _raise(h, l, x, y, b) -> None:
+    """(h, l) = max((h, l), (x, y)) lane by lane, in place; b is two bool rows."""
+    up, tie = b
+    np.logical_and(np.equal(x, h, out=tie), np.greater(y, l, out=up), out=tie)
+    np.putmask(h, np.logical_or(np.greater(x, h, out=up), tie, out=up), x)
+    np.putmask(l, up, y)
 
 
 def _exactly(exact: dict, i: int, c: int, s: int, p: int, budget: int):
     """(value, steps, limb peak) of lane i, at c after s steps with limb
     peak p, after an exact walk in blocks back below _WIDE_LIMIT and on
-    to half of it. A peak past int64 goes to exact; past budget the
-    value is -1 and the steps budget + 1, which reads as parked."""
+    to half of it. A peak past the limbs, from 2^95, goes to exact; past
+    budget the value is -1 and the steps budget + 1, which reads as parked."""
     c, s, q = _descend(c, _WIDE_LIMIT >> 1, s, max(c, p, exact.get(i, 0)), budget, _WIDE_LIMIT)
-    if q >> 63:
+    if q >> 95:
         exact[i], q = q, p
     return c, s if c >= 0 else budget + 1, q
 
 
-def _walk_wide(ws, ints: _Lanes, w, table: tuple, k: int, budget: int, exact: dict, start=None) -> None:
+def _walk_wide(
+    ws, ints: _Lanes, w, table: tuple, k: int, budget: int, exact: dict, start=None, sieve: bool = False
+) -> None:
     """Wide rounds on the lanes at positions w of ints, which wait
     meanwhile, until each is back at or below _BLOCK_LIMIT, or over
     budget (at -1), and so back in ints. Their limbs come from ints,
     or are those of the consecutive starts from start, which do not fit
-    there. Values from _WIDE_LIMIT on walk exactly first."""
+    there. Values from _WIDE_LIMIT on walk exactly first. With sieve,
+    all of ints takes one block, peak limbs into ws.sieve, and only the
+    representatives walk on, from a peak reset to their landing (see
+    _walk_lanes). Peaks past int64 go to _big_rows."""
     lane, cur, pk, r = ints.cols()
     wide = _Lanes(ws, ws.wide, w.size, (None, -1, _LOW, None, None, _PARKED))
     j, h, l, ph, pl, rj = wide.cols()
@@ -405,9 +441,19 @@ def _walk_wide(ws, ints: _Lanes, w, table: tuple, k: int, budget: int, exact: di
         for q in range(max(0, _WIDE_LIMIT - start), w.size):  # an exact prefix past the wide limit
             c, rj[q], p = _exactly(exact, int(w[q]), start + q, 0, 0, budget)
             h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
+        if sieve:
+            t, b, (fh, fl) = ws.t[:, :w.size], ws.b[:, :w.size], ws.sieve[:, :w.size]
+            keep = _nonzero(np.equal(_reps(l, w, k, t[0], t[1]), w, out=b[0]), ws.idx)
+            _advance_wide(table, k, h, l, rj, ph, pl, t, b)
+            fh[:], fl[:] = ph, pl
+            for lanes in (ints, wide):
+                lanes.keep(keep)
+            lane, cur, pk, r = ints.cols()
+            j, h, l, ph, pl, rj = wide.cols()
+            j[:], ph[:], pl[:] = ws.iota[:j.size], h, l
 
     def put(d, j, h, l, ph, pl, rj):
-        jd, x, y = ws.t[:3, :d.size]
+        jd, x, y, z, u, v = ws.t[:, :d.size]
         r[_take(j, d, jd)] = _take(rj, d, x)
         over = np.greater(x, budget, out=ws.b[1, :d.size])
         np.left_shift(_take(h, d, x), 32, out=x)
@@ -415,13 +461,15 @@ def _walk_wide(ws, ints: _Lanes, w, table: tuple, k: int, budget: int, exact: di
         np.putmask(x, over, -1)
         cur[jd] = x
         hp, lp = _take(ph, d, x), _take(pl, d, y)
-        big = np.greater_equal(hp, 1 << 31, out=ws.b[1, :d.size])  # peaks past int64 go to exact
-        for i, a, b in zip(lane[jd[big]].tolist(), hp[big].tolist(), lp[big].tolist()):
-            exact[i] = max(exact.get(i, 0), a << 32 | b)
-        hp <<= 32
-        hp |= lp
-        np.putmask(hp, big, _take(pk, jd, y))
-        pk[jd] = hp
+        big = np.greater_equal(hp, 1 << 31, out=ws.b[1, :d.size])
+        np.bitwise_or(np.left_shift(hp, 32, out=z), lp, out=z)
+        np.putmask(z, big, _take(pk, jd, u))
+        pk[jd] = z
+        if big.any():  # each lane's row keeps the largest peak of its wide walks
+            (bh, bl), ids = _big_rows(ws), _take(lane, jd, z)
+            u, v = _take(bh, ids, u), _take(bl, ids, v)
+            _raise(u, v, hp, lp, ws.b[:, :d.size])
+            bh[ids], bl[ids] = u, v
 
     back = _BLOCK_LIMIT + 1
     while wide.live:
@@ -451,16 +499,18 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     round, so a returning lane retires before its next block. Values
     from _WIDE_LIMIT on, starts among them, first walk exactly in
     _descend. Each round retires and parks the lanes just finished.
-    When stop <= lo and hi <= _BLOCK_LIMIT, every start first takes one
-    block at once, and only its representative, from _canon(k), walks on
-    unless it lies before lo; the start then takes its landing and steps,
-    and as peak the larger of its own first-block peak and the peak of
-    the representative's walk after that block.
+    A slice with stop <= lo, at or below _BLOCK_LIMIT or wholly between
+    it and _WIDE_LIMIT, is sieved: every start first takes one block at
+    once, in int64 or in limbs, and only its representative, from
+    _canon(k), walks on unless it lies before lo; the start then takes
+    its landing and steps, and as peak the larger of its own first-block
+    peak and the peak of the representative's walk after that block.
 
-    Returns (landing, steps, peak, exact), indexed by x - lo: landing is
-    -1 where the budget ran out; exact holds the peaks past int64. The
-    arrays are views of this thread's workspace, valid until its next
-    walk.
+    Returns (landing, steps, peak, limbs, exact), indexed by x - lo:
+    landing is -1 where the budget ran out; limbs is None or _big_rows,
+    which hold the peaks past int64; exact holds those from 2^95 on,
+    which outrank both. The arrays are views of this thread's
+    workspace, valid until its next walk.
     """
     n = hi - lo + 1
     ws = _workspace(n)
@@ -474,13 +524,10 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     m = min(n, max(0, back - lo))  # the starts after these begin wide
     if m:
         np.add(lane[:m], lo, out=cur[:m])
-    sieve = stop <= lo and hi < back
-    if sieve:
-        (rep, first), j, mask = ws.sieve[:, :n], ws.t[0, :n], (1 << k) - 1
-        np.subtract(_take(_canon(k), np.bitwise_and(cur, mask, out=j), rep), j, out=rep)
-        rep += lane  # lane - j + canon[j]
-        head = rep[:mask + 1]  # a start whose representative lies before lo walks itself
-        np.putmask(head, np.less(head, 0, out=ws.b[0, :head.size]), lane)
+    sieve = stop <= lo and (hi < back or back <= lo and hi < _WIDE_LIMIT)
+    if sieve and m:
+        rep, first = ws.sieve[:, :n]
+        _reps(cur, lane, k, rep, ws.t[0, :n])
         first[:] = cur
         _advance(table, k, cur, r, first, ws.t[:, :n])
         ints.keep(_nonzero(np.equal(rep, lane, out=ws.b[0, :n]), ws.idx))
@@ -496,7 +543,8 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
         peak[ids] = _take(pk, d, x)
 
     if m < n:
-        _walk_wide(ws, ints, lane[m:], table, k, budget, exact, lo + m)
+        _walk_wide(ws, ints, lane[m:], table, k, budget, exact, lo + m, sieve)  # a sieve here has m = 0
+        lane, cur, pk, r = ints.cols()
     while ints.live:
         b0, b1 = ws.b[:, :ints.size]
         done = np.less(cur.view(np.uint64), stop, out=b0)  # parked: 2^64 - 1
@@ -508,13 +556,20 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
             w = _nonzero(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), ws.idx)
             _walk_wide(ws, ints, w, table, k, budget, exact)
     if sieve:
-        for col in (landing, steps, peak):
+        if not m:  # the representatives again, from the starts' low limbs
+            low = np.add(ws.iota[:n], lo & _LOW, out=ws.t[0, :n])
+            rep = _reps(low, ws.iota[:n], k, ws.t[1, :n], low)
+        for col in (landing, steps, peak, *(ws.peaks[:, :n] if ws.big else ())):
             col[:] = _take(col, rep, ws.t[0, :n])
-        np.maximum(peak, first, out=peak)
+        if not m:  # first-block peaks in limbs: those past int64 go to the rows
+            fh, fl = ws.sieve[:, :n]
+            _raise(*_big_rows(ws)[:, :n], fh, fl, ws.b[:, :n])
+            first = np.bitwise_or(np.left_shift(fh, 32, out=ws.t[0, :n]), fl, out=ws.t[0, :n])
+        np.maximum(peak, first, out=peak)  # wrong only where the rows hold the peak
         for e, p in list(exact.items()):  # e stands only for starts of its own 2^k-aligned block
-            stood = np.flatnonzero(rep[e:e + mask + 1] == e) + e
+            stood = np.flatnonzero(rep[e:e + (1 << k)] == e) + e
             exact.update(dict.fromkeys(stood.tolist(), p))
-    return landing, steps, peak, exact
+    return landing, steps, peak, ws.peaks[:, :n] if ws.big else None, exact
 
 
 def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
@@ -530,10 +585,11 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
     workspace valid until the next slice; and big, the largest
     (peak, x - s) among resolved lanes whose peak does not fit int64,
     the smallest x among ties, or None. It outranks every peak in top.
+    Peaks in exact outrank those in the limb rows, compared high limb first.
     """
     cache_steps, cache_peak = table
     for s in range(lo, hi + 1, _SLICE):
-        landing, total, top, exact = _walk_lanes(s, min(s + _SLICE - 1, hi), len(cache_steps), budget)
+        landing, total, top, limbs, exact = _walk_lanes(s, min(s + _SLICE - 1, hi), len(cache_steps), budget)
         ws, n = _local, landing.size
         tail, (ok, missed) = ws.t[0, :n], ws.b[:, :n]
         # A landing of -1 reads the last entry, but its steps are already
@@ -541,9 +597,13 @@ def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
         total += _take(cache_steps, landing, tail)
         np.logical_and(np.greater_equal(tail, 0, out=ok), np.less_equal(total, budget, out=missed), out=ok)
         np.maximum(top, _take(cache_peak, landing, tail), out=top)
+        big = max(((p, -j) for j, p in exact.items() if ok[j]), default=None)
+        if big is None and limbs is not None and (a := int(np.multiply(limbs[0], ok, out=tail).max())) >> 31:
+            at = _nonzero(np.equal(tail, a, out=missed), ws.idx)
+            q = int(at[np.argmax(_take(limbs[1], at, ws.t[1, :at.size]))])
+            big = (a << 32 | int(limbs[1][q]), -q)
         np.putmask(total, np.logical_not(ok, out=missed), -1)
         np.putmask(top, missed, -1)
-        big = max(((p, -j) for j, p in exact.items() if ok[j]), default=None)
         if cutoff > 1:
             # Each start the table did not resolve is walked exactly toward
             # the cutoff; at the default budget there are almost none.

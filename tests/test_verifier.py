@@ -423,9 +423,12 @@ from collatzkit import VerifyConfig, verify_range
 before = peak_mb()
 verify_range(VerifyConfig((1 << 20) - 1, (1 << 20) - 1, worker_count=1))
 print(peak_mb() - before)
-for _ in range(2):
+lo = 1155474331410394239  # the 2^60 window of perfbench's sweep-sparse
+wide = VerifyConfig(lo, lo + 2 * 2**16 - 1, assume_verified_below=lo, worker_count=1)
+dense = VerifyConfig(1, 2 * 10**6, worker_count=1)
+for cfg in (dense, dense, wide, wide):
     faults = usage().ru_minflt
-    verify_range(VerifyConfig(1, 2 * 10**6, worker_count=1))
+    verify_range(cfg)
     print(usage().ru_minflt - faults)
 """
 
@@ -433,8 +436,10 @@ for _ in range(2):
 def test_sweeps_do_not_depend_on_the_allocator():
     # Warm sweeps reuse their thread's lane buffers, so they take no
     # page faults whatever the C allocator's mmap threshold happens to
-    # be, the first sweep after the table build included; and the build,
-    # walked in slices, adds little more than the 16 MB table itself.
+    # be, the first sweep after the table build included, and a sweep
+    # far past the table, whose peaks past int64 go to the workspace's
+    # limb rows; and the build, walked in slices, adds little more than
+    # the 16 MB table itself.
     pytest.importorskip("resource")
     package_root = Path(collatzkit.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root))
@@ -444,16 +449,26 @@ def test_sweeps_do_not_depend_on_the_allocator():
     assert proc.returncode == 0, proc.stderr
     growth_mb, *faults = map(float, proc.stdout.split())
     assert growth_mb <= 32
-    assert len(faults) == 2 and max(faults) < 2000, faults
+    assert len(faults) == 4 and max(faults) < 2000, faults
+
+
+def walked_peak(i, peak, limbs, exact):
+    """Lane i's peak: in exact from 2^95 on, else in the limb rows where
+    their high limb is at least 2^31, else in peak."""
+    if i in exact:
+        return exact[i]
+    if limbs is not None and limbs[0][i] >= 1 << 31:
+        return int(limbs[0][i]) << 32 | int(limbs[1][i])
+    return int(peak[i])
 
 
 def check_walk_lanes(lo, hi, stop, budget):
     """The lane contract, apart from blocks and lane bookkeeping: a lane
     lands below stop, on the value x reaches after exactly its steps,
-    with the largest value of that walk as its peak (in exact when the
-    peak is past int64); a landing of -1 means more than budget steps
-    to 1."""
-    landing, steps, peak, exact = verifier_mod._walk_lanes(lo, hi, stop, budget)
+    with the largest value of that walk as its peak (in the limb rows
+    when it is past int64, in exact when it is past them); a landing of
+    -1 means more than budget steps to 1."""
+    landing, steps, peak, limbs, exact = verifier_mod._walk_lanes(lo, hi, stop, budget)
     assert set(exact) <= set(range(hi - lo + 1))
     for i, x in enumerate(range(lo, hi + 1)):
         if landing[i] == -1:
@@ -464,8 +479,8 @@ def check_walk_lanes(lo, hi, stop, budget):
             c = c // 2 if c % 2 == 0 else 3 * c + 1
             p = max(p, c)
         assert c == landing[i] < stop and steps[i] <= budget
-        assert (i in exact) == (p > 2**63 - 1)
-        assert p == exact.get(i, peak[i])
+        assert (i in exact) == (p >= 2**95)
+        assert p == walked_peak(i, peak, limbs, exact)
 
 
 def test_walk_lanes_matches_plain_walk(monkeypatch):
@@ -515,18 +530,42 @@ def test_canon_is_the_smallest_residue_with_the_same_block():
     assert len(set(canon)) == 1535
 
 
+def unwalked_peak_pair(x0, stop):
+    """The first starts x < y of one class in one 2^12-aligned block,
+    from x0's block on, where y is not walked, and its first-block peak
+    is its whole peak down to stop and larger than x's: so y's peak is
+    neither x's first-block peak nor the peak of x's walk after it."""
+    mult, off, _, peak_m, peak_e = (c.tolist() for c in verifier_mod._block_table(12))
+    canon = verifier_mod._canon(12).tolist()
+    a = x0 >> 12
+    while True:
+        for j, i in enumerate(canon):
+            first, rival = peak_m[j] * a + peak_e[j], peak_m[i] * a + peak_e[i]
+            if i != j and first > rival:
+                c = p = mult[i] * a + off[i]
+                while c >= stop:
+                    c = c // 2 if c % 2 == 0 else 3 * c + 1
+                    p = max(p, c)
+                if first > p:
+                    return (a << 12) + i, (a << 12) + j, first
+        a += 1
+
+
 def test_walk_lanes_sieve_matches_plain_walk(monkeypatch):
-    # Slices past stop and below the block limit walk only one start of
-    # each class in a 2^k-aligned block. Windows from one below a block
-    # boundary, cut into slices of 37 that start mid-block, put
-    # representatives before lo; budgets 1, 13 and 24 end inside or just
-    # after the first 12-step block. 45487026724 and 45487026725 share
-    # their block (their orbits meet at step 3) and peak past int64, so
-    # exact must reach the start that is not walked.
+    # Slices past stop, and at or below the block limit or wholly
+    # between it and the wide limit, walk only one start of each class
+    # in a 2^k-aligned block. Windows from one below a block boundary,
+    # cut into slices of 37 that start mid-block, put representatives
+    # before lo; budgets 1, 13 and 24 end inside or just after the first
+    # 12-step block. The windows past 2^56 are sieved in limbs, and from
+    # 2^60 on their first-block peaks pass int64. 45487026724 and
+    # 45487026725 share their block (their orbits meet at step 3) and
+    # peak past int64, so the limb rows must reach the start that is not
+    # walked.
     assert verifier_mod._canon(12)[45487026725 % 4096] == 45487026724 % 4096
     monkeypatch.setattr(verifier_mod, "_SLICE", 37)
     for stop in (4096, 1 << 20):
-        for lo in ((1 << 20) + 4095, 5 * 2**40 + 4095):
+        for lo in ((1 << 20) + 4095, 5 * 2**40 + 4095, 2**56 + 4095, 2**60 + 4095, 2**63 + 4095):
             for budget in (1, 13, 24, 300, DEFAULT_STEP_BUDGET):
                 for s in range(lo, lo + 300, 37):
                     check_walk_lanes(s, s + 36, stop, budget)
@@ -534,10 +573,51 @@ def test_walk_lanes_sieve_matches_plain_walk(monkeypatch):
         for budget in (1, 13, DEFAULT_STEP_BUDGET):
             check_walk_lanes(45487026724, 45487026725, stop, budget)
             check_walk_lanes(45487026725, 45487026725, stop, budget)
+        # Slices that straddle _BLOCK_LIMIT + 1 or _WIDE_LIMIT are not
+        # sieved; those that start at the one or end just below the
+        # other are.
+        back, wide = verifier_mod._BLOCK_LIMIT + 1, verifier_mod._WIDE_LIMIT
+        for budget in (13, DEFAULT_STEP_BUDGET):
+            for s in (back - 36, back - 18, back, wide - 37, wide - 18):
+                check_walk_lanes(s, s + 36, stop, budget)
+        # The start that is not walked has the larger first-block peak,
+        # which is its peak: below int64 past 2^56, past it from 2^62.
+        for x0 in (2**56, 2**62):
+            x, y, first = unwalked_peak_pair(x0, stop)
+            assert (first > 2**63 - 1) == (x0 == 2**62)
+            for budget in (13, DEFAULT_STEP_BUDGET):
+                check_walk_lanes(x, y, stop, budget)
+                check_walk_lanes(x - 5, y + 5, stop, budget)
+    # Small limits send small starts through the wide sieve, whose lanes
+    # rise past the wide limit into exact walks.
+    for block, wide in ((1 << 13, 1 << 16), (5000, 1 << 20)):
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier_mod, "_BLOCK_LIMIT", block)
+            patch.setattr(verifier_mod, "_WIDE_LIMIT", wide)
+            for budget in (1, 13, 40, DEFAULT_STEP_BUDGET):
+                for s in range(3 * 4096 - 1, 3 * 4096 + 300, 37):
+                    check_walk_lanes(s, s + 36, 4096, budget)
+                check_walk_lanes(block - 18, block + 18, 4096, budget)
     # the same through chunks that _resolve cuts into slices of 37
     lo = 45487026724 - 549  # 2^12 - 1 mod 2^12
     report = verify_range(VerifyConfig(lo, lo + 4200, chunk_size=1000, worker_count=1, dense_cache_entries=4096))
     assert report_records(report) == classified_records(lo, lo + 4200)
+
+
+def test_peaks_past_int64_stay_in_limbs():
+    # The 2^60 and 2^63 windows of perfbench's sweep-sparse, walked in
+    # slices as _resolve walks them: their peaks past int64 all fit the
+    # limb rows, so exact stays empty.
+    for lo, size in ((1155474331410394239, 2 * 2**16), (9255382125081044196, 2**12)):
+        for s in range(lo, lo + size, verifier_mod._SLICE):
+            hi = min(s + verifier_mod._SLICE, lo + size) - 1
+            landing, _, _, limbs, exact = verifier_mod._walk_lanes(s, hi, 1 << 20, DEFAULT_STEP_BUDGET)
+            assert exact == {} and limbs is not None and (landing >= 0).all()
+            assert (limbs[0] >= 1 << 31).any()
+    # The first two lanes pass the block limit again after a wide walk
+    # whose peak passed int64, and return from the second one with others
+    # whose peaks pass it: the rows keep each lane's larger peak.
+    check_walk_lanes(72057594037967702, 72057594037967738, 1 << 20, DEFAULT_STEP_BUDGET)
 
 
 def test_payload_hash_grid():
@@ -564,7 +644,8 @@ def test_payload_hash_pins_past_block_limit():
     # Hashes taken before lanes past _BLOCK_LIMIT moved to two limbs, by
     # the same rule as the grid: starts past 2^84 and 2^95, at 1 and 2
     # workers, and windows 3000 wide with the cutoff at lo, whose orbits
-    # cross the block limit, at budgets 40 and 300.
+    # cross the block limit, at budgets 40 and 300; and, taken before
+    # those windows were sieved, at the default budget.
     def digest(cfg):
         payload = json.dumps(verify_range(cfg).payload(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -573,12 +654,12 @@ def test_payload_hash_pins_past_block_limit():
         assert digest(VerifyConfig(2**100, 2**100 + 50, worker_count=workers)) == "555f7dab04dd210d"
         assert digest(VerifyConfig(2**90 + 1, 2**90 + 300, worker_count=workers)) == "1cd19d8019213387"
     for lo, pins in (
-        (72064064662809063, ("18461db1fd1882d5", "8c9854754920154c")),
-        (1155474331410394239, ("982c0a9f4b3489ea", "a71fe7af8e071f6e")),
-        (9255382125081044196, ("03d90e6dfd64a949", "a3aba6c6e916137b")),
-        (73966824236731369637, ("09e5e4564b380f97", "94845fe7196ba8d2")),
+        (72064064662809063, ("18461db1fd1882d5", "8c9854754920154c", "10a53577e2bd278d")),
+        (1155474331410394239, ("982c0a9f4b3489ea", "a71fe7af8e071f6e", "3eb510d6e5adca7a")),
+        (9255382125081044196, ("03d90e6dfd64a949", "a3aba6c6e916137b", "cb8af18ee76a1cb7")),
+        (73966824236731369637, ("09e5e4564b380f97", "94845fe7196ba8d2", "d696e2837bc9d6fb")),
     ):
-        for budget, expected in zip((40, 300), pins):
+        for budget, expected in zip((40, 300, DEFAULT_STEP_BUDGET), pins):
             cfg = VerifyConfig(lo, lo + 3000, budget, assume_verified_below=lo, worker_count=1)
             assert digest(cfg) == expected, cfg
 
