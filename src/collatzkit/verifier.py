@@ -24,12 +24,12 @@ are Python ints, so correctness never depends on fixed-width integers.
 
 Starts 2^k·a + j whose residues j share a block map land on one value
 after the same steps of T; only 1,535 of the 4,096 maps mod 2^12 are
-distinct. So a slice wholly at or above the table, and at or below
-_BLOCK_LIMIT or wholly between it and _WIDE_LIMIT, is sieved: every
-start takes its first block in one pass, in int64 or in limbs, and
-only the smallest start of each class in a 2^k-aligned block walks on.
-Convergence-only verifiers drop the rest (Barina 2021); here each takes
-that walk's landing, steps and later peak, so results stay exact.
+distinct. So in every slice below _WIDE_LIMIT, each start from the
+table's size on takes its first block in one pass, in int64 or in
+limbs, and only the smallest of each class in a 2^k-aligned block, at
+or above the table and the slice's start, walks on. Convergence-only
+verifiers drop the rest (Barina 2021); here each takes that walk's
+landing, steps and later peak, so results stay exact.
 
 Each thread walks in its own workspace: fixed int64 and bool rows of
 2^16 lanes, made on its first walk, that hold the lanes, a spare of
@@ -47,8 +47,11 @@ kept across sweeps; its workers receive the table once, when they
 start, and each walks in a workspace of its own. The pool belongs to
 the table's memo slot: replacing the table shuts it down, and so does
 a sweep with another worker count or start method, before the new
-pool starts. Each chunk's report is merged by merge_reports, which
-makes reports independent of chunk size and worker count.
+pool starts. One lock covers replacing the table and each multi-worker
+sweep, and a sweep at one worker walks the table it obtained, so no
+sweep's payload depends on what other threads sweep. Each chunk's
+report is merged by merge_reports, which makes reports independent of
+chunk size and worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -92,6 +95,7 @@ _BLOCK_LIMIT = 2 ** (62 + K) // 3**K - 1
 _WIDE_LIMIT = 1 << 84
 _LOW = (1 << 32) - 1  # low limb mask
 _PARKED = -(2**62)  # r of a parked lane: negative for longer than any walk
+_WIDE_PARKED = (None, -1, _LOW, None, None, _PARKED)  # (j, h, l, ph, pl, rj), at -1
 # Most lanes in one walk: _resolve walks a longer chunk, and the table
 # build each block, in slices of this many lanes.
 _SLICE = 1 << 16
@@ -263,14 +267,15 @@ def _canon(k: int):
     return np.array([first.setdefault(row, j) for j, row in enumerate(rows)], dtype=np.int64)
 
 
-def _reps(low, lane, k: int, rep, j):
-    """Into rep, for each lane of consecutive starts with values or low
-    limbs low, the lane of its representative by _canon(k) in its 2^k-
-    aligned block, or its own where that lies before them; j is scratch."""
-    mask = (1 << k) - 1
-    np.subtract(_take(_canon(k), np.bitwise_and(low, mask, out=j), rep), j, out=rep)
-    rep += lane
-    np.putmask(rep[:mask + 1], rep[:mask + 1] < 0, lane)
+def _reps(lo: int, n: int, floor: int, k: int, rep):
+    """Into rep, for each of the n consecutive starts from lo, the lane of
+    its representative by _canon(k) in its 2^k-aligned block, or its own
+    where that lies before lane floor; scratch: ws.t[0] and ws.b[0]."""
+    ws, mask = _local, (1 << k) - 1
+    j = np.bitwise_and(np.add(ws.iota[:n], lo & mask, out=ws.t[0, :n]), mask, out=ws.t[0, :n])
+    np.add(np.subtract(_take(_canon(k), j, rep), j, out=rep), ws.iota[:n], out=rep)
+    head = rep[:floor + mask + 1]
+    np.putmask(head, np.less(head, floor, out=ws.b[0, :head.size]), ws.iota[:n])
     return rep
 
 
@@ -412,45 +417,14 @@ def _exactly(exact: dict, i: int, c: int, s: int, p: int, budget: int):
     return c, s if c >= 0 else budget + 1, q
 
 
-def _walk_wide(
-    ws, ints: _Lanes, w, table: tuple, k: int, budget: int, exact: dict, start=None, sieve: bool = False
-) -> None:
-    """Wide rounds on the lanes at positions w of ints, which wait
-    meanwhile, until each is back at or below _BLOCK_LIMIT, or over
-    budget (at -1), and so back in ints. Their limbs come from ints,
-    or are those of the consecutive starts from start, which do not fit
-    there. Values from _WIDE_LIMIT on walk exactly first. With sieve,
-    all of ints takes one block, peak limbs into ws.sieve, and only the
-    representatives walk on, from a peak reset to their landing (see
-    _walk_lanes). Peaks past int64 go to _big_rows."""
+def _walk_wide(ws, ints: _Lanes, wide: _Lanes, table: tuple, k: int, budget: int, exact: dict) -> None:
+    """Wide rounds on the lanes wide (j, h, l, ph, pl, rj), each the lane
+    at position j of ints, which waits meanwhile, at h·2^32 + l after rj
+    steps with peak ph·2^32 + pl, until each is back at or below
+    _BLOCK_LIMIT, or over budget (at -1), and so back in ints. Values
+    from _WIDE_LIMIT on walk exactly first; peaks past int64 go to _big_rows."""
     lane, cur, pk, r = ints.cols()
-    wide = _Lanes(ws, ws.wide, w.size, (None, -1, _LOW, None, None, _PARKED))
     j, h, l, ph, pl, rj = wide.cols()
-    j[:] = w
-    if start is None:
-        _take(r, w, rj)
-        for src, hi_limb, lo_limb in ((cur, h, l), (pk, ph, pl)):
-            np.right_shift(_take(src, w, lo_limb), 32, out=hi_limb)
-            lo_limb &= _LOW
-    else:
-        base = min(start, _WIDE_LIMIT)
-        np.add(ws.iota[:w.size], base & _LOW, out=l)
-        np.add(np.right_shift(l, 32, out=h), base >> 32, out=h)
-        l &= _LOW
-        ph[:], pl[:], rj[:] = h, l, 0
-        for q in range(max(0, _WIDE_LIMIT - start), w.size):  # an exact prefix past the wide limit
-            c, rj[q], p = _exactly(exact, int(w[q]), start + q, 0, 0, budget)
-            h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
-        if sieve:
-            t, b, (fh, fl) = ws.t[:, :w.size], ws.b[:, :w.size], ws.sieve[:, :w.size]
-            keep = _nonzero(np.equal(_reps(l, w, k, t[0], t[1]), w, out=b[0]), ws.idx)
-            _advance_wide(table, k, h, l, rj, ph, pl, t, b)
-            fh[:], fl[:] = ph, pl
-            for lanes in (ints, wide):
-                lanes.keep(keep)
-            lane, cur, pk, r = ints.cols()
-            j, h, l, ph, pl, rj = wide.cols()
-            j[:], ph[:], pl[:] = ws.iota[:j.size], h, l
 
     def put(d, j, h, l, ph, pl, rj):
         jd, x, y, z, u, v = ws.t[:, :d.size]
@@ -499,11 +473,12 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     round, so a returning lane retires before its next block. Values
     from _WIDE_LIMIT on, starts among them, first walk exactly in
     _descend. Each round retires and parks the lanes just finished.
-    A slice with stop <= lo, at or below _BLOCK_LIMIT or wholly between
-    it and _WIDE_LIMIT, is sieved: every start first takes one block at
-    once, in int64 or in limbs, and only its representative, from
-    _canon(k), walks on unless it lies before lo; the start then takes
-    its landing and steps, and as peak the larger of its own first-block
+    A slice with a start from stop on and none from _WIDE_LIMIT on is
+    sieved: every start from stop takes its first block at once, in
+    int64 up to _BLOCK_LIMIT and in limbs past it, and only its
+    representative, from _canon(k), walks on, unless that lies before lo
+    or stop and so stands for itself alone; the start then takes its
+    landing and steps, and as peak the larger of its own first-block
     peak and the peak of the representative's walk after that block.
 
     Returns (landing, steps, peak, limbs, exact), indexed by x - lo:
@@ -522,15 +497,31 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     lane, cur, pk, r = ints.cols()
     lane[:], r[:] = ws.iota[:n], 0
     m = min(n, max(0, back - lo))  # the starts after these begin wide
-    if m:
-        np.add(lane[:m], lo, out=cur[:m])
-    sieve = stop <= lo and (hi < back or back <= lo and hi < _WIDE_LIMIT)
-    if sieve and m:
+    np.add(lane[:m], min(lo, back), out=cur[:m])
+    wide = _Lanes(ws, ws.wide, n - m, _WIDE_PARKED)  # their limbs, after an exact prefix from _WIDE_LIMIT
+    j, h, l, ph, pl, rj = wide.cols()
+    j[:], base = lane[m:], min(lo + m, _WIDE_LIMIT)
+    np.add(ws.iota[:n - m], base & _LOW, out=l)
+    np.add(np.right_shift(l, 32, out=h), base >> 32, out=h)
+    l &= _LOW
+    ph[:], pl[:], rj[:] = h, l, 0
+    for q in range(max(0, _WIDE_LIMIT - lo - m), n - m):
+        c, rj[q], p = _exactly(exact, m + q, lo + m + q, 0, 0, budget)
+        h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
+    sieve, floor = stop <= hi < _WIDE_LIMIT, max(lo, stop) - lo
+    if sieve:
         rep, first = ws.sieve[:, :n]
-        _reps(cur, lane, k, rep, ws.t[0, :n])
-        first[:] = cur
-        _advance(table, k, cur, r, first, ws.t[:, :n])
-        ints.keep(_nonzero(np.equal(rep, lane, out=ws.b[0, :n]), ws.idx))
+        keep = _nonzero(np.equal(_reps(lo, n, floor, k, rep), lane, out=ws.b[0, :n]), ws.idx)
+        first[:m], s = cur[:m], min(floor, m)
+        _advance(table, k, cur[s:m], r[s:m], first[s:m], ws.t[:, :m - s])
+        ints.keep(keep)
+        if m < n:  # the limbs' first-block peaks take their rows from rep
+            _advance_wide(table, k, h, l, rj, ph, pl, ws.t[:, :n - m], ws.b[:, :n - m])
+            rep[m:], first[m:] = ph, pl
+            ph[:], pl[:] = h, l  # the representatives' later peaks start from their landing
+            c = int(np.searchsorted(keep, m))  # the kept int64 starts; the wide ones follow
+            wide.keep(np.subtract(keep[c:], m, out=keep[c:]))
+            wide.cols()[0][:] = ws.iota[c:keep.size]
         lane, cur, pk, r = ints.cols()
     pk[:] = cur
 
@@ -543,7 +534,7 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
         peak[ids] = _take(pk, d, x)
 
     if m < n:
-        _walk_wide(ws, ints, lane[m:], table, k, budget, exact, lo + m, sieve)  # a sieve here has m = 0
+        _walk_wide(ws, ints, wide, table, k, budget, exact)
         lane, cur, pk, r = ints.cols()
     while ints.live:
         b0, b1 = ws.b[:, :ints.size]
@@ -554,17 +545,22 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
             _advance(table, k, cur, r, pk, ws.t[:, :ints.size])
         else:
             w = _nonzero(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), ws.idx)
-            _walk_wide(ws, ints, w, table, k, budget, exact)
-    if sieve:
-        if not m:  # the representatives again, from the starts' low limbs
-            low = np.add(ws.iota[:n], lo & _LOW, out=ws.t[0, :n])
-            rep = _reps(low, ws.iota[:n], k, ws.t[1, :n], low)
+            wide = _Lanes(ws, ws.wide, w.size, _WIDE_PARKED)
+            j, h, l, ph, pl, rj = wide.cols()
+            j[:] = w
+            _take(r, w, rj)
+            for src, hi_limb, lo_limb in ((cur, h, l), (pk, ph, pl)):
+                np.right_shift(_take(src, w, lo_limb), 32, out=hi_limb)
+                lo_limb &= _LOW
+            _walk_wide(ws, ints, wide, table, k, budget, exact)
+    if sieve:  # each start takes its representative's walk and its own first-block peak
+        fh, first = ws.sieve[:, :n]
+        rep = fh if m == n else _reps(lo, n, floor, k, ws.t[1, :n])
         for col in (landing, steps, peak, *(ws.peaks[:, :n] if ws.big else ())):
             col[:] = _take(col, rep, ws.t[0, :n])
-        if not m:  # first-block peaks in limbs: those past int64 go to the rows
-            fh, fl = ws.sieve[:, :n]
-            _raise(*_big_rows(ws)[:, :n], fh, fl, ws.b[:, :n])
-            first = np.bitwise_or(np.left_shift(fh, 32, out=ws.t[0, :n]), fl, out=ws.t[0, :n])
+        if m < n:  # first-block peaks in limbs: those past int64 go to the rows
+            _raise(*_big_rows(ws)[:, m:n], fh[m:], first[m:], ws.b[:, :n - m])
+            np.bitwise_or(np.left_shift(fh[m:], 32, out=fh[m:]), first[m:], out=first[m:])
         np.maximum(peak, first, out=peak)  # wrong only where the rows hold the peak
         for e, p in list(exact.items()):  # e stands only for starts of its own 2^k-aligned block
             stood = np.flatnonzero(rep[e:e + (1 << k)] == e) + e
@@ -643,6 +639,9 @@ _cache_slot: tuple | None = None
 # whose workers hold the table of _cache_slot. A process forked from the
 # owner inherits the tuple but not the pool's threads or workers.
 _pool: tuple | None = None
+# Held while the table is replaced and through each pooled sweep; new in a forked child.
+_lock = threading.Lock()
+os.register_at_fork(after_in_child=lambda: globals().update(_lock=threading.Lock()))
 
 
 def _install_table(slot: tuple) -> None:
@@ -654,14 +653,16 @@ def _install_table(slot: tuple) -> None:
     _cache_slot = slot
 
 
-def _cache_for(cache_len: int, step_budget: int) -> None:
-    """Single-slot memo so repeated sweeps in one process reuse the
-    table instead of rebuilding it. Replacing the table first shuts down
-    the pool, whose workers and initializer arguments hold the old one."""
+def _cache_for(cache_len: int, step_budget: int) -> tuple:
+    """The table (cache_steps, cache_peak), from a single-slot memo so
+    repeated sweeps in one process reuse it instead of rebuilding it.
+    Replacing the table first shuts down the pool, whose workers and
+    initializer arguments hold the old one. The caller holds _lock."""
     key = (cache_len, step_budget)
     if _cache_slot is None or _cache_slot[0] != key:
         _drop_pool()
         _install_table((key, _build_cache(cache_len, step_budget)))
+    return _cache_slot[1]
 
 
 def _drop_pool() -> None:
@@ -690,14 +691,14 @@ def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
     key = (workers, multiprocessing.get_start_method(), os.getpid())
     if _pool is None or _pool[:3] != key or _pool[3]._broken:
         _drop_pool()
-        pool = ProcessPoolExecutor(workers, initializer=_install_table, initargs=(_cache_slot,))
-        _pool = (*key, pool)
+        _pool = (*key, ProcessPoolExecutor(workers, initializer=_install_table, initargs=(_cache_slot,)))
+    pool = _pool[3]
     futures, live = [], set()
     try:
         for job in jobs:
             if len(live) > 2 * workers:
                 live = wait(live, return_when=FIRST_COMPLETED).not_done
-            futures.append(_pool[3].submit(_sweep_chunk, job))
+            futures.append(pool.submit(_sweep_chunk, job))
             live.add(futures[-1])
         return [f.result() for f in futures]
     finally:
@@ -709,12 +710,12 @@ def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
 # Chunk sweeps
 
 
-def _sweep_chunk(job: tuple[int, int, int, int]) -> VerifyReport:
-    """Classify every x in [lo, hi] against the installed memo table and
-    report on the chunk alone, cycle search included."""
+def _sweep_chunk(job: tuple[int, int, int, int], table: tuple | None = None) -> VerifyReport:
+    """Classify every x in [lo, hi] against table, or in a pool worker the
+    installed one, and report on the chunk alone, cycle search included."""
     lo, hi, budget, cutoff = job
     unresolved, steps_cands, peak_cands = [], [], []
-    for s, total, top, missed, big in _resolve(lo, hi, _cache_slot[1], budget, cutoff):
+    for s, total, top, missed, big in _resolve(lo, hi, table or _cache_slot[1], budget, cutoff):
         # A start is verified when resolved or certified by the cutoff
         # alone, and unresolved otherwise. Lanes are offsets from s,
         # which fit int64 whatever s is.
@@ -756,17 +757,16 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
     cfg = config.validated()
     t0 = time.perf_counter()
     cache_len = max(2, min(cfg.dense_cache_entries, cfg.range_hi + 1))
-    _cache_for(cache_len, cfg.step_budget)
-
     jobs = [
         (lo, min(lo + cfg.chunk_size - 1, cfg.range_hi), cfg.step_budget, cfg.assume_verified_below)
         for lo in range(cfg.range_lo, cfg.range_hi + 1, cfg.chunk_size)
     ]
     workers = min(cfg.resolved_worker_count, len(jobs))
-    if workers <= 1:
-        parts = [_sweep_chunk(job) for job in jobs]
-    else:
-        parts = _sweep_pooled(workers, jobs)
+    with _lock:  # a pool's workers hold the table, so a pooled sweep keeps the lock
+        table = _cache_for(cache_len, cfg.step_budget)
+        parts = _sweep_pooled(workers, jobs) if workers > 1 else None
+    if parts is None:  # in this thread, on the table it obtained
+        parts = [_sweep_chunk(job, table) for job in jobs]
     return replace(merge_reports(*parts), wall_time=time.perf_counter() - t0)
 
 

@@ -400,6 +400,33 @@ def test_threads_sweep_at_once():
     assert results == [[p] * 2 for p in serial]
 
 
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_sweeps_keep_their_table_while_another_thread_replaces_it():
+    # A sweep walks the table it obtained, and replacing the table waits
+    # for a multi-worker sweep, whose pool holds it; so a thread that
+    # keeps sweeping with another budget and table size meanwhile changes
+    # neither its own payloads nor those of sweeps at 1 and 2 workers.
+    cfg = VerifyConfig(10**6, 10**6 + 4 * 4096 - 1, step_budget=150, chunk_size=4096, dense_cache_entries=4096)
+    other = VerifyConfig(1, 3000, step_budget=20, worker_count=1)
+    serial, other_serial = verify_range(replace(cfg, worker_count=1)).payload(), verify_range(other).payload()
+    stop, others = threading.Event(), []
+
+    def loop():
+        while not stop.is_set():
+            others.append(verify_range(other).payload())
+
+    thread = threading.Thread(target=loop)
+    thread.start()
+    try:
+        payloads = [verify_range(replace(cfg, worker_count=w)).payload() for w in (1, 2, 1, 2)]
+    finally:
+        stop.set()
+        thread.join(timeout=120)
+    assert not thread.is_alive() and others
+    assert payloads == [serial] * 4
+    assert others == [other_serial] * len(others)
+
 WARM_SWEEPS = """
 import resource
 import sys
@@ -573,9 +600,10 @@ def test_walk_lanes_sieve_matches_plain_walk(monkeypatch):
         for budget in (1, 13, DEFAULT_STEP_BUDGET):
             check_walk_lanes(45487026724, 45487026725, stop, budget)
             check_walk_lanes(45487026725, 45487026725, stop, budget)
-        # Slices that straddle _BLOCK_LIMIT + 1 or _WIDE_LIMIT are not
-        # sieved; those that start at the one or end just below the
-        # other are.
+        # Slices that straddle _BLOCK_LIMIT + 1 are sieved in int64 and
+        # in limbs at once, and those that straddle _WIDE_LIMIT are not;
+        # those that start at the one or end just below the other are
+        # sieved in limbs alone.
         back, wide = verifier_mod._BLOCK_LIMIT + 1, verifier_mod._WIDE_LIMIT
         for budget in (13, DEFAULT_STEP_BUDGET):
             for s in (back - 36, back - 18, back, wide - 37, wide - 18):
@@ -603,6 +631,48 @@ def test_walk_lanes_sieve_matches_plain_walk(monkeypatch):
     report = verify_range(VerifyConfig(lo, lo + 4200, chunk_size=1000, worker_count=1, dense_cache_entries=4096))
     assert report_records(report) == classified_records(lo, lo + 4200)
 
+
+
+def test_walk_lanes_at_stops_off_powers_of_two():
+    # Every other stop is a power of two. Past 3001 and 5000, 2^k-aligned
+    # blocks hold starts on both sides of stop; a representative below
+    # stop retires at once, so it stands for no start above it. Windows
+    # and slices of 37 straddle stop, with lo on both sides of it.
+    for stop in (3001, 5000):
+        for budget in (1, 13, DEFAULT_STEP_BUDGET):
+            for s in range(stop - 185, stop + 185, 37):
+                check_walk_lanes(s, s + 36, stop, budget)
+            check_walk_lanes(stop - 1000, stop + 1000, stop, budget)
+    # the same through a table of 3001 entries, in chunks across its edge
+    report = verify_range(VerifyConfig(2000, 9000, chunk_size=1000, worker_count=1, dense_cache_entries=3001))
+    assert report_records(report) == classified_records(2000, 9000)
+
+
+def test_straddling_slices_walk_only_representatives(monkeypatch):
+    # A slice across _BLOCK_LIMIT + 1 takes its first block in int64 and
+    # in limbs, and one across a stop off a power of two takes it from
+    # stop on; after that, no block is taken on more lanes than the
+    # slice has representatives, those below lo or stop standing for
+    # themselves alone.
+    lanes = {"_advance": [], "_advance_wide": []}
+    for name, sizes in lanes.items():
+        real = getattr(verifier_mod, name)
+
+        def advance(table, k, x, *rest, real=real, sizes=sizes):
+            sizes.append(x.size)
+            real(table, k, x, *rest)
+
+        monkeypatch.setattr(verifier_mod, name, advance)
+    back = verifier_mod._BLOCK_LIMIT + 1
+    for lo, hi, stop in ((back - 2048, back + 2047, 1 << 20), (2900, 2900 + 32767, 3001)):
+        k = min(verifier_mod.K, stop.bit_length() - 2)
+        canon, floor = verifier_mod._canon(k).tolist(), max(lo, stop)
+        reps = {y if (y := x - x % 2**k + canon[x % 2**k]) >= floor else x for x in range(lo, hi + 1)}
+        for sizes in lanes.values():
+            sizes.clear()
+        check_walk_lanes(lo, hi, stop, DEFAULT_STEP_BUDGET)
+        assert lanes["_advance"] and (hi >= back) == bool(lanes["_advance_wide"])
+        assert max(lanes["_advance"][1:] + lanes["_advance_wide"][1:], default=0) <= len(reps)
 
 def test_peaks_past_int64_stay_in_limbs():
     # The 2^60 and 2^63 windows of perfbench's sweep-sparse, walked in
@@ -883,6 +953,27 @@ def test_forked_child_starts_its_own_pool():
     assert done[0] == child and os.waitstatus_to_exitcode(done[1]) == 0
     assert pool_pids() == parent
 
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_child_forked_while_the_lock_is_held_sweeps():
+    # a thread may fork while another holds the verifier's lock, which
+    # would never be released in the child; the child gets a new one
+    with verifier_mod._lock:
+        child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                code = int(verify_range(VerifyConfig(1, 100, worker_count=1)).verified_count != 100)
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(child, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+    assert done[0] == child and os.waitstatus_to_exitcode(done[1]) == 0
 
 @st.composite
 def sweep_cases(draw):
