@@ -15,12 +15,13 @@ its residue mod 2^k, the parity-vector form of Terras (1976), with k up
 to K = 12; the map, with each block's step count and exact peak, is
 dynamics._block_levels, held here as int64 columns. k is cut to the table's
 size so that no block passes through 1. Lanes too large for int64 blocks
-take the same blocks in two int64 limbs, as fixed-width multi-word
-verifiers do (Oliveira e Silva 2010; Barina 2021), as are peaks past
-int64, in two rows by lane. Values too large for the limbs, and starts
-among them, walk in the package's one exact big-integer walker,
-dynamics._descend, until they fit again, and only peaks from 2^95 on
-are Python ints, so correctness never depends on fixed-width integers.
+take the same blocks, in the same rounds, in two int64 limbs, as
+fixed-width multi-word verifiers do (Oliveira e Silva 2010; Barina
+2021), as are peaks past int64, in two rows by lane. Values too large
+for the limbs, and starts among them, walk in the package's one exact
+big-integer walker, dynamics._descend, until they fit again, and only
+peaks from 2^95 on are Python ints, so correctness never depends on
+fixed-width integers.
 
 Starts 2^k·a + j whose residues j share a block map land on one value
 after the same steps of T; only 1,535 of the 4,096 maps mod 2^12 are
@@ -47,11 +48,12 @@ kept across sweeps; its workers receive the table once, when they
 start, and each walks in a workspace of its own. The pool belongs to
 the table's memo slot: replacing the table shuts it down, and so does
 a sweep with another worker count or start method, before the new
-pool starts. One lock covers replacing the table and each multi-worker
-sweep, and a sweep at one worker walks the table it obtained, so no
-sweep's payload depends on what other threads sweep. Each chunk's
-report is merged by merge_reports, which makes reports independent of
-chunk size and worker count.
+pool starts; a sweep that ends in an exception drops it. One lock
+covers replacing the table and each multi-worker sweep, and a sweep
+at one worker walks the table it obtained, so no sweep's payload
+depends on what other threads sweep. Each chunk's report is merged by
+merge_reports, which makes reports independent of chunk size and
+worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -95,7 +97,7 @@ _BLOCK_LIMIT = 2 ** (62 + K) // 3**K - 1
 _WIDE_LIMIT = 1 << 84
 _LOW = (1 << 32) - 1  # low limb mask
 _PARKED = -(2**62)  # r of a parked lane: negative for longer than any walk
-_WIDE_PARKED = (None, -1, _LOW, None, None, _PARKED)  # (j, h, l, ph, pl, rj), at -1
+_WIDE_PARKED = (None, -1, _LOW, None, None, _PARKED)  # (lane, h, l, ph, pl, r), at -1
 # Most lanes in one walk: _resolve walks a longer chunk, and the table
 # build each block, in slices of this many lanes.
 _SLICE = 1 << 16
@@ -330,11 +332,14 @@ def _big_rows(ws):
 
 class _Lanes:
     """Lanes as columns, views [:size] of workspace rows with a spare
-    row each, the step count r last. retire(done, put) hands the lanes
-    where done to put(d, *columns), d their positions, and parks them
-    at parked (None leaves a column), a fixed point of every block with
-    r negative for longer than any walk. Once fewer than half are live,
-    the rest move, in order, to the spare rows, which swap in."""
+    row each, the lane number x - lo first and the step count r last.
+    retire(done, put) hands the lanes where done to put(d, *columns), d
+    their positions, and parks them at parked (None leaves a column), a
+    fixed point of every block with r negative for longer than any walk.
+    Once fewer than half are live, the rest move, in order, to the spare
+    rows, which swap in. add(n) appends n lanes and returns their
+    columns to fill, first moving the live ones so if any are parked; its
+    scratch is ws.b[1] and ws.t[5], so the other set's retire may call it."""
 
     def __init__(self, ws, rows: tuple, size: int, parked: tuple):
         self.ws, (self.rows, self.spares), self.parked = ws, rows, parked
@@ -361,6 +366,12 @@ class _Lanes:
         self.rows, self.spares, self.size = self.spares, self.rows, keep.size
         self.live = keep.size
 
+    def add(self, n: int) -> list:
+        if self.live < self.size:
+            self.keep(_nonzero(np.greater_equal(self.cols()[-1], 0, out=self.ws.b[1, :self.size]), self.ws.t[5]))
+        self.size, self.live = self.size + n, self.live + n
+        return [row[self.size - n:self.size] for row in self.rows]
+
 
 def _advance(table: tuple, k: int, cur, r, pk, t) -> None:
     """Take one k-step block on every lane, in place; t is scratch."""
@@ -375,9 +386,9 @@ def _advance(table: tuple, k: int, cur, r, pk, t) -> None:
     cur += _take(off, j, x)
 
 
-def _advance_wide(table: tuple, k: int, h, l, r, ph, pl, t, b) -> None:
-    """Take one k-step block on every lane h·2^32 + l, in place, with r
-    and the peak limbs (ph, pl); t and b are scratch."""
+def _advance_wide(table: tuple, k: int, h, l, ph, pl, r, t, b) -> None:
+    """Take one k-step block on every lane h·2^32 + l, in place, with the
+    peak limbs (ph, pl) and r; t and b are scratch."""
     mult, off, steps, peak_m, peak_e = table
     j, ah, al, x, y, z = t
     np.bitwise_and(l, (1 << k) - 1, out=j)
@@ -406,59 +417,19 @@ def _raise(h, l, x, y, b) -> None:
     np.putmask(l, up, y)
 
 
-def _exactly(exact: dict, i: int, c: int, s: int, p: int, budget: int):
-    """(value, steps, limb peak) of lane i, at c after s steps with limb
-    peak p, after an exact walk in blocks back below _WIDE_LIMIT and on
-    to half of it. A peak past the limbs, from 2^95, goes to exact; past
-    budget the value is -1 and the steps budget + 1, which reads as parked."""
-    c, s, q = _descend(c, _WIDE_LIMIT >> 1, s, max(c, p, exact.get(i, 0)), budget, _WIDE_LIMIT)
-    if q >> 95:
-        exact[i], q = q, p
-    return c, s if c >= 0 else budget + 1, q
-
-
-def _walk_wide(ws, ints: _Lanes, wide: _Lanes, table: tuple, k: int, budget: int, exact: dict) -> None:
-    """Wide rounds on the lanes wide (j, h, l, ph, pl, rj), each the lane
-    at position j of ints, which waits meanwhile, at h·2^32 + l after rj
-    steps with peak ph·2^32 + pl, until each is back at or below
-    _BLOCK_LIMIT, or over budget (at -1), and so back in ints. Values
-    from _WIDE_LIMIT on walk exactly first; peaks past int64 go to _big_rows."""
-    lane, cur, pk, r = ints.cols()
-    j, h, l, ph, pl, rj = wide.cols()
-
-    def put(d, j, h, l, ph, pl, rj):
-        jd, x, y, z, u, v = ws.t[:, :d.size]
-        r[_take(j, d, jd)] = _take(rj, d, x)
-        over = np.greater(x, budget, out=ws.b[1, :d.size])
-        np.left_shift(_take(h, d, x), 32, out=x)
-        x |= _take(l, d, y)
-        np.putmask(x, over, -1)
-        cur[jd] = x
-        hp, lp = _take(ph, d, x), _take(pl, d, y)
-        big = np.greater_equal(hp, 1 << 31, out=ws.b[1, :d.size])
-        np.bitwise_or(np.left_shift(hp, 32, out=z), lp, out=z)
-        np.putmask(z, big, _take(pk, jd, u))
-        pk[jd] = z
-        if big.any():  # each lane's row keeps the largest peak of its wide walks
-            (bh, bl), ids = _big_rows(ws), _take(lane, jd, z)
-            u, v = _take(bh, ids, u), _take(bl, ids, v)
-            _raise(u, v, hp, lp, ws.b[:, :d.size])
-            bh[ids], bl[ids] = u, v
-
-    back = _BLOCK_LIMIT + 1
-    while wide.live:
-        if h.max() >= _WIDE_LIMIT >> 32:  # from _WIDE_LIMIT, whose low limb is 0, on
-            for q in np.flatnonzero(h >= _WIDE_LIMIT >> 32).tolist():
-                c, p = int(h[q]) << 32 | int(l[q]), int(ph[q]) << 32 | int(pl[q])
-                c, rj[q], p = _exactly(exact, int(lane[j[q]]), c, int(rj[q]), p, budget)
-                h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
-        # Back at or below _BLOCK_LIMIT, or over budget; parked h reads 2^64 - 1.
-        (done, tmp), hu = ws.b[:, :wide.size], h.view(np.uint64)
-        np.logical_and(np.less(l, back & _LOW, out=done), np.equal(hu, back >> 32, out=tmp), out=done)
-        np.logical_or(done, np.less(hu, back >> 32, out=tmp), out=done)
-        wide.retire(np.logical_or(done, np.greater(rj, budget, out=tmp), out=done), put)
-        j, h, l, ph, pl, rj = wide.cols()
-        _advance_wide(table, k, h, l, rj, ph, pl, ws.t[:, :wide.size], ws.b[:, :wide.size])
+def _exactly(exact: dict, lanes: list, q: int, lo: int, budget: int) -> None:
+    """Walk lane q of the limb lanes (lane, h, l, ph, pl, r) exactly, in
+    blocks back below _WIDE_LIMIT and on to half of it, in place; one
+    that has taken no step is at its start lo + lane, which the limbs
+    may not hold. A peak past the limbs, from 2^95, goes to exact; past
+    budget the value is -1 and r budget + 1, which reads as parked."""
+    lane, h, l, ph, pl, r = lanes
+    i, s = int(lane[q]), int(r[q])
+    c, p = (lo + i, 0) if s == 0 else (int(h[q]) << 32 | int(l[q]), int(ph[q]) << 32 | int(pl[q]))
+    c, s, top = _descend(c, _WIDE_LIMIT >> 1, s, max(c, p, exact.get(i, 0)), budget, _WIDE_LIMIT)
+    if top >> 95:
+        exact[i], top = top, p
+    h[q], l[q], ph[q], pl[q], r[q] = c >> 32, c & _LOW, top >> 32, top & _LOW, s if c >= 0 else budget + 1
 
 
 def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
@@ -467,19 +438,23 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
 
     k is cut so that stop >= 2^(k+1), so no block passes through 1, and
     a lane may land past its first value below stop, as its steps plus
-    the landing's total are still its total. Lanes past _BLOCK_LIMIT take
-    the same blocks in two limbs, h·2^32 + l, in wide rounds until each
-    is back at or below it or over budget; the int64 lanes wait out that
-    round, so a returning lane retires before its next block. Values
-    from _WIDE_LIMIT on, starts among them, first walk exactly in
-    _descend. Each round retires and parks the lanes just finished.
-    A slice with a start from stop on and none from _WIDE_LIMIT on is
-    sieved: every start from stop takes its first block at once, in
-    int64 up to _BLOCK_LIMIT and in limbs past it, and only its
-    representative, from _canon(k), walks on, unless that lies before lo
-    or stop and so stands for itself alone; the start then takes its
-    landing and steps, and as peak the larger of its own first-block
-    peak and the peak of the representative's walk after that block.
+    the landing's total are still its total. Lanes are held in two
+    sets, each carrying its lanes' numbers x - lo: int64 lanes up to
+    _BLOCK_LIMIT and limb lanes, h·2^32 + l, past it. Each round the
+    int64 set retires and parks the lanes just finished and hands those
+    past _BLOCK_LIMIT to the limb set; the limb set walks values from
+    _WIDE_LIMIT on exactly in _descend, as it does starts among them
+    first, and hands those back at or below _BLOCK_LIMIT, or over
+    budget, to the int64 set, where they retire before their next
+    block; then each set takes one block on its lanes, so no lane waits
+    for another. A slice with a start from stop on and none from
+    _WIDE_LIMIT on is sieved: every start from stop takes its first
+    block at once, in int64 up to _BLOCK_LIMIT and in limbs past it,
+    and only its representative, from _canon(k), walks on, unless that
+    lies before lo or stop and so stands for itself alone; the start
+    then takes its landing and steps, and as peak the larger of its own
+    first-block peak and the peak of the representative's walk after
+    that block.
 
     Returns (landing, steps, peak, limbs, exact), indexed by x - lo:
     landing is -1 where the budget ran out; limbs is None or _big_rows,
@@ -493,66 +468,84 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     exact: dict[int, int] = {}
     k = max(1, min(K, stop.bit_length() - 2))
     table, back = _block_table(k), _BLOCK_LIMIT + 1  # read per call, so patches apply
-    ints = _Lanes(ws, ws.ints, n, (None, -1, None, _PARKED))
-    lane, cur, pk, r = ints.cols()
-    lane[:], r[:] = ws.iota[:n], 0
     m = min(n, max(0, back - lo))  # the starts after these begin wide
-    np.add(lane[:m], min(lo, back), out=cur[:m])
-    wide = _Lanes(ws, ws.wide, n - m, _WIDE_PARKED)  # their limbs, after an exact prefix from _WIDE_LIMIT
-    j, h, l, ph, pl, rj = wide.cols()
-    j[:], base = lane[m:], min(lo + m, _WIDE_LIMIT)
+    ints = _Lanes(ws, ws.ints, m, (None, -1, None, _PARKED))
+    lane, cur, pk, r = ints.cols()
+    lane[:], r[:] = ws.iota[:m], 0
+    np.add(lane, min(lo, back), out=cur)
+    wide = _Lanes(ws, ws.wide, n - m, _WIDE_PARKED)  # their limbs, held below _WIDE_LIMIT
+    wl, h, l, ph, pl, rw = wide.cols()
+    wl[:], base = ws.iota[m:n], min(lo + m, _WIDE_LIMIT)
     np.add(ws.iota[:n - m], base & _LOW, out=l)
     np.add(np.right_shift(l, 32, out=h), base >> 32, out=h)
     l &= _LOW
-    ph[:], pl[:], rj[:] = h, l, 0
-    for q in range(max(0, _WIDE_LIMIT - lo - m), n - m):
-        c, rj[q], p = _exactly(exact, m + q, lo + m + q, 0, 0, budget)
-        h[q], l[q], ph[q], pl[q] = c >> 32, c & _LOW, p >> 32, p & _LOW
+    ph[:], pl[:], rw[:] = h, l, 0
     sieve, floor = stop <= hi < _WIDE_LIMIT, max(lo, stop) - lo
     if sieve:
         rep, first = ws.sieve[:, :n]
-        keep = _nonzero(np.equal(_reps(lo, n, floor, k, rep), lane, out=ws.b[0, :n]), ws.idx)
-        first[:m], s = cur[:m], min(floor, m)
-        _advance(table, k, cur[s:m], r[s:m], first[s:m], ws.t[:, :m - s])
-        ints.keep(keep)
+        keep = _nonzero(np.equal(_reps(lo, n, floor, k, rep), ws.iota[:n], out=ws.b[0, :n]), ws.idx)
+        first[:m], s = cur, min(floor, m)
+        _advance(table, k, cur[s:], r[s:], first[s:m], ws.t[:, :m - s])
+        c = int(np.searchsorted(keep, m))  # the kept int64 starts; the wide ones follow
+        ints.keep(keep[:c])
         if m < n:  # the limbs' first-block peaks take their rows from rep
-            _advance_wide(table, k, h, l, rj, ph, pl, ws.t[:, :n - m], ws.b[:, :n - m])
+            _advance_wide(table, k, h, l, ph, pl, rw, ws.t[:, :n - m], ws.b[:, :n - m])
             rep[m:], first[m:] = ph, pl
             ph[:], pl[:] = h, l  # the representatives' later peaks start from their landing
-            c = int(np.searchsorted(keep, m))  # the kept int64 starts; the wide ones follow
             wide.keep(np.subtract(keep[c:], m, out=keep[c:]))
-            wide.cols()[0][:] = ws.iota[c:keep.size]
         lane, cur, pk, r = ints.cols()
     pk[:] = cur
 
     def put(d, lane, cur, pk, r):
-        ids, x = ws.t[:2, :d.size]
+        ids, x, y = ws.t[:3, :d.size]
         steps[_take(lane, d, ids)] = _take(r, d, x)
-        over = np.greater(x, budget, out=ws.b[1, :d.size])  # more than budget steps to 1
-        np.putmask(_take(cur, d, x), over, -1)
-        landing[ids] = x
+        np.putmask(_take(cur, d, y), np.greater(x, budget, out=ws.b[1, :d.size]), -1)  # more than budget steps to 1
+        landing[ids] = y
         peak[ids] = _take(pk, d, x)
 
-    if m < n:
-        _walk_wide(ws, ints, wide, table, k, budget, exact)
-        lane, cur, pk, r = ints.cols()
-    while ints.live:
+    def to_wide(d, lane, cur, pk, r):
+        wl, h, l, ph, pl, rw = wide.add(d.size)
+        for src, dst in ((lane, wl), (r, rw), (cur, l), (pk, pl)):
+            _take(src, d, dst)
+        for hi_limb, lo_limb in ((h, l), (ph, pl)):
+            np.right_shift(lo_limb, 32, out=hi_limb)
+            lo_limb &= _LOW
+
+    def to_ints(d, wl, h, l, ph, pl, rw):
+        ids, c, p, r = ints.add(d.size)
+        (x, y, u, v), b = ws.t[:4, :d.size], ws.b[:, :d.size]
+        for src, dst in ((wl, ids), (rw, r), (h, c), (ph, x), (pl, y)):  # put lands those over budget at -1
+            _take(src, d, dst)
+        np.bitwise_or(np.left_shift(c, 32, out=c), _take(l, d, u), out=c)
+        big = np.greater_equal(x, 1 << 31, out=b[1])  # the peak x·2^32 + y is past int64
+        np.bitwise_or(np.left_shift(x, 32, out=p), y, out=p)
+        np.putmask(p, big, c)
+        if big.any():  # each lane's row keeps the largest peak of its limb walks
+            bh, bl = _big_rows(ws)
+            u, v = _take(bh, ids, u), _take(bl, ids, v)
+            _raise(u, v, x, y, b)
+            bh[ids], bl[ids] = u, v
+
+    while ints.live or wide.live:  # an empty int64 set takes its ops on no lanes
         b0, b1 = ws.b[:, :ints.size]
         done = np.less(cur.view(np.uint64), stop, out=b0)  # parked: 2^64 - 1
         ints.retire(np.logical_or(done, np.greater(r, budget, out=b1), out=b0), put)
         lane, cur, pk, r = ints.cols()
-        if cur.max(initial=0) < back:
-            _advance(table, k, cur, r, pk, ws.t[:, :ints.size])
-        else:
-            w = _nonzero(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), ws.idx)
-            wide = _Lanes(ws, ws.wide, w.size, _WIDE_PARKED)
-            j, h, l, ph, pl, rj = wide.cols()
-            j[:] = w
-            _take(r, w, rj)
-            for src, hi_limb, lo_limb in ((cur, h, l), (pk, ph, pl)):
-                np.right_shift(_take(src, w, lo_limb), 32, out=hi_limb)
-                lo_limb &= _LOW
-            _walk_wide(ws, ints, wide, table, k, budget, exact)
+        if cur.max(initial=0) >= back:
+            ints.retire(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), to_wide)
+            lane, cur, pk, r = ints.cols()
+        _advance(table, k, cur, r, pk, ws.t[:, :ints.size])
+        if wide.live:
+            _, h, l, ph, pl, rw = lanes = wide.cols()
+            (done, tmp), x = ws.b[:, :wide.size], ws.t[0, :wide.size]
+            for q in np.flatnonzero(np.greater_equal(h, _WIDE_LIMIT >> 32, out=done)).tolist():
+                _exactly(exact, lanes, q, lo, budget)  # from _WIDE_LIMIT, whose low limb is 0, on
+            # Back at or below _BLOCK_LIMIT, h < ceil((back - l) / 2^32), or over budget; parked h reads 2^64 - 1.
+            np.right_shift(np.subtract(back + _LOW, l, out=x), 32, out=x)
+            np.less(h.view(np.uint64), x.view(np.uint64), out=done)
+            wide.retire(np.logical_or(done, np.greater(rw, budget, out=tmp), out=done), to_ints)
+            _advance_wide(table, k, *wide.cols()[1:], ws.t[:, :wide.size], ws.b[:, :wide.size])
+            lane, cur, pk, r = ints.cols()
     if sieve:  # each start takes its representative's walk and its own first-block peak
         fh, first = ws.sieve[:, :n]
         rep = fh if m == n else _reps(lo, n, floor, k, ws.t[1, :n])
@@ -681,9 +674,10 @@ def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
     new one starts, so that no pool forks while another's threads run;
     concurrent.futures' own exit hook stops the last one when the
     interpreter exits. At most 2·workers + 1 jobs, what its workers and
-    call queue hold, are in the pool at once, so only those may still
-    run when the call ends early, by an error or an interrupt. A sweep
-    at one worker does not import multiprocessing or concurrent.futures."""
+    call queue hold, are in the pool at once. A call that ends early, by
+    an error or an interrupt, stops the workers, as the pool's manager
+    thread may have died, and drops the pool before the next sweep. A
+    sweep at one worker does not import multiprocessing or concurrent.futures."""
     global _pool
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -701,6 +695,11 @@ def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
             futures.append(pool.submit(_sweep_chunk, job))
             live.add(futures[-1])
         return [f.result() for f in futures]
+    except BaseException:
+        for worker in list((pool._processes or {}).values()):
+            worker.terminate()
+        _drop_pool()
+        raise
     finally:
         for f in futures:
             f.cancel()  # a no-op once a job has started

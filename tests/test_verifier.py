@@ -674,6 +674,72 @@ def test_straddling_slices_walk_only_representatives(monkeypatch):
         assert lanes["_advance"] and (hi >= back) == bool(lanes["_advance_wide"])
         assert max(lanes["_advance"][1:] + lanes["_advance_wide"][1:], default=0) <= len(reps)
 
+
+def test_limb_lanes_take_no_rounds_of_their_own(monkeypatch):
+    # The 2^56 and 2^60 windows of perfbench's sweep-sparse, walked in
+    # slices as _resolve walks them: limb lanes take their blocks in the
+    # rounds of the int64 lanes, so no more blocks are taken in limbs
+    # than in int64, counting those on at least one lane.
+    calls = {"_advance": 0, "_advance_wide": 0}
+    for name in calls:
+        real = getattr(verifier_mod, name)
+
+        def advance(table, k, x, *rest, real=real, name=name):
+            calls[name] += x.size > 0
+            real(table, k, x, *rest)
+
+        monkeypatch.setattr(verifier_mod, name, advance)
+    for lo in (72064064662809063, 1155474331410394239):
+        calls.update(dict.fromkeys(calls, 0))
+        for s in range(lo, lo + 2 * 2**16, verifier_mod._SLICE):
+            verifier_mod._walk_lanes(s, min(s + verifier_mod._SLICE, lo + 2 * 2**16) - 1, 1 << 20, DEFAULT_STEP_BUDGET)
+        assert calls["_advance_wide"] <= calls["_advance"], (lo, calls)
+
+
+def in_new_thread(walk):
+    """Run walk in a new thread, whose workspace its first walk makes,
+    and raise what it raised."""
+    failed = []
+
+    def run():
+        try:
+            walk()
+        except BaseException as e:
+            failed.append(e)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=300)
+    assert not thread.is_alive()
+    if failed:
+        raise failed[0]
+
+
+def test_hand_overs_fit_a_workspace_of_one_slice(monkeypatch):
+    # A thread's workspace holds max(n, _SLICE) lanes, so at _SLICE = 37
+    # a new thread's rows hold one slice and no more. Lanes handed from
+    # one set to the other fit them only if the set they join first drops
+    # its parked lanes, and at _PIECE = 4 the positions of both are found
+    # into workspace rows, which must be distinct. Small limits send
+    # lanes back and forth across the block limit and, past the wide
+    # limit, into exact walks.
+    monkeypatch.setattr(verifier_mod, "_SLICE", 37)
+    monkeypatch.setattr(verifier_mod, "_PIECE", 4)
+
+    def walk():
+        for stop in (64, 4096):
+            for budget in (13, 40, DEFAULT_STEP_BUDGET):
+                for lo in (*range(1, 3000, 37), *range(8528817447, 8528817447 + 3000, 37)):
+                    check_walk_lanes(lo, lo + 36, stop, budget)
+        assert verifier_mod._local.size == 37
+
+    for block, wide in ((1 << 13, 1 << 16), (5000, 1 << 20)):
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier_mod, "_BLOCK_LIMIT", block)
+            patch.setattr(verifier_mod, "_WIDE_LIMIT", wide)
+            in_new_thread(walk)
+
+
 def test_peaks_past_int64_stay_in_limbs():
     # The 2^60 and 2^63 windows of perfbench's sweep-sparse, walked in
     # slices as _resolve walks them: their peaks past int64 all fit the
@@ -924,8 +990,64 @@ def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
     assert len(ran_on) <= 5, len(ran_on)
     assert len(futures) < SLOW_POOL_SWEEP.range_hi // SLOW_POOL_SWEEP.chunk_size
     monkeypatch.undo()
+    # The interrupted sweep dropped its pool, whose manager thread may
+    # have died; the next sweep starts a new one.
     assert verify_range(SLOW_POOL_SWEEP).payload() == reference
-    assert verifier_mod._pool[-1] is pool
+    assert verifier_mod._pool[-1] is not pool
+
+
+INTERRUPTED_SUBMITS = """
+import sys
+
+import collatzkit.verifier as verifier
+from collatzkit import VerifyConfig, verify_range
+
+cfg = VerifyConfig(1, 1 << 21, chunk_size=4096, worker_count=2, dense_cache_entries=4096)
+reference = verify_range(cfg).payload()
+for count in range(1, 9):
+    pool, ids = verifier._pool[-1], []
+    put = pool._work_ids.put
+
+    def interrupting_put(work_id, *args, **kwargs):
+        put(work_id, *args, **kwargs)  # queued, and not yet counted by submit
+        ids.append(work_id)
+        if len(ids) == count:
+            raise KeyboardInterrupt
+
+    pool._work_ids.put = interrupting_put
+    try:
+        verify_range(cfg)
+        sys.exit(f"submit {count} was not interrupted")
+    except KeyboardInterrupt:
+        pass
+    del pool._work_ids.put
+    if verify_range(cfg).payload() != reference or verifier._pool[-1] is pool:
+        sys.exit(f"the sweep after an interrupt in submit {count} went wrong")
+print("ok")
+"""
+
+
+def test_interrupt_inside_submit_drops_the_pool():
+    # An interrupt can cut ProcessPoolExecutor.submit after it queued a
+    # work id and before it counted it, so a kept pool would hand that id
+    # to the next job as well. At each of the first eight submits, the
+    # interrupted sweep drops its pool and the next sweep gets the
+    # reference payload. The script runs in a session of its own, which
+    # is killed, workers and all, if it hangs.
+    package_root = Path(collatzkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_SUBMITS], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+        pytest.fail(f"a sweep after an interrupted submit hung: {err}")
+    assert proc.returncode == 0 and out.split() == ["ok"], err
+    assert "Traceback" not in err, err
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
