@@ -7,7 +7,7 @@ total_stopping_time does; -1 marks the rest. One rule resolves table
 entries and sweep starts alike: walk the start until its orbit drops
 below the table, then add the entry it landed on. The table is built
 by that rule in blocks of doubling size from [2, 4), each against the
-part already built.
+part already built; a sweep inside the table only reads it.
 
 One lane kernel does every vectorized walk. Each round it moves a lane
 by the affine block map of k steps of T (x/2, or (3x+1)/2 on odd x) for
@@ -25,35 +25,31 @@ fixed-width integers.
 
 Starts 2^k·a + j whose residues j share a block map land on one value
 after the same steps of T; only 1,535 of the 4,096 maps mod 2^12 are
-distinct. So in every slice below _WIDE_LIMIT, each start from the
-table's size on takes its first block in one pass, in int64 or in
-limbs, and only the smallest of each class in a 2^k-aligned block, at
-or above the table and the slice's start, walks on. Convergence-only
-verifiers drop the rest (Barina 2021); here each takes that walk's
-landing, steps and later peak, so results stay exact.
+distinct. So in a slice below _WIDE_LIMIT only the smallest start of
+each class in a 2^k-aligned block, at or above the table and the
+slice's start, walks; the others need only their own first-block
+peaks, taken in one pass. Convergence-only verifiers drop them (Barina
+2021); here they stay exact, as a chunk's records come from the walked
+starts and the largest first-block peak. The walked starts of
+consecutive slices, as many as fit one slice's lanes, share one walk
+and its rounds' fixed cost, the persistent-threads pattern of Gupta,
+Stuart & Owens (2012) with no refill in mid-walk.
 
-Each thread walks in its own workspace: fixed int64 and bool rows of
-2^16 lanes, made on its first walk, that hold the lanes, a spare of
-each for compaction, the outputs and every temporary. numpy writes
-into them through out= arguments and np.take(..., mode="wrap"), so a
-warm sweep allocates no lane arrays, and its speed does not depend on
-how the C allocator is tuned. Chunks and table blocks longer than that
-are walked in 2^16-lane slices, so memory does not grow with either:
-building the 2^20-entry table peaks about 28 MB above the import, 16
-MB of it the table, where one 2^19-lane walk of its last block took
-58 MB.
+Each thread walks in its own workspace of fixed 2^16-lane rows,
+written through out= arguments and np.take(..., mode="wrap"), so a warm
+sweep allocates no lane arrays and its speed does not depend on how the
+C allocator is tuned; chunks and table blocks are cut into 2^16-start
+slices, so building the 2^20-entry table peaks about 28 MB above the
+import, 16 MB of it the table.
 
 A multi-worker sweep hands its chunks to one worker pool per process,
-kept across sweeps; its workers receive the table once, when they
-start, and each walks in a workspace of its own. The pool belongs to
-the table's memo slot: replacing the table shuts it down, and so does
-a sweep with another worker count or start method, before the new
-pool starts; a sweep that ends in an exception drops it. One lock
-covers replacing the table and each multi-worker sweep, and a sweep
-at one worker walks the table it obtained, so no sweep's payload
-depends on what other threads sweep. Each chunk's report is merged by
-merge_reports, which makes reports independent of chunk size and
-worker count.
+kept across sweeps until the table, the worker count or the start
+method changes or a sweep fails; its workers receive the table once,
+when they start, and exit once their parent is gone. One lock covers
+replacing the table and each multi-worker sweep, and a sweep at one
+worker walks the table it obtained, so no sweep's payload depends on
+what other threads sweep. merge_reports merges the chunks' reports,
+which makes reports independent of chunk size and worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -98,8 +94,8 @@ _WIDE_LIMIT = 1 << 84
 _LOW = (1 << 32) - 1  # low limb mask
 _PARKED = -(2**62)  # r of a parked lane: negative for longer than any walk
 _WIDE_PARKED = (None, -1, _LOW, None, None, _PARKED)  # (lane, h, l, ph, pl, r), at -1
-# Most lanes in one walk: _resolve walks a longer chunk, and the table
-# build each block, in slices of this many lanes.
+# Most lanes in one walk: chunks and table blocks are cut into slices of
+# at most this many starts, and a batch of slices holds this many lanes.
 _SLICE = 1 << 16
 _PIECE = 1 << 13  # lanes per flatnonzero call, 64 KB of indices
 
@@ -305,25 +301,26 @@ _local = threading.local()
 
 def _workspace(n: int):
     """This thread's lane buffers, made on its first walk and reused by
-    every walk after it: int64 and bool rows of at least n lanes. Views
-    [:n] of them hold the lanes, outputs and temporaries of _walk_lanes
-    and _resolve, so a walk allocates no lane arrays, and threads that
-    sweep at once share none."""
+    every walk after it: int64 and bool rows of at least n lanes, whose
+    views hold every lane, output and temporary of a walk and its
+    readers, so that threads that sweep at once share none."""
     ws = _local
     if getattr(ws, "size", 0) < n:
         ws.size = max(n, _SLICE)
-        i, ws.b = np.empty((32, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
+        i, ws.b = np.empty((33, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
         ws.out, ws.t, ws.idx, ws.iota = i[0:3], i[3:9], i[9], np.arange(ws.size)
         ws.ints, ws.wide = (i[10:14], i[14:18]), (i[18:24], i[24:30])  # (rows, spares)
+        ws.sieve, ws.offs = i[30:32], i[32]  # offs: each batch lane's start, as x - lo
+        ws.skip = np.empty(ws.size, dtype=bool)
         # Apart from i, whose huge pages would make them resident in sweeps that never use them.
-        ws.sieve, ws.peaks = i[30:32], np.empty((2, ws.size), dtype=np.int64)
-    ws.big = False  # whether this walk uses ws.peaks; see _big_rows
+        ws.peaks = np.empty((2, ws.size), dtype=np.int64)
+    ws.big = False  # whether this batch uses ws.peaks; see _big_rows
     return ws
 
 
 def _big_rows(ws):
-    """This walk's rows (h, l) of peaks h·2^32 + l past int64 by lane, where
-    h >= 2^31; zeroed on first use, so walks with no such peak skip them."""
+    """This batch's rows (h, l) of peaks h·2^32 + l past int64 by lane, h
+    >= 2^31; zeroed on first use, so walks with no such peak skip them."""
     if not ws.big:
         ws.big = True
         ws.peaks.fill(0)
@@ -332,14 +329,15 @@ def _big_rows(ws):
 
 class _Lanes:
     """Lanes as columns, views [:size] of workspace rows with a spare
-    row each, the lane number x - lo first and the step count r last.
+    row each, the lane number first and the step count r last.
     retire(done, put) hands the lanes where done to put(d, *columns), d
     their positions, and parks them at parked (None leaves a column), a
-    fixed point of every block with r negative for longer than any walk.
-    Once fewer than half are live, the rest move, in order, to the spare
-    rows, which swap in. add(n) appends n lanes and returns their
-    columns to fill, first moving the live ones so if any are parked; its
-    scratch is ws.b[1] and ws.t[5], so the other set's retire may call it."""
+    fixed point of every block with r negative for longer than any walk;
+    once fewer than half are live, the rest move, in order, to the spare
+    rows, which swap in. add(n) appends n lanes and returns their columns
+    to fill, first moving the live ones so if size would pass room, set
+    by the walk, or fewer than half would be live; its scratch, ws.b[1]
+    and ws.t[5], lets the other set's retire call it."""
 
     def __init__(self, ws, rows: tuple, size: int, parked: tuple):
         self.ws, (self.rows, self.spares), self.parked = ws, rows, parked
@@ -367,7 +365,8 @@ class _Lanes:
         self.live = keep.size
 
     def add(self, n: int) -> list:
-        if self.live < self.size:
+        size = self.size + n
+        if self.live < self.size and (size > self.room or 2 * (self.live + n) < size):
             self.keep(_nonzero(np.greater_equal(self.cols()[-1], 0, out=self.ws.b[1, :self.size]), self.ws.t[5]))
         self.size, self.live = self.size + n, self.live + n
         return [row[self.size - n:self.size] for row in self.rows]
@@ -388,7 +387,8 @@ def _advance(table: tuple, k: int, cur, r, pk, t) -> None:
 
 def _advance_wide(table: tuple, k: int, h, l, ph, pl, r, t, b) -> None:
     """Take one k-step block on every lane h·2^32 + l, in place, with the
-    peak limbs (ph, pl) and r; t and b are scratch."""
+    peak limbs (ph, pl) and r; t and b are scratch. With r None only the
+    peak limbs take the block, and they may be (h, l) themselves."""
     mult, off, steps, peak_m, peak_e = table
     j, ah, al, x, y, z = t
     np.bitwise_and(l, (1 << k) - 1, out=j)
@@ -405,8 +405,9 @@ def _advance_wide(table: tuple, k: int, h, l, ph, pl, r, t, b) -> None:
 
     block(peak_m, peak_e, x, y)
     _raise(ph, pl, x, y, b)
-    r += _take(steps, j, x)
-    block(mult, off, h, l)
+    if r is not None:
+        r += _take(steps, j, x)
+        block(mult, off, h, l)
 
 
 def _raise(h, l, x, y, b) -> None:
@@ -417,87 +418,99 @@ def _raise(h, l, x, y, b) -> None:
     np.putmask(l, up, y)
 
 
-def _exactly(exact: dict, lanes: list, q: int, lo: int, budget: int) -> None:
+def _start_limbs(offs, lo: int, h, l) -> None:
+    """The limbs h·2^32 + l of the starts lo + offs, lo at most _WIDE_LIMIT."""
+    np.add(offs, lo & _LOW, out=l)
+    np.add(np.right_shift(l, 32, out=h), lo >> 32, out=h)
+    l &= _LOW
+
+
+def _exactly(exact: dict, lanes: list, q: int, start, budget: int) -> None:
     """Walk lane q of the limb lanes (lane, h, l, ph, pl, r) exactly, in
     blocks back below _WIDE_LIMIT and on to half of it, in place; one
-    that has taken no step is at its start lo + lane, which the limbs
+    that has taken no step is at its start, start(lane), which the limbs
     may not hold. A peak past the limbs, from 2^95, goes to exact; past
     budget the value is -1 and r budget + 1, which reads as parked."""
     lane, h, l, ph, pl, r = lanes
     i, s = int(lane[q]), int(r[q])
-    c, p = (lo + i, 0) if s == 0 else (int(h[q]) << 32 | int(l[q]), int(ph[q]) << 32 | int(pl[q]))
+    c, p = (start(i), 0) if s == 0 else (int(h[q]) << 32 | int(l[q]), int(ph[q]) << 32 | int(pl[q]))
     c, s, top = _descend(c, _WIDE_LIMIT >> 1, s, max(c, p, exact.get(i, 0)), budget, _WIDE_LIMIT)
     if top >> 95:
         exact[i], top = top, p
     h[q], l[q], ph[q], pl[q], r[q] = c >> 32, c & _LOW, top >> 32, top & _LOW, s if c >= 0 else budget + 1
 
 
-def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
-    """Walk every start in [lo, hi] in lanes, one block per round, until
-    it drops strictly below stop or passes budget col-steps.
-
-    k is cut so that stop >= 2^(k+1), so no block passes through 1, and
-    a lane may land past its first value below stop, as its steps plus
-    the landing's total are still its total. Lanes are held in two
-    sets, each carrying its lanes' numbers x - lo: int64 lanes up to
-    _BLOCK_LIMIT and limb lanes, h·2^32 + l, past it. Each round the
-    int64 set retires and parks the lanes just finished and hands those
-    past _BLOCK_LIMIT to the limb set; the limb set walks values from
-    _WIDE_LIMIT on exactly in _descend, as it does starts among them
-    first, and hands those back at or below _BLOCK_LIMIT, or over
-    budget, to the int64 set, where they retire before their next
-    block; then each set takes one block on its lanes, so no lane waits
-    for another. A slice with a start from stop on and none from
-    _WIDE_LIMIT on is sieved: every start from stop takes its first
-    block at once, in int64 up to _BLOCK_LIMIT and in limbs past it,
-    and only its representative, from _canon(k), walks on, unless that
-    lies before lo or stop and so stands for itself alone; the start
-    then takes its landing and steps, and as peak the larger of its own
-    first-block peak and the peak of the representative's walk after
-    that block.
-
-    Returns (landing, steps, peak, limbs, exact), indexed by x - lo:
-    landing is -1 where the budget ran out; limbs is None or _big_rows,
-    which hold the peaks past int64; exact holds those from 2^95 on,
-    which outrank both. The arrays are views of this thread's
-    workspace, valid until its next walk.
-    """
+def _shape(lo: int, hi: int, stop: int) -> tuple:
+    """(n, m, floor) of the slice [lo, hi]: its size, its starts in int64
+    (the rest begin in limbs), and its first start from stop on, as
+    x - lo, or n where it reaches _WIDE_LIMIT. It is sieved if floor < n."""
     n = hi - lo + 1
-    ws = _workspace(n)
-    landing, steps, peak = ws.out[:, :n]
-    exact: dict[int, int] = {}
-    k = max(1, min(K, stop.bit_length() - 2))
+    return n, min(n, max(0, _BLOCK_LIMIT + 1 - lo)), max(lo, stop) - lo if hi < _WIDE_LIMIT else n
+
+
+def _first_peaks(lo: int, hi: int, stop: int, k: int, skip=None) -> tuple[int, int]:
+    """Each start's own first-block peak into ws.sieve = (fh, first), in
+    first[:m] (a start below stop stands as its own) and in limbs past
+    it. Returns the largest (peak, x - lo), the smallest x among ties,
+    leaving out the starts where skip is set, or (-1, 0) if none is."""
+    ws, (n, m, floor), table = _local, _shape(lo, hi, stop), _block_table(k)
+    (fh, first), s = ws.sieve[:, :n], min(floor, m)
+    np.add(ws.iota[:m], min(lo, _BLOCK_LIMIT), out=first[:m])
+    x, j, y = first[s:m], ws.t[0, :m - s], ws.t[1, :m - s]
+    np.bitwise_and(x, (1 << k) - 1, out=j)
+    x >>= k
+    x *= _take(table[3], j, y)
+    x += _take(table[4], j, y)
+    if m < n:
+        h, l = fh[m:], first[m:]
+        _start_limbs(ws.iota[m:n], min(lo, _WIDE_LIMIT), h, l)
+        _advance_wide(table, k, h, l, h, l, None, ws.t[:, :n - m], ws.b[:, :n - m])
+    if skip is not None:
+        np.putmask(first[:m], skip[:m], -1)
+        np.putmask(fh[m:], skip[m:n], -1)
+    i = int(np.argmax(first[:m])) if m else 0
+    best = (int(first[i]), -i) if m else (-1, 0)
+    if m < n and (a := int(fh[m:].max())) >= 0:
+        at = _nonzero(np.equal(fh[m:], a, out=ws.b[0, :n - m]), ws.idx)
+        q = m + int(at[np.argmax(_take(first[m:], at, ws.t[0, :at.size]))])
+        best = max(best, (a << 32 | int(first[q]), -q))
+    return best[0], -best[1]
+
+
+def _walks(slices: Iterable, stop: int, budget: int):
+    """Walk the starts of the slices (tag, lo, hi) in lanes, one block
+    per round, until each drops strictly below stop or passes budget
+    col-steps, in batches of consecutive slices whose lanes fit _SLICE.
+
+    k is cut so that no block passes through 1; a lane may land past its
+    first value below stop, as its steps plus the landing's total are
+    still its total. Lanes are held in two sets, each carrying the
+    lanes' numbers in the batch: int64 lanes up to _BLOCK_LIMIT and limb
+    lanes, h·2^32 + l, past it. Each round the int64 set retires and
+    parks the lanes just finished and hands those past _BLOCK_LIMIT to
+    the limb set; the limb set walks values from _WIDE_LIMIT on exactly
+    in _descend, as it does starts among them first, and hands those
+    back at or below _BLOCK_LIMIT, or over budget, to the int64 set;
+    then each set takes one block, so no lane waits for another. A slice
+    gives lanes to its representatives from _reps alone, which from
+    stop on take their first block at once and their later peak from
+    the landing.
+
+    Yields per batch (parts, exact), parts holding (tag, lo, hi, q, c,
+    first) per slice: its lanes q to q + c - 1, and _first_peaks if it
+    is sieved, else None. By lane, until the next batch: landing (-1 past
+    budget), steps and peak in ws.out, the start as x - lo in ws.offs,
+    peaks past int64 in _big_rows if ws.big, and from 2^95 on in exact.
+    """
+    k = max(1, min(K, stop.bit_length() - 2))  # stop >= 2^(k+1)
     table, back = _block_table(k), _BLOCK_LIMIT + 1  # read per call, so patches apply
-    m = min(n, max(0, back - lo))  # the starts after these begin wide
-    ints = _Lanes(ws, ws.ints, m, (None, -1, None, _PARKED))
-    lane, cur, pk, r = ints.cols()
-    lane[:], r[:] = ws.iota[:m], 0
-    np.add(lane, min(lo, back), out=cur)
-    wide = _Lanes(ws, ws.wide, n - m, _WIDE_PARKED)  # their limbs, held below _WIDE_LIMIT
-    wl, h, l, ph, pl, rw = wide.cols()
-    wl[:], base = ws.iota[m:n], min(lo + m, _WIDE_LIMIT)
-    np.add(ws.iota[:n - m], base & _LOW, out=l)
-    np.add(np.right_shift(l, 32, out=h), base >> 32, out=h)
-    l &= _LOW
-    ph[:], pl[:], rw[:] = h, l, 0
-    sieve, floor = stop <= hi < _WIDE_LIMIT, max(lo, stop) - lo
-    if sieve:
-        rep, first = ws.sieve[:, :n]
-        keep = _nonzero(np.equal(_reps(lo, n, floor, k, rep), ws.iota[:n], out=ws.b[0, :n]), ws.idx)
-        first[:m], s = cur, min(floor, m)
-        _advance(table, k, cur[s:], r[s:], first[s:m], ws.t[:, :m - s])
-        c = int(np.searchsorted(keep, m))  # the kept int64 starts; the wide ones follow
-        ints.keep(keep[:c])
-        if m < n:  # the limbs' first-block peaks take their rows from rep
-            _advance_wide(table, k, h, l, ph, pl, rw, ws.t[:, :n - m], ws.b[:, :n - m])
-            rep[m:], first[m:] = ph, pl
-            ph[:], pl[:] = h, l  # the representatives' later peaks start from their landing
-            wide.keep(np.subtract(keep[c:], m, out=keep[c:]))
-        lane, cur, pk, r = ints.cols()
-    pk[:] = cur
+    parts, exact, ws = [], {}, None
+
+    def start(i):  # lane i's start
+        return next(lo + int(ws.offs[i]) for _, lo, _, q, c, _ in parts if q <= i < q + c)
 
     def put(d, lane, cur, pk, r):
-        ids, x, y = ws.t[:3, :d.size]
+        (landing, steps, peak), (ids, x, y) = ws.out, ws.t[:3, :d.size]
         steps[_take(lane, d, ids)] = _take(r, d, x)
         np.putmask(_take(cur, d, y), np.greater(x, budget, out=ws.b[1, :d.size]), -1)  # more than budget steps to 1
         landing[ids] = y
@@ -526,79 +539,89 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
             _raise(u, v, x, y, b)
             bh[ids], bl[ids] = u, v
 
-    while ints.live or wide.live:  # an empty int64 set takes its ops on no lanes
-        b0, b1 = ws.b[:, :ints.size]
-        done = np.less(cur.view(np.uint64), stop, out=b0)  # parked: 2^64 - 1
-        ints.retire(np.logical_or(done, np.greater(r, budget, out=b1), out=b0), put)
+    def walk():  # the batch, and then yields it
         lane, cur, pk, r = ints.cols()
-        if cur.max(initial=0) >= back:
-            ints.retire(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), to_wide)
+        ints.room = wide.room = ints.size + wide.size  # no set takes blocks on more lanes than the batch has
+        while ints.live or wide.live:  # an empty int64 set takes its ops on no lanes
+            b0, b1 = ws.b[:, :ints.size]
+            done = np.less(cur.view(np.uint64), stop, out=b0)  # parked: 2^64 - 1
+            ints.retire(np.logical_or(done, np.greater(r, budget, out=b1), out=b0), put)
             lane, cur, pk, r = ints.cols()
-        _advance(table, k, cur, r, pk, ws.t[:, :ints.size])
-        if wide.live:
-            _, h, l, ph, pl, rw = lanes = wide.cols()
-            (done, tmp), x = ws.b[:, :wide.size], ws.t[0, :wide.size]
-            for q in np.flatnonzero(np.greater_equal(h, _WIDE_LIMIT >> 32, out=done)).tolist():
-                _exactly(exact, lanes, q, lo, budget)  # from _WIDE_LIMIT, whose low limb is 0, on
-            # Back at or below _BLOCK_LIMIT, h < ceil((back - l) / 2^32), or over budget; parked h reads 2^64 - 1.
-            np.right_shift(np.subtract(back + _LOW, l, out=x), 32, out=x)
-            np.less(h.view(np.uint64), x.view(np.uint64), out=done)
-            wide.retire(np.logical_or(done, np.greater(rw, budget, out=tmp), out=done), to_ints)
-            _advance_wide(table, k, *wide.cols()[1:], ws.t[:, :wide.size], ws.b[:, :wide.size])
-            lane, cur, pk, r = ints.cols()
-    if sieve:  # each start takes its representative's walk and its own first-block peak
-        fh, first = ws.sieve[:, :n]
-        rep = fh if m == n else _reps(lo, n, floor, k, ws.t[1, :n])
-        for col in (landing, steps, peak, *(ws.peaks[:, :n] if ws.big else ())):
-            col[:] = _take(col, rep, ws.t[0, :n])
-        if m < n:  # first-block peaks in limbs: those past int64 go to the rows
-            _raise(*_big_rows(ws)[:, m:n], fh[m:], first[m:], ws.b[:, :n - m])
-            np.bitwise_or(np.left_shift(fh[m:], 32, out=fh[m:]), first[m:], out=first[m:])
-        np.maximum(peak, first, out=peak)  # wrong only where the rows hold the peak
-        for e, p in list(exact.items()):  # e stands only for starts of its own 2^k-aligned block
-            stood = np.flatnonzero(rep[e:e + (1 << k)] == e) + e
-            exact.update(dict.fromkeys(stood.tolist(), p))
-    return landing, steps, peak, ws.peaks[:, :n] if ws.big else None, exact
+            if cur.max(initial=0) >= back:
+                ints.retire(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), to_wide)
+                lane, cur, pk, r = ints.cols()
+            _advance(table, k, cur, r, pk, ws.t[:, :ints.size])
+            if wide.live:
+                _, h, l, ph, pl, rw = lanes = wide.cols()
+                (done, tmp), x = ws.b[:, :wide.size], ws.t[0, :wide.size]
+                for q in np.flatnonzero(np.greater_equal(h, _WIDE_LIMIT >> 32, out=done)).tolist():
+                    _exactly(exact, lanes, q, start, budget)  # from _WIDE_LIMIT, whose low limb is 0, on
+                # Back at or below _BLOCK_LIMIT, h < ceil((back - l) / 2^32), or over budget; parked h reads 2^64 - 1.
+                np.right_shift(np.subtract(back + _LOW, l, out=x), 32, out=x)
+                np.less(h.view(np.uint64), x.view(np.uint64), out=done)
+                wide.retire(np.logical_or(done, np.greater(rw, budget, out=tmp), out=done), to_ints)
+                _advance_wide(table, k, *wide.cols()[1:], ws.t[:, :wide.size], ws.b[:, :wide.size])
+                lane, cur, pk, r = ints.cols()
+        yield parts, exact
+
+    for tag, lo, hi in slices:
+        n, m, floor = _shape(lo, hi, stop)
+        while True:
+            if not parts:  # a new batch
+                ws = _workspace(n)
+                ints, wide = _Lanes(ws, ws.ints, 0, (None, -1, None, _PARKED)), _Lanes(ws, ws.wide, 0, _WIDE_PARKED)
+            q, keep = ints.size + wide.size, np.equal(_reps(lo, n, floor, k, ws.t[1, :n]), ws.iota[:n], out=ws.b[0, :n])
+            c = int(np.count_nonzero(keep))
+            if not parts or max(q + c, n) <= min(_SLICE, ws.size):
+                break
+            yield from walk()  # and then sieve this slice anew, as the walk used its rows
+            parts, exact = [], {}
+        offs = ws.offs[q:q + c]
+        offs[:] = _nonzero(keep, offs)
+        first = _first_peaks(lo, hi, stop, k) if floor < n else None
+        ci = int(np.searchsorted(offs, m))  # the int64 lanes; the limb ones follow
+        lane, cur, pk, r = ints.add(ci)
+        lane[:], r[:] = ws.iota[q:q + ci], 0
+        np.add(offs[:ci], min(lo, back), out=cur)
+        f = int(np.searchsorted(offs[:ci], floor))  # those from floor on take their first block
+        _advance(table, k, cur[f:], r[f:], pk[f:], ws.t[:, :ci - f])
+        pk[:] = cur
+        wl, h, l, ph, pl, rw = wide.add(c - ci)
+        wl[:], rw[:] = ws.iota[q + ci:q + c], 0
+        _start_limbs(offs[ci:], min(lo, _WIDE_LIMIT), h, l)
+        if floor < n and ci < c:
+            _advance_wide(table, k, h, l, ph, pl, rw, ws.t[:, :c - ci], ws.b[:, :c - ci])
+        ph[:], pl[:] = h, l
+        parts.append((tag, lo, hi, q, c, first))
+    if parts:
+        yield from walk()
 
 
-def _resolve(lo: int, hi: int, table: tuple, budget: int, cutoff: int):
-    """Resolve every start in [lo, hi] against table = (steps, peak)
-    over [0, len): walk it until it drops below len, then add the entry
-    it landed on. A start is resolved when its total steps to 1 are at
-    most budget col-steps.
-
-    Yields, for each slice of at most _SLICE starts from s, in order,
-    (s, total, top, missed, big): total steps and orbit peak, -1 unless
-    resolved, and whether a start is neither resolved nor dropped below
-    cutoff within budget, indexed by x - s, all views of this thread's
-    workspace valid until the next slice; and big, the largest
-    (peak, x - s) among resolved lanes whose peak does not fit int64,
-    the smallest x among ties, or None. It outranks every peak in top.
-    Peaks in exact outrank those in the limb rows, compared high limb first.
-    """
-    cache_steps, cache_peak = table
-    for s in range(lo, hi + 1, _SLICE):
-        landing, total, top, limbs, exact = _walk_lanes(s, min(s + _SLICE - 1, hi), len(cache_steps), budget)
-        ws, n = _local, landing.size
-        tail, (ok, missed) = ws.t[0, :n], ws.b[:, :n]
-        # A landing of -1 reads the last entry, but its steps are already
-        # over budget, so ok drops it.
-        total += _take(cache_steps, landing, tail)
-        np.logical_and(np.greater_equal(tail, 0, out=ok), np.less_equal(total, budget, out=missed), out=ok)
-        np.maximum(top, _take(cache_peak, landing, tail), out=top)
-        big = max(((p, -j) for j, p in exact.items() if ok[j]), default=None)
-        if big is None and limbs is not None and (a := int(np.multiply(limbs[0], ok, out=tail).max())) >> 31:
-            at = _nonzero(np.equal(tail, a, out=missed), ws.idx)
-            q = int(at[np.argmax(_take(limbs[1], at, ws.t[1, :at.size]))])
-            big = (a << 32 | int(limbs[1][q]), -q)
-        np.putmask(total, np.logical_not(ok, out=missed), -1)
-        np.putmask(top, missed, -1)
-        if cutoff > 1:
-            # Each start the table did not resolve is walked exactly toward
-            # the cutoff; at the default budget there are almost none.
-            for j in _nonzero(missed, ws.idx).tolist():
-                missed[j] = _descend(s + j, cutoff - 1, 0, s + j, budget)[0] < 0
-        yield s, total, top, missed, None if big is None else (big[0], -big[1])
+def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
+    """_walks on [lo, hi] alone, by start: one of a sieved slice takes
+    its representative's landing and steps, and as peak the larger of
+    its own first-block peak and the representative's later peak.
+    Returns (landing, steps, peak, limbs, exact) by x - lo, as _walks
+    gives them, limbs _big_rows or None, valid until the next walk."""
+    ((part, *_), exact), = _walks([(None, lo, hi)], stop, budget)
+    (n, m, floor), k, ws = _shape(lo, hi, stop), max(1, min(K, stop.bit_length() - 2)), _local
+    landing, steps, peak = ws.out[:, :n]
+    if floor >= n:  # not sieved: every start has its lane, x - lo
+        return landing, steps, peak, ws.peaks[:, :n] if ws.big else None, exact
+    c, (fh, first), at = part[4], ws.sieve[:, :n], ws.t[2, :n]
+    at[ws.offs[:c]] = ws.iota[:c]
+    lanes = _take(at, _reps(lo, n, floor, k, ws.t[1, :n]), ws.t[3, :n])  # each start's representative's lane
+    for col in (landing, steps, peak, *(ws.peaks[:, :n] if ws.big else ())):
+        col[:] = _take(col, lanes, ws.t[0, :n])
+    if m < n:  # first-block peaks in limbs: those past int64 go to the rows
+        _raise(*_big_rows(ws)[:, m:n], fh[m:], first[m:], ws.b[:, :n - m])
+        np.bitwise_or(np.left_shift(fh[m:], 32, out=fh[m:]), first[m:], out=first[m:])
+    np.maximum(peak, first, out=peak)  # wrong only where the rows hold the peak
+    spread = {}  # a lane stands only for starts of its own 2^k-aligned block
+    for q, p in exact.items():
+        e = int(ws.offs[q])
+        spread.update(dict.fromkeys((np.flatnonzero(lanes[e:e + (1 << k)] == q) + e).tolist(), p))
+    return landing, steps, peak, ws.peaks[:, :n] if ws.big else None, spread
 
 
 # ---------------------------------------------------------------------------
@@ -610,18 +633,22 @@ def _build_cache(cache_len: int, step_budget: int):
     -1 in both where x does not reach 1 within step_budget col-steps.
     Blocks [n, 2n) of doubling size, from [2, 4), are each resolved
     against the part [0, n) built so far, by the same rule as a chunk,
-    in slices of at most _SLICE lanes.
+    in slices of at most _SLICE starts walked by _walk_lanes.
     """
-    steps = np.full(cache_len, -1, dtype=np.int64)
-    peak = np.full(cache_len, -1, dtype=np.int64)
-    steps[1], peak[1] = 0, 1
-    n = 2
+    steps, peak = np.full((2, cache_len), -1, dtype=np.int64)
+    steps[1], peak[1], n = 0, 1, 2
     while n < cache_len:
-        hi = min(2 * n, cache_len) - 1
-        # The size cap keeps every peak within int64, so none is in big.
-        for s, total, top, _, _ in _resolve(n, hi, (steps[:n], peak[:n]), step_budget, 1):
-            steps[s:s + total.size], peak[s:s + top.size] = total, top
-        n = hi + 1
+        for s in range(n, min(2 * n, cache_len), _SLICE):
+            e = min(s + _SLICE, 2 * n, cache_len)
+            # The size cap keeps every peak within int64, so none is in limbs.
+            landing, total, top, _, _ = _walk_lanes(s, e - 1, n, step_budget)
+            tail, (out, over) = _local.t[0, :e - s], _local.b[:, :e - s]
+            total += _take(steps[:n], landing, tail)  # a landing of -1 is over budget
+            np.logical_or(np.less(tail, 0, out=out), np.greater(total, step_budget, out=over), out=out)
+            np.maximum(top, _take(peak[:n], landing, tail), out=top)
+            total[out] = top[out] = -1
+            steps[s:e], peak[s:e] = total, top
+        n = min(2 * n, cache_len)
     return steps, peak
 
 
@@ -641,9 +668,18 @@ def _install_table(slot: tuple) -> None:
     """Pool initializer: keep the table the parent handed over, so no
     start method makes a worker rebuild it. A worker gets it once and
     keeps it for the pool's life, which ends before the parent's table
-    is replaced."""
+    is replaced. A daemon thread ends the worker once its parent is
+    gone: a worker waiting on the call queue, whose write end it holds
+    itself, would not see a killed parent's end."""
     global _cache_slot
     _cache_slot = slot
+
+    def exit_with(parent=os.getppid()):
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=exit_with, daemon=True).start()
 
 
 def _cache_for(cache_len: int, step_budget: int) -> tuple:
@@ -651,10 +687,11 @@ def _cache_for(cache_len: int, step_budget: int) -> tuple:
     repeated sweeps in one process reuse it instead of rebuilding it.
     Replacing the table first shuts down the pool, whose workers and
     initializer arguments hold the old one. The caller holds _lock."""
+    global _cache_slot
     key = (cache_len, step_budget)
     if _cache_slot is None or _cache_slot[0] != key:
         _drop_pool()
-        _install_table((key, _build_cache(cache_len, step_budget)))
+        _cache_slot = (key, _build_cache(cache_len, step_budget))
     return _cache_slot[1]
 
 
@@ -669,15 +706,15 @@ def _drop_pool() -> None:
 
 def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
     """Each job's report, in order, from the pool for _cache_slot's
-    table with this many workers under the current start method. Any
-    other pool, or one that a dead worker broke, is shut down before a
-    new one starts, so that no pool forks while another's threads run;
-    concurrent.futures' own exit hook stops the last one when the
-    interpreter exits. At most 2·workers + 1 jobs, what its workers and
-    call queue hold, are in the pool at once. A call that ends early, by
-    an error or an interrupt, stops the workers, as the pool's manager
-    thread may have died, and drops the pool before the next sweep. A
-    sweep at one worker does not import multiprocessing or concurrent.futures."""
+    table with this many workers under the current start method, one
+    chunk per task. Any other pool, or one that a dead worker broke, is
+    shut down before a new one starts, so that no pool forks while
+    another's threads run; concurrent.futures' exit hook stops the last
+    one. At most 2·workers + 1 jobs, what its workers and call queue
+    hold, are in the pool at once. A call that ends early, by an error
+    or an interrupt, stops the workers, as the pool's manager thread may
+    have died, and drops the pool. A sweep at one worker does not import
+    multiprocessing or concurrent.futures."""
     global _pool
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -692,9 +729,9 @@ def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
         for job in jobs:
             if len(live) > 2 * workers:
                 live = wait(live, return_when=FIRST_COMPLETED).not_done
-            futures.append(pool.submit(_sweep_chunk, job))
+            futures.append(pool.submit(_sweep, [job]))
             live.add(futures[-1])
-        return [f.result() for f in futures]
+        return [f.result()[0] for f in futures]
     except BaseException:
         for worker in list((pool._processes or {}).values()):
             worker.terminate()
@@ -709,34 +746,76 @@ def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
 # Chunk sweeps
 
 
-def _sweep_chunk(job: tuple[int, int, int, int], table: tuple | None = None) -> VerifyReport:
-    """Classify every x in [lo, hi] against table, or in a pool worker the
-    installed one, and report on the chunk alone, cycle search included."""
-    lo, hi, budget, cutoff = job
-    unresolved, steps_cands, peak_cands = [], [], []
-    for s, total, top, missed, big in _resolve(lo, hi, table or _cache_slot[1], budget, cutoff):
-        # A start is verified when resolved or certified by the cutoff
-        # alone, and unresolved otherwise. Lanes are offsets from s,
-        # which fit int64 whatever s is.
-        unresolved += [s + j for j in np.flatnonzero(missed).tolist()]
-        # argmax keeps the first, so the smallest x among ties; -1 means none.
-        j, k = int(np.argmax(total)), int(np.argmax(top))
-        steps_cands.append((int(total[j]), s + j))
-        # A peak past int64 outranks every peak in top.
-        p, k = big or (int(top[k]), k)
-        peak_cands.append((p, s + k))
-    # An unresolved start does not reach 1 within budget, so find_cycle's
-    # walk toward 1 would only fail; Brent's walk alone finds its loop.
-    outcomes = (_brent_walk(u, MapVariant.STANDARD, budget, None, False).outcome for u in unresolved)
-    return VerifyReport(
-        segments=((lo, hi),),
-        verified_count=hi - lo + 1 - len(unresolved),
-        unresolved=tuple(unresolved),
-        cycles_found=_distinct_loops(o.loop for o in outcomes if isinstance(o, EntersCycle)),
-        max_total_stopping_time=_best(c for c in steps_cands if c[0] >= 0),
-        max_excursion=_best(c for c in peak_cands if c[0] >= 0),
-        wall_time=0.0,
-    )
+def _sweep(jobs: list, table: tuple | None = None) -> list[VerifyReport]:
+    """Each job's report on its chunk [lo, hi] alone, cycle search
+    included, for jobs (lo, hi, budget, cutoff) of one budget and cutoff,
+    against table = (steps, peak) over [0, len), or in a pool worker the
+    installed one. A slice below len reads the table; the others walk in
+    _walks's batches and are reduced by class, with no array by start: a
+    representative is its class's smallest start, so the steps record
+    and that of later peaks come from representatives, and the
+    first-block peaks' from _first_peaks. Only a slice with a
+    representative left unresolved spreads it to its members, which the
+    cutoff may certify, and takes that maximum anew without them."""
+    (cache_steps, cache_peak), (_, _, budget, cutoff) = table or _cache_slot[1], jobs[0]
+    stop, ws, k = len(cache_steps), _local, max(1, min(K, len(cache_steps).bit_length() - 2))
+    found = [([], [], []) for _ in jobs]  # unresolved, and (value, x) candidates for each record
+    slices = [(i, s, min(s + _SLICE - 1, hi)) for i, (lo, hi, _, _) in enumerate(jobs) for s in range(lo, hi + 1, _SLICE)]
+
+    def add(i, lo, missed, steps, peaks):  # the cutoff walk: at the default budget almost no start takes it
+        found[i][0].extend(lo + j for j in missed if cutoff < 2 or _descend(lo + j, cutoff - 1, 0, lo + j, budget)[0] < 0)
+        found[i][1].append(steps)
+        found[i][2].extend(peaks)
+
+    for i, lo, hi in slices:
+        if hi < stop:
+            total, top = cache_steps[lo:hi + 1], cache_peak[lo:hi + 1]
+            j, e = int(np.argmax(total)), int(np.argmax(top))
+            add(i, lo, np.flatnonzero(total < 0).tolist(), (int(total[j]), lo + j), [(int(top[e]), lo + e)])
+    for parts, exact in _walks([s for s in slices if s[2] >= stop], stop, budget):
+        for i, lo, hi, q, c, first in parts:
+            landing, total, top = ws.out[:, q:q + c]
+            offs, tail, (ok, bad) = ws.offs[q:q + c], ws.t[0, :c], ws.b[:, :c]
+            total += _take(cache_steps, landing, tail)  # a landing of -1 is over budget
+            np.logical_and(np.greater_equal(tail, 0, out=ok), np.less_equal(total, budget, out=bad), out=ok)
+            np.maximum(top, _take(cache_peak, landing, tail), out=top)
+            np.putmask(total, np.logical_not(ok, out=bad), -1)
+            np.putmask(top, bad, -1)
+            missed = offs[np.flatnonzero(bad)] if bad.any() else None
+            # argmax keeps the first, so the smallest x among ties; big is (peak,
+            # -lane). Peaks in exact outrank the limb rows', which outrank top's.
+            j, e = int(np.argmax(total)), int(np.argmax(top))
+            big = max(((p, q - e) for e, p in exact.items() if q <= e < q + c and ok[e - q]), default=None)
+            if big is None and ws.big and (a := int(np.multiply(ws.peaks[0, q:q + c], ok, out=tail).max())) >> 31:
+                at = _nonzero(np.equal(tail, a, out=bad), ws.idx)
+                e = int(at[np.argmax(_take(ws.peaks[1, q:q + c], at, ws.t[1, :at.size]))])
+                big = (a << 32 | int(ws.peaks[1, q + e]), -e)
+            peak, e = big or (int(top[e]), -e)
+            peaks = [(peak, lo + int(offs[-e]))]
+            if missed is not None:  # spread each unresolved representative to its members
+                n, _, floor = _shape(lo, hi, stop)
+                rep, flag = _reps(lo, n, floor, k, ws.t[1, :n]), ws.b[0, :n]
+                flag[:] = False
+                flag[missed] = True
+                members = _take(flag, rep, ws.skip[:n])
+                first = first and _first_peaks(lo, hi, stop, k, members)
+                missed = np.flatnonzero(members).tolist()
+            if first:
+                peaks.append((first[0], lo + first[1]))
+            add(i, lo, missed or (), (int(total[j]), lo + int(offs[j])), peaks)
+    reports = []
+    for (lo, hi, _, _), (unresolved, steps, peaks) in zip(jobs, found):
+        unresolved.sort()
+        # An unresolved start does not reach 1 within budget, so find_cycle's
+        # walk toward 1 would only fail; Brent's walk alone finds its loop.
+        outcomes = (_brent_walk(u, MapVariant.STANDARD, budget, None, False).outcome for u in unresolved)
+        reports.append(VerifyReport(
+            segments=((lo, hi),), verified_count=hi - lo + 1 - len(unresolved), unresolved=tuple(unresolved),
+            cycles_found=_distinct_loops(o.loop for o in outcomes if isinstance(o, EntersCycle)),
+            max_total_stopping_time=_best(c for c in steps if c[0] >= 0),
+            max_excursion=_best(c for c in peaks if c[0] >= 0), wall_time=0.0,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +828,8 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
     Certification means the trajectory reached 1, or dropped strictly
     below assume_verified_below, within step_budget col-steps. Record
     statistics are taken only over trajectories that reached 1. Each
-    chunk's report, made by the same job in the parent or a pool worker,
-    goes to merge_reports, so the payload is identical regardless of
+    chunk's report, made by the same code in the parent or a pool
+    worker, goes to merge_reports, so the payload is identical regardless of
     chunking, worker count or table size.
     """
     cfg = config.validated()
@@ -760,12 +839,13 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
         (lo, min(lo + cfg.chunk_size - 1, cfg.range_hi), cfg.step_budget, cfg.assume_verified_below)
         for lo in range(cfg.range_lo, cfg.range_hi + 1, cfg.chunk_size)
     ]
-    workers = min(cfg.resolved_worker_count, len(jobs))
+    # A range inside the table only reads it, so it needs no pool.
+    workers = min(cfg.resolved_worker_count, len(jobs)) if cfg.range_hi >= cache_len else 1
     with _lock:  # a pool's workers hold the table, so a pooled sweep keeps the lock
         table = _cache_for(cache_len, cfg.step_budget)
         parts = _sweep_pooled(workers, jobs) if workers > 1 else None
     if parts is None:  # in this thread, on the table it obtained
-        parts = [_sweep_chunk(job, table) for job in jobs]
+        parts = _sweep(jobs, table)
     return replace(merge_reports(*parts), wall_time=time.perf_counter() - t0)
 
 

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import random
+import select
 import signal
 import subprocess
 import sys
@@ -626,7 +627,7 @@ def test_walk_lanes_sieve_matches_plain_walk(monkeypatch):
                 for s in range(3 * 4096 - 1, 3 * 4096 + 300, 37):
                     check_walk_lanes(s, s + 36, 4096, budget)
                 check_walk_lanes(block - 18, block + 18, 4096, budget)
-    # the same through chunks that _resolve cuts into slices of 37
+    # the same through chunks cut into slices of 37
     lo = 45487026724 - 549  # 2^12 - 1 mod 2^12
     report = verify_range(VerifyConfig(lo, lo + 4200, chunk_size=1000, worker_count=1, dense_cache_entries=4096))
     assert report_records(report) == classified_records(lo, lo + 4200)
@@ -677,7 +678,7 @@ def test_straddling_slices_walk_only_representatives(monkeypatch):
 
 def test_limb_lanes_take_no_rounds_of_their_own(monkeypatch):
     # The 2^56 and 2^60 windows of perfbench's sweep-sparse, walked in
-    # slices as _resolve walks them: limb lanes take their blocks in the
+    # slices as a chunk is cut: limb lanes take their blocks in the
     # rounds of the int64 lanes, so no more blocks are taken in limbs
     # than in int64, counting those on at least one lane.
     calls = {"_advance": 0, "_advance_wide": 0}
@@ -742,7 +743,7 @@ def test_hand_overs_fit_a_workspace_of_one_slice(monkeypatch):
 
 def test_peaks_past_int64_stay_in_limbs():
     # The 2^60 and 2^63 windows of perfbench's sweep-sparse, walked in
-    # slices as _resolve walks them: their peaks past int64 all fit the
+    # slices as a chunk is cut: their peaks past int64 all fit the
     # limb rows, so exact stays empty.
     for lo, size in ((1155474331410394239, 2 * 2**16), (9255382125081044196, 2**12)):
         for s in range(lo, lo + size, verifier_mod._SLICE):
@@ -754,6 +755,70 @@ def test_peaks_past_int64_stay_in_limbs():
     # whose peak passed int64, and return from the second one with others
     # whose peaks pass it: the rows keep each lane's larger peak.
     check_walk_lanes(72057594037967702, 72057594037967738, 1 << 20, DEFAULT_STEP_BUDGET)
+
+
+def test_streamed_slices_match_per_start_walks(monkeypatch):
+    # At _SLICE = 37 a batch holds the representatives of one slice of 37
+    # starts or a few, from one chunk or the next. The windows mix int64
+    # and limb lanes (from 2^56 and 2^63), limb and exact ones (across
+    # 2^84) and peaks past the limbs (past 2^95). At budgets 1, 13 and 40
+    # representatives stay unresolved and spread to their members, in
+    # every slice far from the table and in some near it.
+    monkeypatch.setattr(verifier_mod, "_SLICE", 37)
+    windows = (
+        (3 * 4096 - 50, 3 * 4096 + 250),
+        (2**56 + 1, 2**56 + 300),
+        (2**63 - 150, 2**63 + 150),
+        (2**84 - 40, 2**84 + 40),
+        (2**95 + 1, 2**95 + 150),
+    )
+    for budget in (1, 13, 40, DEFAULT_STEP_BUDGET):
+        for lo, hi in windows:
+            for cutoff in (1, lo):
+                verified, unresolved, steps, peak = reference_sweep(lo, hi, budget, cutoff)
+                for chunk in (37, 100, 4096):
+                    cfg = VerifyConfig(lo, hi, budget, cutoff, chunk, worker_count=1, dense_cache_entries=4096)
+                    report = verify_range(cfg)
+                    assert (report.verified_count, list(report.unresolved)) == (verified, unresolved), cfg
+                    assert report.max_total_stopping_time == (RecordStat(*steps) if steps else None), cfg
+                    assert report.max_excursion == (RecordStat(*peak) if peak else None), cfg
+
+
+def test_consecutive_slices_share_their_rounds(monkeypatch):
+    # The representatives of two 2^16-start chunks from 2^21 walk in one
+    # batch, so after the two first blocks the sweep takes no more int64
+    # blocks than the longer of its slices walked alone.
+    cfg = VerifyConfig(1 << 21, (1 << 21) + 2**17 - 1, worker_count=1)
+    reference = verify_range(cfg).payload()  # and the table
+    calls, real = [], verifier_mod._advance
+
+    def advance(table, k, cur, *rest):
+        calls.append(cur.size)
+        real(table, k, cur, *rest)
+
+    monkeypatch.setattr(verifier_mod, "_advance", advance)
+    alone = []
+    for lo in (cfg.range_lo, cfg.range_lo + 2**16):
+        calls.clear()
+        verifier_mod._walk_lanes(lo, lo + 2**16 - 1, 1 << 20, DEFAULT_STEP_BUDGET)
+        alone.append(len(calls) - 1)
+    calls.clear()
+    assert verify_range(cfg).payload() == reference
+    assert len(calls) - 2 <= max(alone) < sum(alone), (calls, alone)
+
+
+def test_sweeps_inside_the_table_read_it_and_start_no_pool():
+    # A range below the table's size takes every answer from the table,
+    # in this thread, whatever the worker count. At budget 40 it holds
+    # starts that do not reach 1, which the cutoff may still certify.
+    for cfg in (
+        VerifyConfig(1, 20_000, chunk_size=1000, worker_count=2, dense_cache_entries=1 << 15),
+        VerifyConfig(1000, 9000, 40, 1000, 700, worker_count=2, dense_cache_entries=1 << 14),
+    ):
+        verifier_mod._drop_pool()
+        inside = verify_range(cfg).payload()
+        assert verifier_mod._pool is None
+        assert inside == verify_range(replace(cfg, worker_count=1, dense_cache_entries=64)).payload()
 
 
 def test_payload_hash_grid():
@@ -1048,6 +1113,64 @@ def test_interrupt_inside_submit_drops_the_pool():
         pytest.fail(f"a sweep after an interrupted submit hung: {err}")
     assert proc.returncode == 0 and out.split() == ["ok"], err
     assert "Traceback" not in err, err
+
+
+ORPHANED_POOL = """
+import os
+import sys
+
+import collatzkit.verifier as verifier
+from collatzkit import VerifyConfig, verify_range
+
+verify_range(VerifyConfig(1, 4 * 4096, chunk_size=4096, worker_count=2, dense_cache_entries=4096))
+pool, pids = verifier._pool[-1], set()
+while len(pids) < 2:
+    pids |= {f.result() for f in [pool.submit(os.getpid) for _ in range(16)]}
+print(*sorted(pids), flush=True)
+sys.stdin.read()  # until killed
+"""
+
+
+def running(pid):
+    """Whether pid runs: a zombie, which only waits to be reaped, does
+    not. Without /proc, whether it exists."""
+    if not os.path.exists("/proc/self/stat"):
+        return pid_exists(pid)
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    # A pool's workers wait on its call queue, whose write end each of
+    # them holds, so a parent killed by SIGKILL leaves them nothing to
+    # read; they watch their parent and exit once it is gone. The script
+    # runs in a session of its own, which is killed, workers and all,
+    # when the test ends.
+    package_root = Path(collatzkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ORPHANED_POOL], env=env, text=True, stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        assert select.select([proc.stdout], [], [], 120)[0], "no pool within 120 s"
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        assert len(pids) == 2 and all(map(running, pids)), pids
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if running(pid)]
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
