@@ -48,8 +48,9 @@ method changes or a sweep fails; its workers receive the table once,
 when they start, and exit once their parent is gone. One lock covers
 replacing the table and each multi-worker sweep, and a sweep at one
 worker walks the table it obtained, so no sweep's payload depends on
-what other threads sweep. merge_reports merges the chunks' reports,
-which makes reports independent of chunk size and worker count.
+what other threads sweep. A sweep in one thread folds its chunks
+into one report, and a pooled sweep merges its tasks' reports with
+merge_reports; neither depends on chunk size or worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -301,20 +302,19 @@ _local = threading.local()
 
 def _workspace(n: int):
     """This thread's lane buffers, made on its first walk and reused by
-    every walk after it: int64 and bool rows of at least n lanes, whose
-    views hold every lane, output and temporary of a walk and its
-    readers, so that threads that sweep at once share none."""
+    every walk after it: int64 and bool rows of at least n and _SLICE
+    lanes, whose views hold every lane, output and temporary of a walk
+    and its readers, so that threads that sweep at once share none."""
     ws = _local
-    if getattr(ws, "size", 0) < n:
+    if getattr(ws, "size", 0) < max(n, _SLICE):
         ws.size = max(n, _SLICE)
         i, ws.b = np.empty((33, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
         ws.out, ws.t, ws.idx, ws.iota = i[0:3], i[3:9], i[9], np.arange(ws.size)
         ws.ints, ws.wide = (i[10:14], i[14:18]), (i[18:24], i[24:30])  # (rows, spares)
         ws.sieve, ws.offs = i[30:32], i[32]  # offs: each batch lane's start, as x - lo
-        ws.skip = np.empty(ws.size, dtype=bool)
+        ws.skip, ws.keep = np.empty((2, ws.size), dtype=bool)  # keep: walks and readers leave it
         # Apart from i, whose huge pages would make them resident in sweeps that never use them.
         ws.peaks = np.empty((2, ws.size), dtype=np.int64)
-    ws.big = False  # whether this batch uses ws.peaks; see _big_rows
     return ws
 
 
@@ -478,7 +478,7 @@ def _first_peaks(lo: int, hi: int, stop: int, k: int, skip=None) -> tuple[int, i
 
 
 def _walks(slices: Iterable, stop: int, budget: int):
-    """Walk the starts of the slices (tag, lo, hi) in lanes, one block
+    """Walk the starts of the slices (lo, hi) in lanes, one block
     per round, until each drops strictly below stop or passes budget
     col-steps, in batches of consecutive slices whose lanes fit _SLICE.
 
@@ -494,10 +494,12 @@ def _walks(slices: Iterable, stop: int, budget: int):
     then each set takes one block, so no lane waits for another. A slice
     gives lanes to its representatives from _reps alone, which from
     stop on take their first block at once and their later peak from
-    the landing.
+    the landing. Each slice, of at most _SLICE starts unless alone, is
+    sieved once, into ws.keep, where one that does not fit the batch
+    waits while the batch walks and is read.
 
-    Yields per batch (parts, exact), parts holding (tag, lo, hi, q, c,
-    first) per slice: its lanes q to q + c - 1, and _first_peaks if it
+    Yields per batch (parts, exact), parts holding (lo, hi, q, c, first)
+    per slice: its lanes q to q + c - 1, and _first_peaks if it
     is sieved, else None. By lane, until the next batch: landing (-1 past
     budget), steps and peak in ws.out, the start as x - lo in ws.offs,
     peaks past int64 in _big_rows if ws.big, and from 2^95 on in exact.
@@ -507,7 +509,7 @@ def _walks(slices: Iterable, stop: int, budget: int):
     parts, exact, ws = [], {}, None
 
     def start(i):  # lane i's start
-        return next(lo + int(ws.offs[i]) for _, lo, _, q, c, _ in parts if q <= i < q + c)
+        return next(lo + int(ws.offs[i]) for lo, _, q, c, _ in parts if q <= i < q + c)
 
     def put(d, lane, cur, pk, r):
         (landing, steps, peak), (ids, x, y) = ws.out, ws.t[:3, :d.size]
@@ -564,18 +566,17 @@ def _walks(slices: Iterable, stop: int, budget: int):
                 lane, cur, pk, r = ints.cols()
         yield parts, exact
 
-    for tag, lo, hi in slices:
-        n, m, floor = _shape(lo, hi, stop)
-        while True:
-            if not parts:  # a new batch
-                ws = _workspace(n)
-                ints, wide = _Lanes(ws, ws.ints, 0, (None, -1, None, _PARKED)), _Lanes(ws, ws.wide, 0, _WIDE_PARKED)
-            q, keep = ints.size + wide.size, np.equal(_reps(lo, n, floor, k, ws.t[1, :n]), ws.iota[:n], out=ws.b[0, :n])
-            c = int(np.count_nonzero(keep))
-            if not parts or max(q + c, n) <= min(_SLICE, ws.size):
-                break
-            yield from walk()  # and then sieve this slice anew, as the walk used its rows
+    for lo, hi in slices:
+        (n, m, floor), ws = _shape(lo, hi, stop), _workspace(hi - lo + 1)
+        keep = np.equal(_reps(lo, n, floor, k, ws.t[1, :n]), ws.iota[:n], out=ws.keep[:n])
+        c = int(np.count_nonzero(keep))
+        if parts and ints.size + wide.size + c > _SLICE:  # this slice waits in ws.keep
+            yield from walk()
             parts, exact = [], {}
+        if not parts:  # a new batch
+            ws.big = False  # whether this batch uses ws.peaks; see _big_rows
+            ints, wide = _Lanes(ws, ws.ints, 0, (None, -1, None, _PARKED)), _Lanes(ws, ws.wide, 0, _WIDE_PARKED)
+        q = ints.size + wide.size
         offs = ws.offs[q:q + c]
         offs[:] = _nonzero(keep, offs)
         first = _first_peaks(lo, hi, stop, k) if floor < n else None
@@ -592,7 +593,7 @@ def _walks(slices: Iterable, stop: int, budget: int):
         if floor < n and ci < c:
             _advance_wide(table, k, h, l, ph, pl, rw, ws.t[:, :c - ci], ws.b[:, :c - ci])
         ph[:], pl[:] = h, l
-        parts.append((tag, lo, hi, q, c, first))
+        parts.append((lo, hi, q, c, first))
     if parts:
         yield from walk()
 
@@ -603,12 +604,12 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     its own first-block peak and the representative's later peak.
     Returns (landing, steps, peak, limbs, exact) by x - lo, as _walks
     gives them, limbs _big_rows or None, valid until the next walk."""
-    ((part, *_), exact), = _walks([(None, lo, hi)], stop, budget)
+    ((part, *_), exact), = _walks([(lo, hi)], stop, budget)
     (n, m, floor), k, ws = _shape(lo, hi, stop), max(1, min(K, stop.bit_length() - 2)), _local
     landing, steps, peak = ws.out[:, :n]
     if floor >= n:  # not sieved: every start has its lane, x - lo
         return landing, steps, peak, ws.peaks[:, :n] if ws.big else None, exact
-    c, (fh, first), at = part[4], ws.sieve[:, :n], ws.t[2, :n]
+    c, (fh, first), at = part[3], ws.sieve[:, :n], ws.t[2, :n]
     at[ws.offs[:c]] = ws.iota[:c]
     lanes = _take(at, _reps(lo, n, floor, k, ws.t[1, :n]), ws.t[3, :n])  # each start's representative's lane
     for col in (landing, steps, peak, *(ws.peaks[:, :n] if ws.big else ())):
@@ -628,6 +629,18 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
 # Dense memo table
 
 
+def _land(total, top, landing, steps, peak, budget: int):
+    """The landing rule, in place: add the table entry (steps, peak) at
+    each landing to total and top, and set both to -1, the mask returned
+    in ws.b[1], where the start does not reach 1 within budget."""
+    tail, (neg, bad) = _local.t[0, :total.size], _local.b[:, :total.size]
+    total += _take(steps, landing, tail)  # a landing of -1 is over budget
+    np.logical_or(np.less(tail, 0, out=neg), np.greater(total, budget, out=bad), out=bad)
+    np.maximum(top, _take(peak, landing, tail), out=top)
+    total[bad] = top[bad] = -1
+    return bad
+
+
 def _build_cache(cache_len: int, step_budget: int):
     """Exact (total steps to 1, orbit peak) for every x in [0, cache_len),
     -1 in both where x does not reach 1 within step_budget col-steps.
@@ -642,11 +655,7 @@ def _build_cache(cache_len: int, step_budget: int):
             e = min(s + _SLICE, 2 * n, cache_len)
             # The size cap keeps every peak within int64, so none is in limbs.
             landing, total, top, _, _ = _walk_lanes(s, e - 1, n, step_budget)
-            tail, (out, over) = _local.t[0, :e - s], _local.b[:, :e - s]
-            total += _take(steps[:n], landing, tail)  # a landing of -1 is over budget
-            np.logical_or(np.less(tail, 0, out=out), np.greater(total, step_budget, out=over), out=out)
-            np.maximum(top, _take(peak[:n], landing, tail), out=top)
-            total[out] = top[out] = -1
+            _land(total, top, landing, steps[:n], peak[:n], step_budget)
             steps[s:e], peak[s:e] = total, top
         n = min(2 * n, cache_len)
     return steps, peak
@@ -655,13 +664,13 @@ def _build_cache(cache_len: int, step_budget: int):
 # ((cache_len, step_budget), (cache_steps, cache_peak)): the parent's
 # memo, and in each pool worker the parent's table installed at start-up.
 _cache_slot: tuple | None = None
-# (worker count, start method, owner pid, executor): the parent's pool,
-# whose workers hold the table of _cache_slot. A process forked from the
-# owner inherits the tuple but not the pool's threads or workers.
+# (worker count, start method, executor): the parent's pool, whose
+# workers hold the table of _cache_slot. A process forked from it gets
+# neither the pool's threads nor its workers, so it forgets the pool.
 _pool: tuple | None = None
 # Held while the table is replaced and through each pooled sweep; new in a forked child.
 _lock = threading.Lock()
-os.register_at_fork(after_in_child=lambda: globals().update(_lock=threading.Lock()))
+os.register_at_fork(after_in_child=lambda: globals().update(_lock=threading.Lock(), _pool=None))
 
 
 def _install_table(slot: tuple) -> None:
@@ -697,15 +706,15 @@ def _cache_for(cache_len: int, step_budget: int) -> tuple:
 
 def _drop_pool() -> None:
     """Forget the pool, first shutting it down and waiting for its
-    workers and threads when this process owns it."""
+    workers and threads."""
     global _pool
     pool, _pool = _pool, None
-    if pool is not None and pool[2] == os.getpid():
-        pool[3].shutdown(cancel_futures=True)
+    if pool is not None:
+        pool[2].shutdown(cancel_futures=True)
 
 
-def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
-    """Each job's report, in order, from the pool for _cache_slot's
+def _sweep_pooled(workers: int, jobs: list) -> VerifyReport:
+    """The merge of the jobs' reports from the pool for _cache_slot's
     table with this many workers under the current start method, one
     chunk per task. Any other pool, or one that a dead worker broke, is
     shut down before a new one starts, so that no pool forks while
@@ -719,11 +728,11 @@ def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    key = (workers, multiprocessing.get_start_method(), os.getpid())
-    if _pool is None or _pool[:3] != key or _pool[3]._broken:
+    key = (workers, multiprocessing.get_start_method())
+    if _pool is None or _pool[:2] != key or _pool[2]._broken:
         _drop_pool()
         _pool = (*key, ProcessPoolExecutor(workers, initializer=_install_table, initargs=(_cache_slot,)))
-    pool = _pool[3]
+    pool = _pool[2]
     futures, live = [], set()
     try:
         for job in jobs:
@@ -731,7 +740,7 @@ def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
                 live = wait(live, return_when=FIRST_COMPLETED).not_done
             futures.append(pool.submit(_sweep, [job]))
             live.add(futures[-1])
-        return [f.result()[0] for f in futures]
+        return merge_reports(*(f.result() for f in futures))
     except BaseException:
         for worker in list((pool._processes or {}).values()):
             worker.terminate()
@@ -746,76 +755,67 @@ def _sweep_pooled(workers: int, jobs: list) -> list[VerifyReport]:
 # Chunk sweeps
 
 
-def _sweep(jobs: list, table: tuple | None = None) -> list[VerifyReport]:
-    """Each job's report on its chunk [lo, hi] alone, cycle search
-    included, for jobs (lo, hi, budget, cutoff) of one budget and cutoff,
+def _sweep(jobs: list, table: tuple | None = None) -> VerifyReport:
+    """One report on the consecutive chunks [lo, hi] of jobs (lo, hi,
+    budget, cutoff), of one budget and cutoff, cycle search included,
     against table = (steps, peak) over [0, len), or in a pool worker the
     installed one. A slice below len reads the table; the others walk in
     _walks's batches and are reduced by class, with no array by start: a
     representative is its class's smallest start, so the steps record
     and that of later peaks come from representatives, and the
-    first-block peaks' from _first_peaks. Only a slice with a
-    representative left unresolved spreads it to its members, which the
-    cutoff may certify, and takes that maximum anew without them."""
+    first-block peaks' from _first_peaks. The later peaks' candidates
+    are the largest of the int64 top, the limb rows and exact, tiers of
+    disjoint values (below 2^63, below 2^95, from 2^95 on) in which no
+    top exceeds its lane's peak. Only a slice with a representative left
+    unresolved spreads it to its members, which the cutoff may certify,
+    and takes that maximum anew without them."""
     (cache_steps, cache_peak), (_, _, budget, cutoff) = table or _cache_slot[1], jobs[0]
     stop, ws, k = len(cache_steps), _local, max(1, min(K, len(cache_steps).bit_length() - 2))
-    found = [([], [], []) for _ in jobs]  # unresolved, and (value, x) candidates for each record
-    slices = [(i, s, min(s + _SLICE - 1, hi)) for i, (lo, hi, _, _) in enumerate(jobs) for s in range(lo, hi + 1, _SLICE)]
-
-    def add(i, lo, missed, steps, peaks):  # the cutoff walk: at the default budget almost no start takes it
-        found[i][0].extend(lo + j for j in missed if cutoff < 2 or _descend(lo + j, cutoff - 1, 0, lo + j, budget)[0] < 0)
-        found[i][1].append(steps)
-        found[i][2].extend(peaks)
-
-    for i, lo, hi in slices:
+    missed, steps, peaks = [], [], []  # starts left unresolved, and (value, x) candidates for each record
+    slices = [(s, min(s + _SLICE - 1, hi)) for lo, hi, _, _ in jobs for s in range(lo, hi + 1, _SLICE)]
+    for lo, hi in slices:
         if hi < stop:
             total, top = cache_steps[lo:hi + 1], cache_peak[lo:hi + 1]
             j, e = int(np.argmax(total)), int(np.argmax(top))
-            add(i, lo, np.flatnonzero(total < 0).tolist(), (int(total[j]), lo + j), [(int(top[e]), lo + e)])
-    for parts, exact in _walks([s for s in slices if s[2] >= stop], stop, budget):
-        for i, lo, hi, q, c, first in parts:
-            landing, total, top = ws.out[:, q:q + c]
-            offs, tail, (ok, bad) = ws.offs[q:q + c], ws.t[0, :c], ws.b[:, :c]
-            total += _take(cache_steps, landing, tail)  # a landing of -1 is over budget
-            np.logical_and(np.greater_equal(tail, 0, out=ok), np.less_equal(total, budget, out=bad), out=ok)
-            np.maximum(top, _take(cache_peak, landing, tail), out=top)
-            np.putmask(total, np.logical_not(ok, out=bad), -1)
-            np.putmask(top, bad, -1)
-            missed = offs[np.flatnonzero(bad)] if bad.any() else None
-            # argmax keeps the first, so the smallest x among ties; big is (peak,
-            # -lane). Peaks in exact outrank the limb rows', which outrank top's.
-            j, e = int(np.argmax(total)), int(np.argmax(top))
-            big = max(((p, q - e) for e, p in exact.items() if q <= e < q + c and ok[e - q]), default=None)
-            if big is None and ws.big and (a := int(np.multiply(ws.peaks[0, q:q + c], ok, out=tail).max())) >> 31:
-                at = _nonzero(np.equal(tail, a, out=bad), ws.idx)
-                e = int(at[np.argmax(_take(ws.peaks[1, q:q + c], at, ws.t[1, :at.size]))])
-                big = (a << 32 | int(ws.peaks[1, q + e]), -e)
-            peak, e = big or (int(top[e]), -e)
-            peaks = [(peak, lo + int(offs[-e]))]
-            if missed is not None:  # spread each unresolved representative to its members
+            missed += [lo + x for x in np.flatnonzero(total < 0).tolist()]
+            steps.append((int(total[j]), lo + j))
+            peaks.append((int(top[e]), lo + e))
+    for parts, exact in _walks([s for s in slices if s[1] >= stop], stop, budget):
+        for lo, hi, q, c, first in parts:
+            (landing, total, top), offs = ws.out[:, q:q + c], ws.offs[q:q + c]
+            bad = _land(total, top, landing, cache_steps, cache_peak, budget)
+            lost = offs[np.flatnonzero(bad)] if bad.any() else None
+            j, e = int(np.argmax(total)), int(np.argmax(top))  # the first, so the smallest x among ties
+            steps.append((int(total[j]), lo + int(offs[j])))
+            peaks.append((int(top[e]), lo + int(offs[e])))
+            peaks += [(p, lo + int(offs[i - q])) for i, p in exact.items() if q <= i < q + c and not bad[i - q]]
+            h, l = ws.peaks[:, q:q + c]  # _big_rows if ws.big, zeroed where a lane does not reach 1
+            if ws.big and (a := int(np.multiply(h, np.logical_not(bad, out=ws.b[0, :c]), out=h).max())) >> 31:
+                at = _nonzero(np.equal(h, a, out=bad), ws.idx)
+                e = int(at[np.argmax(_take(l, at, ws.t[1, :at.size]))])
+                peaks.append((a << 32 | int(l[e]), lo + int(offs[e])))
+            if lost is not None:  # spread each unresolved representative to its members
                 n, _, floor = _shape(lo, hi, stop)
                 rep, flag = _reps(lo, n, floor, k, ws.t[1, :n]), ws.b[0, :n]
                 flag[:] = False
-                flag[missed] = True
+                flag[lost] = True
                 members = _take(flag, rep, ws.skip[:n])
                 first = first and _first_peaks(lo, hi, stop, k, members)
-                missed = np.flatnonzero(members).tolist()
+                missed += [lo + x for x in np.flatnonzero(members).tolist()]
             if first:
                 peaks.append((first[0], lo + first[1]))
-            add(i, lo, missed or (), (int(total[j]), lo + int(offs[j])), peaks)
-    reports = []
-    for (lo, hi, _, _), (unresolved, steps, peaks) in zip(jobs, found):
-        unresolved.sort()
-        # An unresolved start does not reach 1 within budget, so find_cycle's
-        # walk toward 1 would only fail; Brent's walk alone finds its loop.
-        outcomes = (_brent_walk(u, MapVariant.STANDARD, budget, None, False).outcome for u in unresolved)
-        reports.append(VerifyReport(
-            segments=((lo, hi),), verified_count=hi - lo + 1 - len(unresolved), unresolved=tuple(unresolved),
-            cycles_found=_distinct_loops(o.loop for o in outcomes if isinstance(o, EntersCycle)),
-            max_total_stopping_time=_best(c for c in steps if c[0] >= 0),
-            max_excursion=_best(c for c in peaks if c[0] >= 0), wall_time=0.0,
-        ))
-    return reports
+    # The cutoff walk: at the default budget almost no start takes it.
+    unresolved = sorted(x for x in missed if cutoff < 2 or _descend(x, cutoff - 1, 0, x, budget)[0] < 0)
+    # An unresolved start does not reach 1 within budget, so find_cycle's
+    # walk toward 1 would only fail; Brent's walk alone finds its loop.
+    outcomes = (_brent_walk(u, MapVariant.STANDARD, budget, None, False).outcome for u in unresolved)
+    return VerifyReport(
+        segments=((jobs[0][0], jobs[-1][1]),), unresolved=tuple(unresolved),
+        verified_count=sum(hi - lo + 1 for lo, hi, _, _ in jobs) - len(unresolved),
+        cycles_found=_distinct_loops(o.loop for o in outcomes if isinstance(o, EntersCycle)),
+        max_total_stopping_time=_best(c for c in steps if c[0] >= 0),
+        max_excursion=_best(c for c in peaks if c[0] >= 0), wall_time=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +827,10 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
 
     Certification means the trajectory reached 1, or dropped strictly
     below assume_verified_below, within step_budget col-steps. Record
-    statistics are taken only over trajectories that reached 1. Each
-    chunk's report, made by the same code in the parent or a pool
-    worker, goes to merge_reports, so the payload is identical regardless of
-    chunking, worker count or table size.
+    statistics are taken only over trajectories that reached 1. The
+    chunks fold into one report here, or the same code sweeps each in a
+    pool worker and merge_reports merges their reports, so the payload
+    is identical regardless of chunking, worker count or table size.
     """
     cfg = config.validated()
     t0 = time.perf_counter()
@@ -843,10 +843,10 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
     workers = min(cfg.resolved_worker_count, len(jobs)) if cfg.range_hi >= cache_len else 1
     with _lock:  # a pool's workers hold the table, so a pooled sweep keeps the lock
         table = _cache_for(cache_len, cfg.step_budget)
-        parts = _sweep_pooled(workers, jobs) if workers > 1 else None
-    if parts is None:  # in this thread, on the table it obtained
-        parts = _sweep(jobs, table)
-    return replace(merge_reports(*parts), wall_time=time.perf_counter() - t0)
+        report = _sweep_pooled(workers, jobs) if workers > 1 else None
+    if report is None:  # in this thread, on the table it obtained
+        report = _sweep(jobs, table)
+    return replace(report, wall_time=time.perf_counter() - t0)
 
 
 def merge_reports(*reports: VerifyReport) -> VerifyReport:

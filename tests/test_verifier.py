@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -208,13 +209,17 @@ def test_cutoff_certifies_without_exact_resolution():
 
 
 def test_small_budget_chunking_stable():
-    reference = verify_range(VerifyConfig(1, 600, step_budget=8, dense_cache_entries=2))
-    for chunk in (7, 100):
-        got = verify_range(
-            VerifyConfig(1, 600, step_budget=8, dense_cache_entries=2, chunk_size=chunk)
-        )
-        assert got.payload() == reference.payload()
-    assert reference.unresolved != ()
+    # At budget 8 many starts stay unresolved: a sweep in one thread folds
+    # them into one report and a pooled sweep merges its chunks' reports,
+    # with and without a cutoff that certifies some of them.
+    for lo, cutoff in ((1, 1), (300, 300)):
+        base = VerifyConfig(lo, 600, step_budget=8, assume_verified_below=cutoff, dense_cache_entries=2)
+        reference = verify_range(base)
+        for chunk in (7, 100):
+            for workers in (None, 1, 2):
+                got = verify_range(replace(base, chunk_size=chunk, worker_count=workers))
+                assert got.payload() == reference.payload(), (lo, chunk, workers)
+        assert reference.unresolved != ()
 
 
 def classified_records(lo, hi):
@@ -807,6 +812,23 @@ def test_consecutive_slices_share_their_rounds(monkeypatch):
     assert len(calls) - 2 <= max(alone) < sum(alone), (calls, alone)
 
 
+def test_each_walked_slice_is_sieved_once(monkeypatch):
+    # Four 2^16-start chunks from 2^21: the third slice's representatives
+    # do not fit the batch of the first two, so its sieve waits while
+    # that batch walks, and no slice is sieved twice.
+    cfg = VerifyConfig(1 << 21, (1 << 21) + 4 * 2**16 - 1, worker_count=1)
+    reference = verify_range(cfg).payload()  # and the table
+    calls, real = [], verifier_mod._reps
+
+    def reps(lo, n, *rest):
+        calls.append((lo, n))
+        return real(lo, n, *rest)
+
+    monkeypatch.setattr(verifier_mod, "_reps", reps)
+    assert verify_range(cfg).payload() == reference
+    assert calls == [(cfg.range_lo + i * 2**16, 2**16) for i in range(4)], calls
+
+
 def test_sweeps_inside_the_table_read_it_and_start_no_pool():
     # A range below the table's size takes every answer from the table,
     # in this thread, whatever the worker count. At budget 40 it holds
@@ -1040,11 +1062,16 @@ def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
 
     futures = submitting(pool, monkeypatch, lambda: signal.setitimer(signal.ITIMER_REAL, 0.1))
     handler = signal.signal(signal.SIGALRM, interrupt)
+    # Python-level gc callbacks, such as the one hypothesis installs, are set
+    # aside meanwhile: a KeyboardInterrupt raised by a handler that runs
+    # inside one is swallowed as unraisable, and the sweep would finish.
+    callbacks, gc.callbacks[:] = gc.callbacks[:], []
     try:
         with pytest.raises(KeyboardInterrupt):
             verify_range(SLOW_POOL_SWEEP)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
+        gc.callbacks[:] = callbacks
         signal.signal(signal.SIGALRM, handler)
     # Count once the jobs already handed out have finished, as the pool
     # may not yet have read a finished job's result at the interrupt.
@@ -1175,8 +1202,8 @@ def test_workers_exit_when_their_parent_is_killed():
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_starts_its_own_pool():
-    # a process forked from one with a pool inherits the pool's record
-    # but not its threads or workers, so it must start its own
+    # a process forked from one with a pool inherits neither its threads
+    # nor its workers, so it forgets the pool and must start its own
     reference = verify_range(POOL_SWEEP).payload()
     parent = pool_pids()
     child = os.fork()
