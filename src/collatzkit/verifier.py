@@ -38,7 +38,7 @@ Stuart & Owens (2012) with no refill in mid-walk.
 Each thread walks in its own workspace of fixed 2^16-lane rows,
 written through out= arguments and np.take(..., mode="wrap"), so a warm
 sweep allocates no lane arrays and its speed does not depend on how the
-C allocator is tuned; chunks and table blocks are cut into 2^16-start
+C allocator is tuned; ranges and table blocks are cut into 2^16-start
 slices, so building the 2^20-entry table peaks about 28 MB above the
 import, 16 MB of it the table.
 
@@ -48,9 +48,9 @@ method changes or a sweep fails; its workers receive the table once,
 when they start, and exit once their parent is gone. One lock covers
 replacing the table and each multi-worker sweep, and a sweep at one
 worker walks the table it obtained, so no sweep's payload depends on
-what other threads sweep. A sweep in one thread folds its chunks
-into one report, and a pooled sweep merges its tasks' reports with
-merge_reports; neither depends on chunk size or worker count.
+what other threads sweep. One thread walks its range as one stream
+of slices; a pool folds its chunks' reports with merge_reports as
+they finish; neither depends on chunk size or worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -95,7 +95,7 @@ _WIDE_LIMIT = 1 << 84
 _LOW = (1 << 32) - 1  # low limb mask
 _PARKED = -(2**62)  # r of a parked lane: negative for longer than any walk
 _WIDE_PARKED = (None, -1, _LOW, None, None, _PARKED)  # (lane, h, l, ph, pl, r), at -1
-# Most lanes in one walk: chunks and table blocks are cut into slices of
+# Most lanes in one walk: sweeps and table blocks are cut into slices of
 # at most this many starts, and a batch of slices holds this many lanes.
 _SLICE = 1 << 16
 _PIECE = 1 << 13  # lanes per flatnonzero call, 64 KB of indices
@@ -227,9 +227,13 @@ def _stat_dict(stat: RecordStat | None) -> dict | None:
     return {"value": stat.value, "argmax": stat.argmax}
 
 
+def _rank(c: tuple[int, int]) -> tuple[int, int]:  # the larger value, then the smaller x
+    return c[0], -c[1]
+
+
 def _best(candidates: Iterable[tuple[int, int]]) -> RecordStat | None:
     """Largest value wins; ties go to the smaller argmax."""
-    best = max(candidates, key=lambda c: (c[0], -c[1]), default=None)
+    best = max(candidates, key=_rank, default=None)
     return None if best is None else RecordStat(*best)
 
 
@@ -713,105 +717,102 @@ def _drop_pool() -> None:
         pool[2].shutdown(cancel_futures=True)
 
 
-def _sweep_pooled(workers: int, jobs: list) -> VerifyReport:
-    """The merge of the jobs' reports from the pool for _cache_slot's
-    table with this many workers under the current start method, one
-    chunk per task. Any other pool, or one that a dead worker broke, is
-    shut down before a new one starts, so that no pool forks while
-    another's threads run; concurrent.futures' exit hook stops the last
-    one. At most 2·workers + 1 jobs, what its workers and call queue
-    hold, are in the pool at once. A call that ends early, by an error
-    or an interrupt, stops the workers, as the pool's manager thread may
-    have died, and drops the pool. A sweep at one worker does not import
-    multiprocessing or concurrent.futures."""
+def _sweep_pooled(workers: int, chunks: Iterable, budget: int, cutoff: int) -> VerifyReport:
+    """The merge of the chunks' (lo, hi) reports from the pool for
+    _cache_slot's table with this many workers under the current start
+    method, one chunk per task. Any other pool, or one that a dead worker
+    broke, is shut down before a new one starts, so that no pool forks
+    while another's threads run; concurrent.futures' exit hook stops the
+    last one. Chunks are taken lazily into a window of 2·workers + 1
+    tasks, what the workers and call queue hold; a finished task's report
+    comes back through a queue its done callback fills and folds into a
+    running merge. A call that ends early, by an error or an interrupt,
+    stops the workers, as the pool's manager thread may have died, and
+    drops the pool, cancelling the tasks not yet started. A sweep at one
+    worker does not import multiprocessing or concurrent.futures."""
     global _pool
     import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    import queue
+    from concurrent.futures import ProcessPoolExecutor
 
     key = (workers, multiprocessing.get_start_method())
     if _pool is None or _pool[:2] != key or _pool[2]._broken:
         _drop_pool()
         _pool = (*key, ProcessPoolExecutor(workers, initializer=_install_table, initargs=(_cache_slot,)))
-    pool = _pool[2]
-    futures, live = [], set()
+    pool, done, report, live = _pool[2], queue.SimpleQueue(), VerifyReport.empty(), 0
     try:
-        for job in jobs:
-            if len(live) > 2 * workers:
-                live = wait(live, return_when=FIRST_COMPLETED).not_done
-            futures.append(pool.submit(_sweep, [job]))
-            live.add(futures[-1])
-        return merge_reports(*(f.result() for f in futures))
+        for lo, hi in chunks:
+            if live > 2 * workers:
+                report, live = merge_reports(report, done.get().result()), live - 1
+            pool.submit(_sweep, lo, hi, budget, cutoff).add_done_callback(done.put)
+            live += 1
+        return merge_reports(report, *(done.get().result() for _ in range(live)))
     except BaseException:
         for worker in list((pool._processes or {}).values()):
             worker.terminate()
         _drop_pool()
         raise
-    finally:
-        for f in futures:
-            f.cancel()  # a no-op once a job has started
 
 
 # ---------------------------------------------------------------------------
 # Chunk sweeps
 
 
-def _sweep(jobs: list, table: tuple | None = None) -> VerifyReport:
-    """One report on the consecutive chunks [lo, hi] of jobs (lo, hi,
-    budget, cutoff), of one budget and cutoff, cycle search included,
-    against table = (steps, peak) over [0, len), or in a pool worker the
-    installed one. A slice below len reads the table; the others walk in
-    _walks's batches and are reduced by class, with no array by start: a
-    representative is its class's smallest start, so the steps record
-    and that of later peaks come from representatives, and the
-    first-block peaks' from _first_peaks. The later peaks' candidates
-    are the largest of the int64 top, the limb rows and exact, tiers of
-    disjoint values (below 2^63, below 2^95, from 2^95 on) in which no
-    top exceeds its lane's peak. Only a slice with a representative left
-    unresolved spreads it to its members, which the cutoff may certify,
-    and takes that maximum anew without them."""
-    (cache_steps, cache_peak), (_, _, budget, cutoff) = table or _cache_slot[1], jobs[0]
+def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = None) -> VerifyReport:
+    """One report on [lo, hi], cycle search included, against table =
+    (steps, peak) over [0, len), or in a pool worker the installed one.
+    The part below len reads the table at once; the rest is cut lazily
+    into _SLICE-start slices, walked in _walks's batches and reduced by
+    class with no array by start: a representative is its class's
+    smallest start, so the steps record and that of later peaks come
+    from representatives, and the first-block peaks' from _first_peaks.
+    The later peaks' candidates are the largest of the int64 top, the
+    limb rows and exact, tiers of disjoint values (below 2^63, below
+    2^95, from 2^95 on) in which no top exceeds its lane's peak. Only a
+    slice with a representative left unresolved spreads it to its
+    members, which the cutoff may certify, and takes that maximum anew
+    without them. Each batch's candidates fold to one per record."""
+    cache_steps, cache_peak = table or _cache_slot[1]
     stop, ws, k = len(cache_steps), _local, max(1, min(K, len(cache_steps).bit_length() - 2))
     missed, steps, peaks = [], [], []  # starts left unresolved, and (value, x) candidates for each record
-    slices = [(s, min(s + _SLICE - 1, hi)) for lo, hi, _, _ in jobs for s in range(lo, hi + 1, _SLICE)]
-    for lo, hi in slices:
-        if hi < stop:
-            total, top = cache_steps[lo:hi + 1], cache_peak[lo:hi + 1]
-            j, e = int(np.argmax(total)), int(np.argmax(top))
-            missed += [lo + x for x in np.flatnonzero(total < 0).tolist()]
-            steps.append((int(total[j]), lo + j))
-            peaks.append((int(top[e]), lo + e))
-    for parts, exact in _walks([s for s in slices if s[1] >= stop], stop, budget):
-        for lo, hi, q, c, first in parts:
+    if lo < stop:
+        total, top = cache_steps[lo:hi + 1], cache_peak[lo:hi + 1]
+        j, e = int(np.argmax(total)), int(np.argmax(top))
+        missed += [lo + x for x in np.flatnonzero(total < 0).tolist()]
+        steps, peaks = [(int(total[j]), lo + j)], [(int(top[e]), lo + e)]
+    slices = ((s, min(s + _SLICE - 1, hi)) for s in range(max(lo, stop), hi + 1, _SLICE))
+    for parts, exact in _walks(slices, stop, budget):
+        for x0, x1, q, c, first in parts:
             (landing, total, top), offs = ws.out[:, q:q + c], ws.offs[q:q + c]
             bad = _land(total, top, landing, cache_steps, cache_peak, budget)
             lost = offs[np.flatnonzero(bad)] if bad.any() else None
             j, e = int(np.argmax(total)), int(np.argmax(top))  # the first, so the smallest x among ties
-            steps.append((int(total[j]), lo + int(offs[j])))
-            peaks.append((int(top[e]), lo + int(offs[e])))
-            peaks += [(p, lo + int(offs[i - q])) for i, p in exact.items() if q <= i < q + c and not bad[i - q]]
+            steps.append((int(total[j]), x0 + int(offs[j])))
+            peaks.append((int(top[e]), x0 + int(offs[e])))
+            peaks += [(p, x0 + int(offs[i - q])) for i, p in exact.items() if q <= i < q + c and not bad[i - q]]
             h, l = ws.peaks[:, q:q + c]  # _big_rows if ws.big, zeroed where a lane does not reach 1
             if ws.big and (a := int(np.multiply(h, np.logical_not(bad, out=ws.b[0, :c]), out=h).max())) >> 31:
                 at = _nonzero(np.equal(h, a, out=bad), ws.idx)
                 e = int(at[np.argmax(_take(l, at, ws.t[1, :at.size]))])
-                peaks.append((a << 32 | int(l[e]), lo + int(offs[e])))
+                peaks.append((a << 32 | int(l[e]), x0 + int(offs[e])))
             if lost is not None:  # spread each unresolved representative to its members
-                n, _, floor = _shape(lo, hi, stop)
-                rep, flag = _reps(lo, n, floor, k, ws.t[1, :n]), ws.b[0, :n]
+                n, _, floor = _shape(x0, x1, stop)
+                rep, flag = _reps(x0, n, floor, k, ws.t[1, :n]), ws.b[0, :n]
                 flag[:] = False
                 flag[lost] = True
                 members = _take(flag, rep, ws.skip[:n])
-                first = first and _first_peaks(lo, hi, stop, k, members)
-                missed += [lo + x for x in np.flatnonzero(members).tolist()]
+                first = first and _first_peaks(x0, x1, stop, k, members)
+                missed += [x0 + x for x in np.flatnonzero(members).tolist()]
             if first:
-                peaks.append((first[0], lo + first[1]))
+                peaks.append((first[0], x0 + first[1]))
+        steps, peaks = [max(steps, key=_rank)], [max(peaks, key=_rank)]
     # The cutoff walk: at the default budget almost no start takes it.
     unresolved = sorted(x for x in missed if cutoff < 2 or _descend(x, cutoff - 1, 0, x, budget)[0] < 0)
     # An unresolved start does not reach 1 within budget, so find_cycle's
     # walk toward 1 would only fail; Brent's walk alone finds its loop.
     outcomes = (_brent_walk(u, MapVariant.STANDARD, budget, None, False).outcome for u in unresolved)
     return VerifyReport(
-        segments=((jobs[0][0], jobs[-1][1]),), unresolved=tuple(unresolved),
-        verified_count=sum(hi - lo + 1 for lo, hi, _, _ in jobs) - len(unresolved),
+        segments=((lo, hi),), unresolved=tuple(unresolved), verified_count=hi - lo + 1 - len(unresolved),
         cycles_found=_distinct_loops(o.loop for o in outcomes if isinstance(o, EntersCycle)),
         max_total_stopping_time=_best(c for c in steps if c[0] >= 0),
         max_excursion=_best(c for c in peaks if c[0] >= 0), wall_time=0.0,
@@ -828,24 +829,22 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
     Certification means the trajectory reached 1, or dropped strictly
     below assume_verified_below, within step_budget col-steps. Record
     statistics are taken only over trajectories that reached 1. The
-    chunks fold into one report here, or the same code sweeps each in a
-    pool worker and merge_reports merges their reports, so the payload
-    is identical regardless of chunking, worker count or table size.
+    range streams through this thread, or its chunks through pool tasks
+    whose reports merge_reports folds as they finish, so the payload is
+    identical regardless of chunking, worker count or table size.
     """
     cfg = config.validated()
     t0 = time.perf_counter()
-    cache_len = max(2, min(cfg.dense_cache_entries, cfg.range_hi + 1))
-    jobs = [
-        (lo, min(lo + cfg.chunk_size - 1, cfg.range_hi), cfg.step_budget, cfg.assume_verified_below)
-        for lo in range(cfg.range_lo, cfg.range_hi + 1, cfg.chunk_size)
-    ]
+    lo, hi, size, args = cfg.range_lo, cfg.range_hi, cfg.chunk_size, (cfg.step_budget, cfg.assume_verified_below)
+    cache_len = max(2, min(cfg.dense_cache_entries, hi + 1))
     # A range inside the table only reads it, so it needs no pool.
-    workers = min(cfg.resolved_worker_count, len(jobs)) if cfg.range_hi >= cache_len else 1
+    workers = min(cfg.resolved_worker_count, (hi - lo) // size + 1) if hi >= cache_len else 1
     with _lock:  # a pool's workers hold the table, so a pooled sweep keeps the lock
         table = _cache_for(cache_len, cfg.step_budget)
-        report = _sweep_pooled(workers, jobs) if workers > 1 else None
+        chunks = ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
+        report = _sweep_pooled(workers, chunks, *args) if workers > 1 else None
     if report is None:  # in this thread, on the table it obtained
-        report = _sweep(jobs, table)
+        report = _sweep(lo, hi, *args, table)
     return replace(report, wall_time=time.perf_counter() - t0)
 
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -209,9 +211,10 @@ def test_cutoff_certifies_without_exact_resolution():
 
 
 def test_small_budget_chunking_stable():
-    # At budget 8 many starts stay unresolved: a sweep in one thread folds
-    # them into one report and a pooled sweep merges its chunks' reports,
-    # with and without a cutoff that certifies some of them.
+    # At budget 8 many starts stay unresolved: a sweep in one thread walks
+    # its range as one stream whatever the chunk size, and a pooled sweep
+    # folds its chunks' reports as they finish, with and without a cutoff
+    # that certifies some of them.
     for lo, cutoff in ((1, 1), (300, 300)):
         base = VerifyConfig(lo, 600, step_budget=8, assume_verified_below=cutoff, dense_cache_entries=2)
         reference = verify_range(base)
@@ -829,6 +832,49 @@ def test_each_walked_slice_is_sieved_once(monkeypatch):
     assert calls == [(cfg.range_lo + i * 2**16, 2**16) for i in range(4)], calls
 
 
+def test_in_process_slices_come_from_the_range(monkeypatch):
+    # chunk_size sizes only pool tasks: a sweep in one thread cuts its
+    # range into 2^16-start slices from the table's end, one sieve each.
+    cfg = VerifyConfig(1 << 21, (1 << 21) + 4 * 2**16 - 1, worker_count=1)
+    reference = verify_range(cfg).payload()  # at the default chunk size
+    calls, real = [], verifier_mod._reps
+
+    def reps(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(verifier_mod, "_reps", reps)
+    assert verify_range(replace(cfg, chunk_size=1000)).payload() == reference
+    assert len(calls) == 4, len(calls)
+
+
+class FirstBatchWalked(Exception):
+    pass
+
+
+def test_in_process_sweep_keeps_no_state_per_chunk(monkeypatch):
+    # 2^34 starts from 2^40 are 2^18 chunks of the default size; the
+    # sweep cuts its slices as it walks them, so up to its first batch it
+    # allocates nothing per chunk or per slice.
+    lo = 1 << 40
+    verify_range(VerifyConfig(lo, lo + 2**16 - 1, worker_count=1))  # the table, and this thread's workspace
+    real = verifier_mod._walks
+
+    def walks(*args):
+        next(real(*args))
+        raise FirstBatchWalked
+
+    monkeypatch.setattr(verifier_mod, "_walks", walks)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstBatchWalked):
+            verify_range(VerifyConfig(lo, lo + 2**34 - 1, worker_count=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
 def test_sweeps_inside_the_table_read_it_and_start_no_pool():
     # A range below the table's size takes every answer from the table,
     # in this thread, whatever the worker count. At budget 40 it holds
@@ -1088,6 +1134,45 @@ def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
     assert verifier_mod._pool[-1] is not pool
 
 
+def test_pooled_sweep_keeps_no_future_per_chunk(monkeypatch):
+    # SLOW_POOL_SWEEP's 512 chunks enter the pool as its window of
+    # 2·workers + 1 tasks has room, and the sweep lets go of each task's
+    # future once it has folded its report; the pool's manager thread
+    # may still hold the last one for a moment.
+    reference = verify_range(SLOW_POOL_SWEEP).payload()
+    pool, futures, alive = verifier_mod._pool[-1], [], []
+
+    def submit(*args):
+        future = ProcessPoolExecutor.submit(pool, *args)
+        futures.append(weakref.ref(future))
+        alive.append(sum(f() is not None for f in futures))
+        return future
+
+    monkeypatch.setattr(pool, "submit", submit)
+    assert verify_range(SLOW_POOL_SWEEP).payload() == reference
+    assert len(alive) == SLOW_POOL_SWEEP.range_hi // SLOW_POOL_SWEEP.chunk_size
+    assert max(alive) <= 2 * SLOW_POOL_SWEEP.worker_count + 2, max(alive)
+
+
+def run_in_own_session(script, timeout=120):
+    """(returncode, stdout, stderr) of script, run by this interpreter on
+    the tested package in a session of its own, which is killed, workers
+    and all, and fails the test if the script runs past timeout."""
+    package_root = Path(collatzkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+        pytest.fail(f"the script hung for {timeout} s: {err}")
+    return proc.returncode, out, err
+
+
 INTERRUPTED_SUBMITS = """
 import sys
 
@@ -1124,21 +1209,55 @@ def test_interrupt_inside_submit_drops_the_pool():
     # work id and before it counted it, so a kept pool would hand that id
     # to the next job as well. At each of the first eight submits, the
     # interrupted sweep drops its pool and the next sweep gets the
-    # reference payload. The script runs in a session of its own, which
-    # is killed, workers and all, if it hangs.
-    package_root = Path(collatzkit.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(package_root))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", INTERRUPTED_SUBMITS], env=env, text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
-    )
+    # reference payload.
+    returncode, out, err = run_in_own_session(INTERRUPTED_SUBMITS)
+    assert returncode == 0 and out.split() == ["ok"], err
+    assert "Traceback" not in err, err
+
+
+INTERRUPTED_WAITS = """
+import queue
+import sys
+
+import collatzkit.verifier as verifier
+from collatzkit import VerifyConfig, verify_range
+
+
+class InterruptingQueue(queue.SimpleQueue):
+    interrupt_at, gets = 0, 0
+
+    def get(self, *args, **kwargs):
+        self.gets += 1
+        if self.gets == self.interrupt_at:
+            raise KeyboardInterrupt
+        return super().get(*args, **kwargs)
+
+
+cfg = VerifyConfig(1, 1 << 21, chunk_size=4096, worker_count=2, dense_cache_entries=4096)
+reference, real = verify_range(cfg).payload(), queue.SimpleQueue
+for count in range(1, 9):
+    InterruptingQueue.interrupt_at, queue.SimpleQueue = count, InterruptingQueue
     try:
-        out, err = proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        out, err = proc.communicate()
-        pytest.fail(f"a sweep after an interrupted submit hung: {err}")
-    assert proc.returncode == 0 and out.split() == ["ok"], err
+        verify_range(cfg)
+        sys.exit(f"wait {count} was not interrupted")
+    except KeyboardInterrupt:
+        pass
+    finally:
+        queue.SimpleQueue = real
+    if verifier._pool is not None:
+        sys.exit(f"the sweep interrupted in wait {count} kept its pool")
+    if verify_range(cfg).payload() != reference:
+        sys.exit(f"the sweep after an interrupt in wait {count} went wrong")
+print("ok")
+"""
+
+
+def test_interrupted_wait_for_a_finished_task_drops_the_pool():
+    # A pooled sweep waits for its next finished task in a queue's get.
+    # An interrupt there, at each of the first eight waits, drops the
+    # pool, and the next sweep gets the reference payload.
+    returncode, out, err = run_in_own_session(INTERRUPTED_WAITS)
+    assert returncode == 0 and out.split() == ["ok"], err
     assert "Traceback" not in err, err
 
 
