@@ -42,15 +42,15 @@ C allocator is tuned; ranges and table blocks are cut into 2^16-start
 slices, so building the 2^20-entry table peaks about 28 MB above the
 import, 16 MB of it the table.
 
-A multi-worker sweep hands its chunks to one worker pool per process,
-kept across sweeps until the table, the worker count or the start
-method changes or a sweep fails; its workers receive the table once,
-when they start, and exit once their parent is gone. One lock covers
-replacing the table and each multi-worker sweep, and a sweep at one
-worker walks the table it obtained, so no sweep's payload depends on
-what other threads sweep. One thread walks its range as one stream
-of slices; a pool folds its chunks' reports with merge_reports as
-they finish; neither depends on chunk size or worker count.
+A multi-worker sweep cuts its range into tasks, about four per worker
+in whole slices, for one worker pool per process, kept until the table,
+the worker count or the start method changes or a sweep fails; its
+workers get the table once, when they start, and exit once their parent
+is gone. One lock covers replacing the table and each multi-worker
+sweep, and a sweep at one worker walks the table it obtained, so no
+sweep's payload depends on what other threads sweep. One thread walks
+its range as one stream of slices, a pool folds its tasks' reports as
+they finish, and neither depends on the task size or worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -68,7 +68,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, asdict, dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -113,7 +113,7 @@ class VerifyConfig:
     range_hi: int
     step_budget: int = DEFAULT_STEP_BUDGET
     assume_verified_below: int = 1
-    chunk_size: int = 1 << 16
+    _: KW_ONLY
     worker_count: int | None = None
     dense_cache_entries: int = DENSE_CACHE_ENTRIES
 
@@ -131,16 +131,15 @@ class VerifyConfig:
             step_budget=field("step_budget"),
             # The cutoff may only reference already-certified territory.
             assume_verified_below=field("assume_verified_below", 1, lo),
-            chunk_size=field("chunk_size"),
             worker_count=None if self.worker_count is None else field("worker_count"),
             dense_cache_entries=field("dense_cache_entries", 2, _MAX_CACHE_ENTRIES),
         )
 
     @property
-    def resolved_worker_count(self) -> int:
+    def resolved_worker_count(self) -> int:  # by default, the CPUs this process may run on
         if self.worker_count is not None:
             return self.worker_count
-        return os.cpu_count() or 1
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,8 @@ class VerifyReport:
             "verified_count": self.verified_count,
             "unresolved": list(self.unresolved),
             "cycles_found": [list(c.values) for c in self.cycles_found],
-            "max_total_stopping_time": _stat_dict(self.max_total_stopping_time),
-            "max_excursion": _stat_dict(self.max_excursion),
+            "max_total_stopping_time": self.max_total_stopping_time and asdict(self.max_total_stopping_time),
+            "max_excursion": self.max_excursion and asdict(self.max_excursion),
         }
 
     def to_json(self) -> str:
@@ -219,12 +218,6 @@ class VerifyReport:
             else:
                 lines.append(f"{name},{stat.value},{stat.argmax}")
         return "\n".join(lines) + "\n"
-
-
-def _stat_dict(stat: RecordStat | None) -> dict | None:
-    if stat is None:
-        return None
-    return {"value": stat.value, "argmax": stat.argmax}
 
 
 def _rank(c: tuple[int, int]) -> tuple[int, int]:  # the larger value, then the smaller x
@@ -823,26 +816,33 @@ def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = Non
 # Drivers
 
 
+def _task_size(n: int, workers: int) -> int:
+    """Starts per pool task for n starts at this many workers: about four
+    tasks per worker, in whole slices, and at most 2^20."""
+    return min(1 << 20, -(-n // (4 * workers * _SLICE)) * _SLICE)
+
+
 def verify_range(config: VerifyConfig) -> VerifyReport:
     """Classify every x in [range_lo, range_hi] and aggregate statistics.
 
     Certification means the trajectory reached 1, or dropped strictly
     below assume_verified_below, within step_budget col-steps. Record
     statistics are taken only over trajectories that reached 1. The
-    range streams through this thread, or its chunks through pool tasks
-    whose reports merge_reports folds as they finish, so the payload is
-    identical regardless of chunking, worker count or table size.
+    range streams through this thread, or in _task_size tasks through a
+    pool whose reports merge_reports folds as they finish, so the payload
+    is identical regardless of task size, worker count or table size.
     """
     cfg = config.validated()
     t0 = time.perf_counter()
-    lo, hi, size, args = cfg.range_lo, cfg.range_hi, cfg.chunk_size, (cfg.step_budget, cfg.assume_verified_below)
-    cache_len = max(2, min(cfg.dense_cache_entries, hi + 1))
+    lo, hi, args = cfg.range_lo, cfg.range_hi, (cfg.step_budget, cfg.assume_verified_below)
+    cache_len, workers = max(2, min(cfg.dense_cache_entries, hi + 1)), cfg.resolved_worker_count
+    size = _task_size(hi - lo + 1, workers)
     # A range inside the table only reads it, so it needs no pool.
-    workers = min(cfg.resolved_worker_count, (hi - lo) // size + 1) if hi >= cache_len else 1
+    workers = min(workers, (hi - lo) // size + 1) if hi >= cache_len else 1
     with _lock:  # a pool's workers hold the table, so a pooled sweep keeps the lock
         table = _cache_for(cache_len, cfg.step_budget)
-        chunks = ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
-        report = _sweep_pooled(workers, chunks, *args) if workers > 1 else None
+        tasks = ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
+        report = _sweep_pooled(workers, tasks, *args) if workers > 1 else None
     if report is None:  # in this thread, on the table it obtained
         report = _sweep(lo, hi, *args, table)
     return replace(report, wall_time=time.perf_counter() - t0)

@@ -34,7 +34,7 @@ LOOP = validate_loop((1, 4, 2, 1))
 GRAPH = build_graph(10)
 
 
-CONFIG = VerifyConfig(100, 300, chunk_size=64, worker_count=1, dense_cache_entries=64)
+CONFIG = VerifyConfig(100, 300, worker_count=1, dense_cache_entries=64)
 
 
 def sweep(**fields):
@@ -73,7 +73,6 @@ CASES = [
     ("VerifyConfig", "range_hi", lambda v: sweep(range_hi=v), 300),
     ("VerifyConfig", "step_budget", lambda v: sweep(step_budget=v), 60),
     ("VerifyConfig", "assume_verified_below", lambda v: sweep(assume_verified_below=v), 50),
-    ("VerifyConfig", "chunk_size", lambda v: sweep(chunk_size=v), 37),
     ("VerifyConfig", "worker_count", lambda v: sweep(worker_count=v), 1),
     ("VerifyConfig", "dense_cache_entries", lambda v: sweep(dense_cache_entries=v), 100),
 ]

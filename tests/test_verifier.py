@@ -1,3 +1,5 @@
+import concurrent.futures
+import contextlib
 import gc
 import hashlib
 import json
@@ -12,9 +14,9 @@ import threading
 import time
 import tracemalloc
 import weakref
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -125,22 +127,54 @@ def reference_sweep(lo, hi, budget, cutoff):
     return verified, unresolved, steps_rec, peak_rec
 
 
+@contextlib.contextmanager
+def tasks_of(size):
+    """Within the block, the driver cuts every pooled range into tasks of
+    size starts; None leaves its own rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        if size is not None:
+            patch.setattr(verifier_mod, "_task_size", lambda n, workers: size)
+        yield
+
+
+def count_pooled(patch):
+    """The worker count of each pooled sweep from now on, in order."""
+    pooled, real = [], verifier_mod._sweep_pooled
+
+    def sweep_pooled(workers, *rest):
+        pooled.append(workers)
+        return real(workers, *rest)
+
+    patch.setattr(verifier_mod, "_sweep_pooled", sweep_pooled)
+    return pooled
+
+
 def test_oracle_against_naive_prefix():
     # the memoized oracle itself, checked against direct iteration
     assert oracle_sweep(1, 300) == classified_records(1, 300)
 
 
-def test_chunk_size_independence():
-    reference = verify_range(VerifyConfig(1, 5000, chunk_size=5000)).payload()
-    for chunk in (1, 137, 700, 4999):
-        assert verify_range(VerifyConfig(1, 5000, chunk_size=chunk)).payload() == reference
+def test_task_size_independence(monkeypatch):
+    # Past its 1000-entry table, [1, 5000] reaches the pool at every task
+    # size, the first task reading the table and the rest walking.
+    cfg = VerifyConfig(1, 5000, worker_count=2, dense_cache_entries=1000)
+    reference = verify_range(replace(cfg, worker_count=1)).payload()
+    pooled = count_pooled(monkeypatch)
+    for size in (1, 137, 700, 4999):
+        with tasks_of(size):
+            assert verify_range(cfg).payload() == reference, size
+    assert pooled == [2] * 4
 
 
-def test_worker_count_independence():
-    reference = verify_range(VerifyConfig(1, 30_000, worker_count=1)).payload()
+def test_worker_count_independence(monkeypatch):
+    # Past its 4096-entry table, [1, 300000] is five tasks of 2^16 starts
+    # at two workers and at four.
+    cfg = VerifyConfig(1, 300_000, worker_count=1, dense_cache_entries=4096)
+    reference = verify_range(cfg).payload()
+    pooled = count_pooled(monkeypatch)
     for workers in (2, 4):
-        got = verify_range(VerifyConfig(1, 30_000, worker_count=workers)).payload()
-        assert got == reference
+        assert verify_range(replace(cfg, worker_count=workers)).payload() == reference
+    assert pooled == [2, 4]
 
 
 def test_dense_cache_threshold_independence():
@@ -183,11 +217,12 @@ def test_budget_starvation_is_data():
 def test_report_count_invariant():
     for cfg in (
         VerifyConfig(1, 500),
-        VerifyConfig(90, 410, chunk_size=100),
+        VerifyConfig(90, 410, worker_count=2, dense_cache_entries=64),
         VerifyConfig(2, 600, step_budget=8, dense_cache_entries=2),
         VerifyConfig(50, 60, step_budget=4, assume_verified_below=50, dense_cache_entries=2),
     ):
-        report = verify_range(cfg)
+        with tasks_of(100):
+            report = verify_range(cfg)
         size = cfg.range_hi - cfg.range_lo + 1
         assert report.verified_count + len(report.unresolved) == size
         assert list(report.unresolved) == sorted(report.unresolved)
@@ -212,16 +247,17 @@ def test_cutoff_certifies_without_exact_resolution():
 
 def test_small_budget_chunking_stable():
     # At budget 8 many starts stay unresolved: a sweep in one thread walks
-    # its range as one stream whatever the chunk size, and a pooled sweep
-    # folds its chunks' reports as they finish, with and without a cutoff
+    # its range as one stream whatever the task size, and a pooled sweep
+    # folds its tasks' reports as they finish, with and without a cutoff
     # that certifies some of them.
     for lo, cutoff in ((1, 1), (300, 300)):
         base = VerifyConfig(lo, 600, step_budget=8, assume_verified_below=cutoff, dense_cache_entries=2)
         reference = verify_range(base)
-        for chunk in (7, 100):
+        for size in (7, 100):
             for workers in (None, 1, 2):
-                got = verify_range(replace(base, chunk_size=chunk, worker_count=workers))
-                assert got.payload() == reference.payload(), (lo, chunk, workers)
+                with tasks_of(size):
+                    got = verify_range(replace(base, worker_count=workers))
+                assert got.payload() == reference.payload(), (lo, size, workers)
         assert reference.unresolved != ()
 
 
@@ -253,13 +289,13 @@ def test_values_beyond_int64_are_exact():
 
 def test_range_beyond_vector_path():
     # starts that do not fit int64 walk an exact prefix and join the lane
-    # kernel; 2^64 is its own peak; a chunk holds starts on both sides of
+    # kernel; 2^64 is its own peak; a task holds starts on both sides of
     # 2^63; every start of the last window is above _BLOCK_LIMIT and
     # begins in the wide walk. The orbits of 45487026724 and 45487026725
     # meet at step 3 and pass 8,528,817,511, so both have its peak past
     # int64 and the same total: the record goes to the smaller start,
-    # within one chunk and across two.
-    for lo, hi, chunk in (
+    # within one task and across two.
+    for lo, hi, size in (
         ((1 << 70) + 1, (1 << 70) + 3, 1 << 16),
         (1 << 64, 1 << 64, 1),
         ((1 << 63) - 40, (1 << 63) + 40, 37),
@@ -267,7 +303,8 @@ def test_range_beyond_vector_path():
         (45487026724, 45487026725, 2),
         (45487026724, 45487026725, 1),
     ):
-        report = verify_range(VerifyConfig(lo, hi, chunk_size=chunk))
+        with tasks_of(size):
+            report = verify_range(VerifyConfig(lo, hi))
         assert report.verified_count == hi - lo + 1
         assert report_records(report) == classified_records(lo, hi)
 
@@ -279,7 +316,8 @@ def test_forced_escalation_paths_agree(monkeypatch):
     # at the default budget and at small budgets with and without a
     # cutoff. A patched _BLOCK_LIMIT stays at or above the table size. The
     # path record 8,528,817,511 peaks past 2^63 and then descends.
-    record = VerifyConfig(8528817447, 8528817575, chunk_size=37, dense_cache_entries=4096)
+    # The record's windows run in tasks of 37 starts.
+    record = VerifyConfig(8528817447, 8528817575, dense_cache_entries=4096)
     for cfg in (
         VerifyConfig(1, 3000),
         VerifyConfig(1, 3000, dense_cache_entries=64),
@@ -289,9 +327,11 @@ def test_forced_escalation_paths_agree(monkeypatch):
         replace(record, worker_count=1),
         replace(record, worker_count=2),
     ):
-        base = verify_range(cfg).payload()
+        size = 37 if cfg.range_lo == record.range_lo else None
+        with tasks_of(size):
+            base = verify_range(cfg).payload()
         for block, wide in ((1 << 13, verifier_mod._WIDE_LIMIT), (1 << 13, 1 << 16), (5000, 1 << 20)):
-            with monkeypatch.context() as patch:
+            with monkeypatch.context() as patch, tasks_of(size):
                 verifier_mod._cache_slot = None
                 patch.setattr(verifier_mod, "_BLOCK_LIMIT", block)
                 patch.setattr(verifier_mod, "_WIDE_LIMIT", wide)
@@ -367,9 +407,10 @@ def test_table_matches_per_start_walks():
 
 
 def test_capped_table_matches_per_start_walks(monkeypatch):
-    # Table blocks and chunks are walked in slices of at most _SLICE
-    # lanes; small caps cut every doubling block and chunk into many.
-    cfg = VerifyConfig(1000, 9000, chunk_size=2500, dense_cache_entries=4096)
+    # Table blocks and tasks are walked in slices of at most _SLICE
+    # lanes; small caps cut every doubling block and task into many.
+    monkeypatch.setattr(verifier_mod, "_task_size", lambda n, workers: 2500)
+    cfg = VerifyConfig(1000, 9000, dense_cache_entries=4096)
     base = verify_range(cfg).payload()
     for cap in (37, 1000):
         monkeypatch.setattr(verifier_mod, "_SLICE", cap)
@@ -416,7 +457,7 @@ def test_sweeps_keep_their_table_while_another_thread_replaces_it():
     # for a multi-worker sweep, whose pool holds it; so a thread that
     # keeps sweeping with another budget and table size meanwhile changes
     # neither its own payloads nor those of sweeps at 1 and 2 workers.
-    cfg = VerifyConfig(10**6, 10**6 + 4 * 4096 - 1, step_budget=150, chunk_size=4096, dense_cache_entries=4096)
+    cfg = VerifyConfig(10**6, 10**6 + 4 * 4096 - 1, step_budget=150, dense_cache_entries=4096)
     other = VerifyConfig(1, 3000, step_budget=20, worker_count=1)
     serial, other_serial = verify_range(replace(cfg, worker_count=1)).payload(), verify_range(other).payload()
     stop, others = threading.Event(), []
@@ -428,7 +469,8 @@ def test_sweeps_keep_their_table_while_another_thread_replaces_it():
     thread = threading.Thread(target=loop)
     thread.start()
     try:
-        payloads = [verify_range(replace(cfg, worker_count=w)).payload() for w in (1, 2, 1, 2)]
+        with tasks_of(4096):
+            payloads = [verify_range(replace(cfg, worker_count=w)).payload() for w in (1, 2, 1, 2)]
     finally:
         stop.set()
         thread.join(timeout=120)
@@ -635,9 +677,9 @@ def test_walk_lanes_sieve_matches_plain_walk(monkeypatch):
                 for s in range(3 * 4096 - 1, 3 * 4096 + 300, 37):
                     check_walk_lanes(s, s + 36, 4096, budget)
                 check_walk_lanes(block - 18, block + 18, 4096, budget)
-    # the same through chunks cut into slices of 37
+    # the same through a sweep
     lo = 45487026724 - 549  # 2^12 - 1 mod 2^12
-    report = verify_range(VerifyConfig(lo, lo + 4200, chunk_size=1000, worker_count=1, dense_cache_entries=4096))
+    report = verify_range(VerifyConfig(lo, lo + 4200, worker_count=1, dense_cache_entries=4096))
     assert report_records(report) == classified_records(lo, lo + 4200)
 
 
@@ -652,8 +694,8 @@ def test_walk_lanes_at_stops_off_powers_of_two():
             for s in range(stop - 185, stop + 185, 37):
                 check_walk_lanes(s, s + 36, stop, budget)
             check_walk_lanes(stop - 1000, stop + 1000, stop, budget)
-    # the same through a table of 3001 entries, in chunks across its edge
-    report = verify_range(VerifyConfig(2000, 9000, chunk_size=1000, worker_count=1, dense_cache_entries=3001))
+    # the same through a table of 3001 entries, in a sweep across its edge
+    report = verify_range(VerifyConfig(2000, 9000, worker_count=1, dense_cache_entries=3001))
     assert report_records(report) == classified_records(2000, 9000)
 
 
@@ -686,7 +728,7 @@ def test_straddling_slices_walk_only_representatives(monkeypatch):
 
 def test_limb_lanes_take_no_rounds_of_their_own(monkeypatch):
     # The 2^56 and 2^60 windows of perfbench's sweep-sparse, walked in
-    # slices as a chunk is cut: limb lanes take their blocks in the
+    # slices as a sweep cuts them: limb lanes take their blocks in the
     # rounds of the int64 lanes, so no more blocks are taken in limbs
     # than in int64, counting those on at least one lane.
     calls = {"_advance": 0, "_advance_wide": 0}
@@ -751,7 +793,7 @@ def test_hand_overs_fit_a_workspace_of_one_slice(monkeypatch):
 
 def test_peaks_past_int64_stay_in_limbs():
     # The 2^60 and 2^63 windows of perfbench's sweep-sparse, walked in
-    # slices as a chunk is cut: their peaks past int64 all fit the
+    # slices as a sweep cuts them: their peaks past int64 all fit the
     # limb rows, so exact stays empty.
     for lo, size in ((1155474331410394239, 2 * 2**16), (9255382125081044196, 2**12)):
         for s in range(lo, lo + size, verifier_mod._SLICE):
@@ -767,9 +809,9 @@ def test_peaks_past_int64_stay_in_limbs():
 
 def test_streamed_slices_match_per_start_walks(monkeypatch):
     # At _SLICE = 37 a batch holds the representatives of one slice of 37
-    # starts or a few, from one chunk or the next. The windows mix int64
-    # and limb lanes (from 2^56 and 2^63), limb and exact ones (across
-    # 2^84) and peaks past the limbs (past 2^95). At budgets 1, 13 and 40
+    # starts or a few. The windows mix int64 and limb lanes (from 2^56
+    # and 2^63), limb and exact ones (across 2^84) and peaks past the
+    # limbs (past 2^95). At budgets 1, 13 and 40
     # representatives stay unresolved and spread to their members, in
     # every slice far from the table and in some near it.
     monkeypatch.setattr(verifier_mod, "_SLICE", 37)
@@ -784,16 +826,15 @@ def test_streamed_slices_match_per_start_walks(monkeypatch):
         for lo, hi in windows:
             for cutoff in (1, lo):
                 verified, unresolved, steps, peak = reference_sweep(lo, hi, budget, cutoff)
-                for chunk in (37, 100, 4096):
-                    cfg = VerifyConfig(lo, hi, budget, cutoff, chunk, worker_count=1, dense_cache_entries=4096)
-                    report = verify_range(cfg)
-                    assert (report.verified_count, list(report.unresolved)) == (verified, unresolved), cfg
-                    assert report.max_total_stopping_time == (RecordStat(*steps) if steps else None), cfg
-                    assert report.max_excursion == (RecordStat(*peak) if peak else None), cfg
+                cfg = VerifyConfig(lo, hi, budget, cutoff, worker_count=1, dense_cache_entries=4096)
+                report = verify_range(cfg)
+                assert (report.verified_count, list(report.unresolved)) == (verified, unresolved), cfg
+                assert report.max_total_stopping_time == (RecordStat(*steps) if steps else None), cfg
+                assert report.max_excursion == (RecordStat(*peak) if peak else None), cfg
 
 
 def test_consecutive_slices_share_their_rounds(monkeypatch):
-    # The representatives of two 2^16-start chunks from 2^21 walk in one
+    # The representatives of two 2^16-start slices from 2^21 walk in one
     # batch, so after the two first blocks the sweep takes no more int64
     # blocks than the longer of its slices walked alone.
     cfg = VerifyConfig(1 << 21, (1 << 21) + 2**17 - 1, worker_count=1)
@@ -816,7 +857,7 @@ def test_consecutive_slices_share_their_rounds(monkeypatch):
 
 
 def test_each_walked_slice_is_sieved_once(monkeypatch):
-    # Four 2^16-start chunks from 2^21: the third slice's representatives
+    # Four 2^16-start slices from 2^21: the third slice's representatives
     # do not fit the batch of the first two, so its sieve waits while
     # that batch walks, and no slice is sieved twice.
     cfg = VerifyConfig(1 << 21, (1 << 21) + 4 * 2**16 - 1, worker_count=1)
@@ -833,10 +874,10 @@ def test_each_walked_slice_is_sieved_once(monkeypatch):
 
 
 def test_in_process_slices_come_from_the_range(monkeypatch):
-    # chunk_size sizes only pool tasks: a sweep in one thread cuts its
+    # _task_size cuts only pool tasks: a sweep in one thread cuts its
     # range into 2^16-start slices from the table's end, one sieve each.
     cfg = VerifyConfig(1 << 21, (1 << 21) + 4 * 2**16 - 1, worker_count=1)
-    reference = verify_range(cfg).payload()  # at the default chunk size
+    reference = verify_range(cfg).payload()
     calls, real = [], verifier_mod._reps
 
     def reps(*args):
@@ -844,7 +885,8 @@ def test_in_process_slices_come_from_the_range(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(verifier_mod, "_reps", reps)
-    assert verify_range(replace(cfg, chunk_size=1000)).payload() == reference
+    with tasks_of(1000):
+        assert verify_range(cfg).payload() == reference
     assert len(calls) == 4, len(calls)
 
 
@@ -853,9 +895,8 @@ class FirstBatchWalked(Exception):
 
 
 def test_in_process_sweep_keeps_no_state_per_chunk(monkeypatch):
-    # 2^34 starts from 2^40 are 2^18 chunks of the default size; the
-    # sweep cuts its slices as it walks them, so up to its first batch it
-    # allocates nothing per chunk or per slice.
+    # 2^34 starts from 2^40 are 2^18 slices; the sweep cuts them as it
+    # walks them, so up to its first batch it allocates nothing per slice.
     lo = 1 << 40
     verify_range(VerifyConfig(lo, lo + 2**16 - 1, worker_count=1))  # the table, and this thread's workspace
     real = verifier_mod._walks
@@ -879,12 +920,13 @@ def test_sweeps_inside_the_table_read_it_and_start_no_pool():
     # A range below the table's size takes every answer from the table,
     # in this thread, whatever the worker count. At budget 40 it holds
     # starts that do not reach 1, which the cutoff may still certify.
-    for cfg in (
-        VerifyConfig(1, 20_000, chunk_size=1000, worker_count=2, dense_cache_entries=1 << 15),
-        VerifyConfig(1000, 9000, 40, 1000, 700, worker_count=2, dense_cache_entries=1 << 14),
+    for cfg, size in (
+        (VerifyConfig(1, 20_000, worker_count=2, dense_cache_entries=1 << 15), 1000),
+        (VerifyConfig(1000, 9000, 40, 1000, worker_count=2, dense_cache_entries=1 << 14), 700),
     ):
         verifier_mod._drop_pool()
-        inside = verify_range(cfg).payload()
+        with tasks_of(size):
+            inside = verify_range(cfg).payload()
         assert verifier_mod._pool is None
         assert inside == verify_range(replace(cfg, worker_count=1, dense_cache_entries=64)).payload()
 
@@ -893,35 +935,39 @@ def test_payload_hash_grid():
     # Payload hashes that every change to the kernel keeps: first 16 hex
     # digits of sha256 over the sorted-key JSON payload. Small budgets
     # with and without a cutoff, windows at 2^61, past 2^62 and past
-    # int64, the path record 8,528,817,511, and the dense sweep.
+    # int64, the path record 8,528,817,511, and the dense sweep; with a
+    # task size, the pool's cut at the default worker count.
     grid = (
-        (VerifyConfig(1000, 5000, 40, 1000, 137, dense_cache_entries=64), "d64152976b066303"),
-        (VerifyConfig(1000, 5000, 40, chunk_size=137, dense_cache_entries=4096), "9d698c28950a57fc"),
-        (VerifyConfig(1, 3000, 25, chunk_size=137, dense_cache_entries=64), "69047d72e9e0a41a"),
-        (VerifyConfig(1 << 61, (1 << 61) + 4095), "c73bd2b17e83a115"),
-        (VerifyConfig((1 << 62) + 1, (1 << 62) + 4096), "a19ec917d6abf0f6"),
-        (VerifyConfig((1 << 70) + 1, (1 << 70) + 3), "84301d4cce293ca0"),
-        (VerifyConfig(8528817447, 8528817575, chunk_size=37), "cbc18b665f0d9825"),
-        (VerifyConfig(1, 10**7, worker_count=2), "a761c96312adb8e5"),
+        (VerifyConfig(1000, 5000, 40, 1000, dense_cache_entries=64), 137, "d64152976b066303"),
+        (VerifyConfig(1000, 5000, 40, dense_cache_entries=4096), 137, "9d698c28950a57fc"),
+        (VerifyConfig(1, 3000, 25, dense_cache_entries=64), 137, "69047d72e9e0a41a"),
+        (VerifyConfig(1 << 61, (1 << 61) + 4095), None, "c73bd2b17e83a115"),
+        (VerifyConfig((1 << 62) + 1, (1 << 62) + 4096), None, "a19ec917d6abf0f6"),
+        (VerifyConfig((1 << 70) + 1, (1 << 70) + 3), None, "84301d4cce293ca0"),
+        (VerifyConfig(8528817447, 8528817575), 37, "cbc18b665f0d9825"),
+        (VerifyConfig(1, 10**7, worker_count=2), None, "a761c96312adb8e5"),
     )
-    for cfg, expected in grid:
-        payload = json.dumps(verify_range(cfg).payload(), sort_keys=True)
+    for cfg, size, expected in grid:
+        with tasks_of(size):
+            payload = json.dumps(verify_range(cfg).payload(), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest()[:16] == expected, cfg
 
 
 def test_payload_hash_pins_past_block_limit():
     # Hashes taken before lanes past _BLOCK_LIMIT moved to two limbs, by
     # the same rule as the grid: starts past 2^84 and 2^95, at 1 and 2
-    # workers, and windows 3000 wide with the cutoff at lo, whose orbits
-    # cross the block limit, at budgets 40 and 300; and, taken before
-    # those windows were sieved, at the default budget.
+    # workers, the latter in a pool's tasks of 37 starts, and windows
+    # 3000 wide with the cutoff at lo, whose orbits cross the block limit,
+    # at budgets 40 and 300; and, taken before those windows were sieved,
+    # at the default budget.
     def digest(cfg):
         payload = json.dumps(verify_range(cfg).payload(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     for workers in (1, 2):
-        assert digest(VerifyConfig(2**100, 2**100 + 50, worker_count=workers)) == "555f7dab04dd210d"
-        assert digest(VerifyConfig(2**90 + 1, 2**90 + 300, worker_count=workers)) == "1cd19d8019213387"
+        with tasks_of(37):
+            assert digest(VerifyConfig(2**100, 2**100 + 50, worker_count=workers)) == "555f7dab04dd210d"
+            assert digest(VerifyConfig(2**90 + 1, 2**90 + 300, worker_count=workers)) == "1cd19d8019213387"
     for lo, pins in (
         (72064064662809063, ("18461db1fd1882d5", "8c9854754920154c", "10a53577e2bd278d")),
         (1155474331410394239, ("982c0a9f4b3489ea", "a71fe7af8e071f6e", "3eb510d6e5adca7a")),
@@ -950,8 +996,9 @@ for argv in (
 assert "numpy" not in sys.modules
 assert collatzkit.verify_range is collatzkit.verifier.verify_range
 assert "numpy" in sys.modules
-# only a sweep of more than one chunk at more than one worker needs a pool
-collatzkit.verify_range(collatzkit.VerifyConfig(1, 5000, chunk_size=1000, worker_count=1))
+# only a sweep of more than one task at more than one worker needs a pool
+collatzkit.verifier._task_size = lambda n, workers: 1000
+collatzkit.verify_range(collatzkit.VerifyConfig(1, 5000, worker_count=1, dense_cache_entries=64))
 assert "concurrent.futures.process" not in sys.modules
 """
 
@@ -973,7 +1020,8 @@ import os
 import collatzkit.verifier as verifier
 from collatzkit import VerifyConfig, verify_range
 
-cfg = VerifyConfig(1 << 20, (1 << 20) + 4 * 4096 - 1, chunk_size=4096, worker_count=2)
+verifier._task_size = lambda n, workers: 4096
+cfg = VerifyConfig(1 << 20, (1 << 20) + 4 * 4096 - 1, worker_count=2)
 for method in ("fork", "forkserver"):
     multiprocessing.set_start_method(method, force=True)
     payload = verify_range(cfg).payload()
@@ -1017,7 +1065,16 @@ def test_forkserver_workers_get_the_table():
     assert not [pid for pid in fork_pids + forkserver_pids if pid_exists(pid)]
 
 
-POOL_SWEEP = VerifyConfig(1, 4 * 4096, chunk_size=4096, worker_count=2, dense_cache_entries=4096)
+POOL_TASK = 4096  # starts per task in the pool tests' sweeps
+POOL_SWEEP = VerifyConfig(1, 4 * POOL_TASK, worker_count=2, dense_cache_entries=4096)
+
+
+@pytest.fixture
+def pool_tasks():
+    """Tasks of POOL_TASK starts for the test's pooled sweeps, kept
+    through a monkeypatch.undo()."""
+    with tasks_of(POOL_TASK):
+        yield
 
 
 def pool_pids(workers=2):
@@ -1029,6 +1086,7 @@ def pool_pids(workers=2):
     return pids
 
 
+@pytest.mark.usefixtures("pool_tasks")
 def test_pool_is_kept_per_table_and_worker_count():
     # Sweeps with the same table and worker count reuse the pool; a new
     # table, a cleared memo slot or another worker count each start a
@@ -1075,6 +1133,7 @@ def submitting(pool, monkeypatch, first):
     return futures
 
 
+@pytest.mark.usefixtures("pool_tasks")
 def test_pool_recovers_from_a_killed_worker(monkeypatch):
     reference = verify_range(replace(POOL_SWEEP, worker_count=1)).payload()
     verify_range(POOL_SWEEP)
@@ -1097,6 +1156,7 @@ def test_pool_recovers_from_a_killed_worker(monkeypatch):
     assert victim not in pool_pids()
 
 
+@pytest.mark.usefixtures("pool_tasks")
 def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
     reference = verify_range(SLOW_POOL_SWEEP).payload()
     pool = verifier_mod._pool[-1]
@@ -1126,7 +1186,7 @@ def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
     ran_on = [f for f in futures if f not in done_at_interrupt and not f.cancelled()]
     assert not wait(ran_on, timeout=60).not_done
     assert len(ran_on) <= 5, len(ran_on)
-    assert len(futures) < SLOW_POOL_SWEEP.range_hi // SLOW_POOL_SWEEP.chunk_size
+    assert len(futures) < SLOW_POOL_SWEEP.range_hi // POOL_TASK
     monkeypatch.undo()
     # The interrupted sweep dropped its pool, whose manager thread may
     # have died; the next sweep starts a new one.
@@ -1134,8 +1194,9 @@ def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
     assert verifier_mod._pool[-1] is not pool
 
 
-def test_pooled_sweep_keeps_no_future_per_chunk(monkeypatch):
-    # SLOW_POOL_SWEEP's 512 chunks enter the pool as its window of
+@pytest.mark.usefixtures("pool_tasks")
+def test_pooled_sweep_keeps_no_future_per_task(monkeypatch):
+    # SLOW_POOL_SWEEP's 512 tasks enter the pool as its window of
     # 2·workers + 1 tasks has room, and the sweep lets go of each task's
     # future once it has folded its report; the pool's manager thread
     # may still hold the last one for a moment.
@@ -1150,7 +1211,7 @@ def test_pooled_sweep_keeps_no_future_per_chunk(monkeypatch):
 
     monkeypatch.setattr(pool, "submit", submit)
     assert verify_range(SLOW_POOL_SWEEP).payload() == reference
-    assert len(alive) == SLOW_POOL_SWEEP.range_hi // SLOW_POOL_SWEEP.chunk_size
+    assert len(alive) == SLOW_POOL_SWEEP.range_hi // POOL_TASK
     assert max(alive) <= 2 * SLOW_POOL_SWEEP.worker_count + 2, max(alive)
 
 
@@ -1179,7 +1240,8 @@ import sys
 import collatzkit.verifier as verifier
 from collatzkit import VerifyConfig, verify_range
 
-cfg = VerifyConfig(1, 1 << 21, chunk_size=4096, worker_count=2, dense_cache_entries=4096)
+verifier._task_size = lambda n, workers: 4096
+cfg = VerifyConfig(1, 1 << 21, worker_count=2, dense_cache_entries=4096)
 reference = verify_range(cfg).payload()
 for count in range(1, 9):
     pool, ids = verifier._pool[-1], []
@@ -1200,6 +1262,9 @@ for count in range(1, 9):
     del pool._work_ids.put
     if verify_range(cfg).payload() != reference or verifier._pool[-1] is pool:
         sys.exit(f"the sweep after an interrupt in submit {count} went wrong")
+# The patched _task_size ties the module, and so its pool, to this script's
+# globals, which outlive multiprocessing at exit: stop the pool first.
+verifier._drop_pool()
 print("ok")
 """
 
@@ -1233,7 +1298,8 @@ class InterruptingQueue(queue.SimpleQueue):
         return super().get(*args, **kwargs)
 
 
-cfg = VerifyConfig(1, 1 << 21, chunk_size=4096, worker_count=2, dense_cache_entries=4096)
+verifier._task_size = lambda n, workers: 4096
+cfg = VerifyConfig(1, 1 << 21, worker_count=2, dense_cache_entries=4096)
 reference, real = verify_range(cfg).payload(), queue.SimpleQueue
 for count in range(1, 9):
     InterruptingQueue.interrupt_at, queue.SimpleQueue = count, InterruptingQueue
@@ -1248,6 +1314,7 @@ for count in range(1, 9):
         sys.exit(f"the sweep interrupted in wait {count} kept its pool")
     if verify_range(cfg).payload() != reference:
         sys.exit(f"the sweep after an interrupt in wait {count} went wrong")
+verifier._drop_pool()  # as in INTERRUPTED_SUBMITS
 print("ok")
 """
 
@@ -1268,7 +1335,8 @@ import sys
 import collatzkit.verifier as verifier
 from collatzkit import VerifyConfig, verify_range
 
-verify_range(VerifyConfig(1, 4 * 4096, chunk_size=4096, worker_count=2, dense_cache_entries=4096))
+verifier._task_size = lambda n, workers: 4096
+verify_range(VerifyConfig(1, 4 * 4096, worker_count=2, dense_cache_entries=4096))
 pool, pids = verifier._pool[-1], set()
 while len(pids) < 2:
     pids |= {f.result() for f in [pool.submit(os.getpid) for _ in range(16)]}
@@ -1319,6 +1387,7 @@ def test_workers_exit_when_their_parent_is_killed():
         proc.communicate()
 
 
+@pytest.mark.usefixtures("pool_tasks")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_starts_its_own_pool():
     # a process forked from one with a pool inherits neither its threads
@@ -1366,38 +1435,76 @@ def test_child_forked_while_the_lock_is_held_sweeps():
         os.waitpid(child, 0)
     assert done[0] == child and os.waitstatus_to_exitcode(done[1]) == 0
 
+class InlineExecutor:
+    """A stand-in for ProcessPoolExecutor that runs each task in the
+    calling thread as it is submitted, on the parent's table: a pooled
+    sweep's tasks, window and fold, with no worker to start."""
+
+    _broken, _processes = False, None
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
 @st.composite
 def sweep_cases(draw):
-    if draw(st.booleans()):
-        lo = draw(st.integers(1, 50_000))
-        entries = draw(st.integers(2, 4096))
-    else:
-        # full-length blocks: starts above a table of 2^13 to 2^15 entries
-        entries = draw(st.integers(1 << 13, 1 << 15))
-        lo = draw(st.integers(entries, 4 * entries))
     size = draw(st.integers(1, 1500))
-    # a chunk count, not a chunk size: 1-start chunks cost ~0.5 ms each
-    chunks = draw(st.integers(1, 16))
+    # small tables, or full-length blocks from tables of 2^13 to 2^15 entries
+    entries = draw(st.integers(2, 4096) | st.integers(1 << 13, 1 << 15))
+    if draw(st.booleans()):  # the table ends below range_lo
+        lo = draw(st.integers(entries, max(50_000, 4 * entries)))
+    else:  # it holds range_lo, and often ends inside the range
+        lo = draw(st.integers(max(1, entries - size - 100), entries - 1))
     return {
         "range_lo": lo,
         "range_hi": lo + size - 1,
         "step_budget": draw(st.one_of(st.integers(1, 120), st.just(DEFAULT_STEP_BUDGET))),
         "assume_verified_below": draw(st.integers(1, lo)),
         "dense_cache_entries": entries,
-        "chunk_size": -(-size // chunks),
-        "worker_count": 1,
+        "worker_count": draw(st.sampled_from((1, 2))),
     }
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=sweep_cases(), other_table=st.integers(2, 4096))
-def test_verifier_contract_property(case, other_table):
-    size = case["range_hi"] - case["range_lo"] + 1
-    budget = case["step_budget"]
-    report = verify_range(VerifyConfig(**case))
+@given(case=sweep_cases(), tasks=st.integers(1, 16), other_table=st.integers(2, 4096), inline=st.integers(0, 9))
+def test_verifier_contract_property(case, tasks, other_table, inline):
+    # The case is swept in 1 to 16 tasks, in one, and on another table.
+    # Past its table, a sweep of more than one task at two workers reaches
+    # the pool: a real one when inline is 0, and otherwise, as each new
+    # table starts a new pool, an InlineExecutor.
+    lo, hi, budget = case["range_lo"], case["range_hi"], case["step_budget"]
+    size = hi - lo + 1
+    task = -(-size // tasks)
+
+    def reaches_pool(entries):
+        return case["worker_count"] == 2 and hi >= entries and -(-size // task) > 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        if inline:
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+            verifier_mod._drop_pool()
+        pooled = count_pooled(patch)
+        try:
+            with tasks_of(task):
+                report = verify_range(VerifyConfig(**case))
+                other = verify_range(VerifyConfig(**{**case, "dense_cache_entries": other_table}))
+            with tasks_of(size):
+                single = verify_range(VerifyConfig(**case))
+        finally:
+            if inline:
+                verifier_mod._drop_pool()
+    assert len(pooled) == reaches_pool(case["dense_cache_entries"]) + reaches_pool(other_table)
     payload = report.payload()
+    assert other.payload() == single.payload() == payload
     assert report.verified_count + len(report.unresolved) == size
-    assert verify_range(VerifyConfig(**{**case, "chunk_size": size})).payload() == payload
     if report.max_total_stopping_time is not None:
         rec = report.max_total_stopping_time
         assert rec.value == plain_walk(rec.argmax)[0]
@@ -1406,15 +1513,11 @@ def test_verifier_contract_property(case, other_table):
         assert rec.value == plain_walk(rec.argmax)[1]
     for x in report.unresolved:
         assert plain_walk(x, budget) is None
-    verified, unresolved, steps_rec, peak_rec = reference_sweep(
-        case["range_lo"], case["range_hi"], budget, case["assume_verified_below"]
-    )
+    verified, unresolved, steps_rec, peak_rec = reference_sweep(lo, hi, budget, case["assume_verified_below"])
     assert report.verified_count == verified
     assert list(report.unresolved) == unresolved
     assert report.max_total_stopping_time == (RecordStat(*steps_rec) if steps_rec else None)
     assert report.max_excursion == (RecordStat(*peak_rec) if peak_rec else None)
-    other = VerifyConfig(**{**case, "dense_cache_entries": other_table})
-    assert verify_range(other).payload() == payload
 
 
 def test_merge_reproduces_single_run():
@@ -1503,17 +1606,40 @@ def test_config_errors_name_fields():
         (VerifyConfig(1, 5, step_budget=0), "step_budget"),
         (VerifyConfig(5, 9, assume_verified_below=6), "assume_verified_below"),
         (VerifyConfig(5, 9, assume_verified_below=0), "assume_verified_below"),
-        (VerifyConfig(1, 5, chunk_size=0), "chunk_size"),
         (VerifyConfig(1, 5, worker_count=0), "worker_count"),
         (VerifyConfig(1, 5, dense_cache_entries=1), "dense_cache_entries"),
         (VerifyConfig(1, 5, dense_cache_entries=2**32 + 1), "dense_cache_entries"),
         (VerifyConfig(True, 5), "range_lo"),
-        (VerifyConfig(1, 5, chunk_size=True), "chunk_size"),
     ]
     for config, fragment in cases:
         with pytest.raises(ConfigError) as info:
             verify_range(config)
         assert fragment in str(info.value)
+
+
+def test_config_fields_after_the_cutoff_are_keyword_only():
+    # A call that passed a fifth field by position, once chunk_size, now
+    # fails rather than setting worker_count.
+    assert [f.name for f in fields(VerifyConfig)] == [
+        "range_lo", "range_hi", "step_budget", "assume_verified_below", "worker_count", "dense_cache_entries",
+    ]
+    with pytest.raises(TypeError):
+        VerifyConfig(1, 5, 40, 1, 137)
+
+
+def test_default_worker_count_is_the_cpus_this_process_may_run_on(monkeypatch):
+    # Bound to one CPU of two, a default sweep of two tasks past its
+    # table runs in this thread; with no affinity to read, the CPU count
+    # stands.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    pooled = count_pooled(monkeypatch)
+    cfg = VerifyConfig(1, 140_000, dense_cache_entries=4096)
+    assert cfg.resolved_worker_count == 1
+    assert verify_range(cfg).verified_count == 140_000 and pooled == []
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cfg.resolved_worker_count == 2
+    assert replace(cfg, worker_count=3).resolved_worker_count == 3
 
 
 def test_json_fields_and_milliseconds():
