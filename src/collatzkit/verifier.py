@@ -68,7 +68,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import KW_ONLY, asdict, dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -136,10 +136,12 @@ class VerifyConfig:
         )
 
     @property
-    def resolved_worker_count(self) -> int:  # by default, the CPUs this process may run on
+    def resolved_worker_count(self) -> int:
         if self.worker_count is not None:
             return self.worker_count
-        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,8 @@ class VerifyReport:
             "verified_count": self.verified_count,
             "unresolved": list(self.unresolved),
             "cycles_found": [list(c.values) for c in self.cycles_found],
-            "max_total_stopping_time": self.max_total_stopping_time and asdict(self.max_total_stopping_time),
-            "max_excursion": self.max_excursion and asdict(self.max_excursion),
+            "max_total_stopping_time": _stat_dict(self.max_total_stopping_time),
+            "max_excursion": _stat_dict(self.max_excursion),
         }
 
     def to_json(self) -> str:
@@ -218,6 +220,12 @@ class VerifyReport:
             else:
                 lines.append(f"{name},{stat.value},{stat.argmax}")
         return "\n".join(lines) + "\n"
+
+
+def _stat_dict(stat: RecordStat | None) -> dict | None:
+    if stat is None:
+        return None
+    return {"value": stat.value, "argmax": stat.argmax}
 
 
 def _rank(c: tuple[int, int]) -> tuple[int, int]:  # the larger value, then the smaller x
@@ -816,9 +824,7 @@ def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = Non
 # Drivers
 
 
-def _task_size(n: int, workers: int) -> int:
-    """Starts per pool task for n starts at this many workers: about four
-    tasks per worker, in whole slices, and at most 2^20."""
+def _task_size(n: int, workers: int) -> int:  # about four pool tasks a worker, in whole slices, at most 2^20
     return min(1 << 20, -(-n // (4 * workers * _SLICE)) * _SLICE)
 
 
@@ -835,10 +841,10 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
     cfg = config.validated()
     t0 = time.perf_counter()
     lo, hi, args = cfg.range_lo, cfg.range_hi, (cfg.step_budget, cfg.assume_verified_below)
-    cache_len, workers = max(2, min(cfg.dense_cache_entries, hi + 1)), cfg.resolved_worker_count
-    size = _task_size(hi - lo + 1, workers)
+    cache_len = max(2, min(cfg.dense_cache_entries, hi + 1))
+    size = _task_size(hi - lo + 1, cfg.resolved_worker_count)
     # A range inside the table only reads it, so it needs no pool.
-    workers = min(workers, (hi - lo) // size + 1) if hi >= cache_len else 1
+    workers = min(cfg.resolved_worker_count, (hi - lo) // size + 1) if hi >= cache_len else 1
     with _lock:  # a pool's workers hold the table, so a pooled sweep keeps the lock
         table = _cache_for(cache_len, cfg.step_budget)
         tasks = ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))

@@ -1020,7 +1020,7 @@ import os
 import collatzkit.verifier as verifier
 from collatzkit import VerifyConfig, verify_range
 
-verifier._task_size = lambda n, workers: 4096
+verifier._task_size = eval("lambda n, workers: 4096", {})  # as in INTERRUPTED_SUBMITS
 cfg = VerifyConfig(1 << 20, (1 << 20) + 4 * 4096 - 1, worker_count=2)
 for method in ("fork", "forkserver"):
     multiprocessing.set_start_method(method, force=True)
@@ -1240,7 +1240,9 @@ import sys
 import collatzkit.verifier as verifier
 from collatzkit import VerifyConfig, verify_range
 
-verifier._task_size = lambda n, workers: 4096
+# Globals of its own keep the patch from tying the module, and so its
+# pool, to this script's: the script exits with a live pool, as callers do.
+verifier._task_size = eval("lambda n, workers: 4096", {})
 cfg = VerifyConfig(1, 1 << 21, worker_count=2, dense_cache_entries=4096)
 reference = verify_range(cfg).payload()
 for count in range(1, 9):
@@ -1262,9 +1264,6 @@ for count in range(1, 9):
     del pool._work_ids.put
     if verify_range(cfg).payload() != reference or verifier._pool[-1] is pool:
         sys.exit(f"the sweep after an interrupt in submit {count} went wrong")
-# The patched _task_size ties the module, and so its pool, to this script's
-# globals, which outlive multiprocessing at exit: stop the pool first.
-verifier._drop_pool()
 print("ok")
 """
 
@@ -1298,7 +1297,7 @@ class InterruptingQueue(queue.SimpleQueue):
         return super().get(*args, **kwargs)
 
 
-verifier._task_size = lambda n, workers: 4096
+verifier._task_size = eval("lambda n, workers: 4096", {})  # as in INTERRUPTED_SUBMITS
 cfg = VerifyConfig(1, 1 << 21, worker_count=2, dense_cache_entries=4096)
 reference, real = verify_range(cfg).payload(), queue.SimpleQueue
 for count in range(1, 9):
@@ -1314,7 +1313,6 @@ for count in range(1, 9):
         sys.exit(f"the sweep interrupted in wait {count} kept its pool")
     if verify_range(cfg).payload() != reference:
         sys.exit(f"the sweep after an interrupt in wait {count} went wrong")
-verifier._drop_pool()  # as in INTERRUPTED_SUBMITS
 print("ok")
 """
 
@@ -1335,7 +1333,7 @@ import sys
 import collatzkit.verifier as verifier
 from collatzkit import VerifyConfig, verify_range
 
-verifier._task_size = lambda n, workers: 4096
+verifier._task_size = eval("lambda n, workers: 4096", {})  # as in INTERRUPTED_SUBMITS
 verify_range(VerifyConfig(1, 4 * 4096, worker_count=2, dense_cache_entries=4096))
 pool, pids = verifier._pool[-1], set()
 while len(pids) < 2:
