@@ -27,13 +27,13 @@ Starts 2^k·a + j whose residues j share a block map land on one value
 after the same steps of T; only 1,535 of the 4,096 maps mod 2^12 are
 distinct. So in a slice below _WIDE_LIMIT only the smallest start of
 each class in a 2^k-aligned block, at or above the table and the
-slice's start, walks; the others need only their own first-block
-peaks, taken in one pass. Convergence-only verifiers drop them (Barina
-2021); here they stay exact, as a chunk's records come from the walked
-starts and the largest first-block peak. The walked starts of
-consecutive slices, as many as fit one slice's lanes, share one walk
-and its rounds' fixed cost, the persistent-threads pattern of Gupta,
-Stuart & Owens (2012) with no refill in mid-walk.
+slice's start, walks, listed in closed form. The others need only the
+largest first-block peak; start 2^k·a + j peaks at peak_m[j]·a +
+peak_e[j], peak_m >= 1, so a slice's lies among its last 2^k starts.
+Convergence-only verifiers drop them (Barina 2021); here they stay
+exact. Consecutive slices' walked starts, as many as fit one slice's
+lanes, share one walk and its rounds' fixed cost, the persistent-threads
+pattern of Gupta, Stuart & Owens (2012) with no refill in mid-walk.
 
 Each thread walks in its own workspace of fixed 2^16-lane rows,
 written through out= arguments and np.take(..., mode="wrap"), so a warm
@@ -63,6 +63,7 @@ measured.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import json
 import os
@@ -271,6 +272,9 @@ def _canon(k: int):
     return np.array([first.setdefault(row, j) for j, row in enumerate(rows)], dtype=np.int64)
 
 
+_fixed = functools.cache(lambda k: np.unique(_canon(k)))  # each class's smallest residue, ascending
+
+
 def _reps(lo: int, n: int, floor: int, k: int, rep):
     """Into rep, for each of the n consecutive starts from lo, the lane of
     its representative by _canon(k) in its 2^k-aligned block, or its own
@@ -281,6 +285,24 @@ def _reps(lo: int, n: int, floor: int, k: int, rep):
     head = rep[:floor + mask + 1]
     np.putmask(head, np.less(head, floor, out=ws.b[0, :head.size]), ws.iota[:n])
     return rep
+
+
+def _rep_offsets(lo: int, n: int, floor: int, k: int, out):
+    """The lanes, floor <= n, that _reps(lo, n, floor, k) maps to themselves
+    into out, ascending: all before floor; in the 2^k-aligned block that
+    floor enters at residue s, each j whose class's smallest residue is j
+    or below s; past it _fixed(k) in each block, cut at n. Scratch: ws.t[0]."""
+    fixed, size, s = _fixed(k), 1 << k, (lo + floor) & ((1 << k) - 1)
+    part, b = _canon(k)[s:s + n - floor], floor - s + size  # b: the lane past floor's block
+    head = np.flatnonzero(np.logical_or(np.less(part, s), np.equal(part, _local.iota[s:s + part.size])))
+    blocks, r = max(0, n - b) >> k, int(np.searchsorted(fixed, max(0, n - b) & (size - 1)))
+    a, c = floor + head.size, floor + head.size + blocks * fixed.size
+    np.copyto(out[:floor], _local.iota[:floor])
+    np.add(head, floor, out=out[floor:a])
+    at = np.add(np.multiply(_local.iota[:blocks], size, out=_local.t[0, :blocks]), b, out=_local.t[0, :blocks])
+    np.add(fixed, at[:, None], out=out[a:c].reshape(blocks, fixed.size))
+    np.add(fixed[:r], b + blocks * size, out=out[c:c + r])
+    return out[:c + r]
 
 
 def _take(col, j, out):
@@ -313,11 +335,11 @@ def _workspace(n: int):
     ws = _local
     if getattr(ws, "size", 0) < max(n, _SLICE):
         ws.size = max(n, _SLICE)
-        i, ws.b = np.empty((33, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
+        i, ws.b = np.empty((34, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
         ws.out, ws.t, ws.idx, ws.iota = i[0:3], i[3:9], i[9], np.arange(ws.size)
         ws.ints, ws.wide = (i[10:14], i[14:18]), (i[18:24], i[24:30])  # (rows, spares)
-        ws.sieve, ws.offs = i[30:32], i[32]  # offs: each batch lane's start, as x - lo
-        ws.skip, ws.keep = np.empty((2, ws.size), dtype=bool)  # keep: walks and readers leave it
+        ws.sieve, ws.offs = i[30:32], i[32:].reshape(-1)  # offs: each batch lane's start, as x - lo
+        ws.skip = np.empty(ws.size, dtype=bool)
         # Apart from i, whose huge pages would make them resident in sweeps that never use them.
         ws.peaks = np.empty((2, ws.size), dtype=np.int64)
     return ws
@@ -447,20 +469,21 @@ def _exactly(exact: dict, lanes: list, q: int, start, budget: int) -> None:
 
 def _shape(lo: int, hi: int, stop: int) -> tuple:
     """(n, m, floor) of the slice [lo, hi]: its size, its starts in int64
-    (the rest begin in limbs), and its first start from stop on, as
-    x - lo, or n where it reaches _WIDE_LIMIT. It is sieved if floor < n."""
+    (the rest begin in limbs), and its first start from stop on, as x -
+    lo, or n if none is or it reaches _WIDE_LIMIT; sieved if floor < n."""
     n = hi - lo + 1
-    return n, min(n, max(0, _BLOCK_LIMIT + 1 - lo)), max(lo, stop) - lo if hi < _WIDE_LIMIT else n
+    return n, min(n, max(0, _BLOCK_LIMIT + 1 - lo)), min(n, max(lo, stop) - lo) if hi < _WIDE_LIMIT else n
 
 
 def _first_peaks(lo: int, hi: int, stop: int, k: int, skip=None) -> tuple[int, int]:
     """Each start's own first-block peak into ws.sieve = (fh, first), in
-    first[:m] (a start below stop stands as its own) and in limbs past
-    it. Returns the largest (peak, x - lo), the smallest x among ties,
-    leaving out the starts where skip is set, or (-1, 0) if none is."""
-    ws, (n, m, floor), table = _local, _shape(lo, hi, stop), _block_table(k)
+    first[:m] (one below stop as its own) and in limbs past it, for the
+    slice's last min(n, 2^k) starts, which hold the largest, or with skip
+    all. Returns the largest (peak, x) where skip is not set, ties to least x."""
+    t = lo if skip is not None else max(lo, hi + 1 - (1 << k))
+    ws, (n, m, floor), table = _local, _shape(t, hi, stop), _block_table(k)
     (fh, first), s = ws.sieve[:, :n], min(floor, m)
-    np.add(ws.iota[:m], min(lo, _BLOCK_LIMIT), out=first[:m])
+    np.add(ws.iota[:m], min(t, _BLOCK_LIMIT), out=first[:m])
     x, j, y = first[s:m], ws.t[0, :m - s], ws.t[1, :m - s]
     np.bitwise_and(x, (1 << k) - 1, out=j)
     x >>= k
@@ -468,7 +491,7 @@ def _first_peaks(lo: int, hi: int, stop: int, k: int, skip=None) -> tuple[int, i
     x += _take(table[4], j, y)
     if m < n:
         h, l = fh[m:], first[m:]
-        _start_limbs(ws.iota[m:n], min(lo, _WIDE_LIMIT), h, l)
+        _start_limbs(ws.iota[m:n], min(t, _WIDE_LIMIT), h, l)
         _advance_wide(table, k, h, l, h, l, None, ws.t[:, :n - m], ws.b[:, :n - m])
     if skip is not None:
         np.putmask(first[:m], skip[:m], -1)
@@ -479,7 +502,7 @@ def _first_peaks(lo: int, hi: int, stop: int, k: int, skip=None) -> tuple[int, i
         at = _nonzero(np.equal(fh[m:], a, out=ws.b[0, :n - m]), ws.idx)
         q = m + int(at[np.argmax(_take(first[m:], at, ws.t[0, :at.size]))])
         best = max(best, (a << 32 | int(first[q]), -q))
-    return best[0], -best[1]
+    return best[0], t - best[1]
 
 
 def _walks(slices: Iterable, stop: int, budget: int):
@@ -497,24 +520,23 @@ def _walks(slices: Iterable, stop: int, budget: int):
     in _descend, as it does starts among them first, and hands those
     back at or below _BLOCK_LIMIT, or over budget, to the int64 set;
     then each set takes one block, so no lane waits for another. A slice
-    gives lanes to its representatives from _reps alone, which from
-    stop on take their first block at once and their later peak from
-    the landing. Each slice, of at most _SLICE starts unless alone, is
-    sieved once, into ws.keep, where one that does not fit the batch
-    waits while the batch walks and is read.
+    gives lanes to its representatives alone, listed once by _rep_offsets
+    past the batch's lanes, which from stop on take their first block at
+    once and their later peak from the landing. A slice, of at most
+    _SLICE starts unless alone, that does not fit moves to the next batch.
 
-    Yields per batch (parts, exact), parts holding (lo, hi, q, c, first)
-    per slice: its lanes q to q + c - 1, and _first_peaks if it
-    is sieved, else None. By lane, until the next batch: landing (-1 past
-    budget), steps and peak in ws.out, the start as x - lo in ws.offs,
-    peaks past int64 in _big_rows if ws.big, and from 2^95 on in exact.
+    Yields per batch (parts, exact), parts holding (lo, hi, q, c) per
+    slice: its lanes q to q + c - 1. By lane, until the next batch:
+    landing (-1 past budget), steps and peak in ws.out, the start as x -
+    lo in ws.offs, peaks past int64 in _big_rows if ws.big, and from
+    2^95 on in exact.
     """
     k = max(1, min(K, stop.bit_length() - 2))  # stop >= 2^(k+1)
     table, back = _block_table(k), _BLOCK_LIMIT + 1  # read per call, so patches apply
     parts, exact, ws = [], {}, None
 
     def start(i):  # lane i's start
-        return next(lo + int(ws.offs[i]) for lo, _, q, c, _ in parts if q <= i < q + c)
+        return next(lo + int(ws.offs[i]) for lo, _, q, c in parts if q <= i < q + c)
 
     def put(d, lane, cur, pk, r):
         (landing, steps, peak), (ids, x, y) = ws.out, ws.t[:3, :d.size]
@@ -573,19 +595,15 @@ def _walks(slices: Iterable, stop: int, budget: int):
 
     for lo, hi in slices:
         (n, m, floor), ws = _shape(lo, hi, stop), _workspace(hi - lo + 1)
-        keep = np.equal(_reps(lo, n, floor, k, ws.t[1, :n]), ws.iota[:n], out=ws.keep[:n])
-        c = int(np.count_nonzero(keep))
-        if parts and ints.size + wide.size + c > _SLICE:  # this slice waits in ws.keep
+        q = ints.size + wide.size if parts else 0
+        offs = _rep_offsets(lo, n, floor, k, ws.offs[q:])  # the row holds n lanes past the batch's
+        if parts and q + offs.size > _SLICE:  # this slice moves to the next batch's first lanes
             yield from walk()
-            parts, exact = [], {}
+            parts, exact, q, ws.offs[:offs.size], offs = [], {}, 0, offs, ws.offs[:offs.size]
         if not parts:  # a new batch
             ws.big = False  # whether this batch uses ws.peaks; see _big_rows
             ints, wide = _Lanes(ws, ws.ints, 0, (None, -1, None, _PARKED)), _Lanes(ws, ws.wide, 0, _WIDE_PARKED)
-        q = ints.size + wide.size
-        offs = ws.offs[q:q + c]
-        offs[:] = _nonzero(keep, offs)
-        first = _first_peaks(lo, hi, stop, k) if floor < n else None
-        ci = int(np.searchsorted(offs, m))  # the int64 lanes; the limb ones follow
+        ci, c = int(np.searchsorted(offs, m)), offs.size  # the int64 lanes; the limb ones follow
         lane, cur, pk, r = ints.add(ci)
         lane[:], r[:] = ws.iota[q:q + ci], 0
         np.add(offs[:ci], min(lo, back), out=cur)
@@ -598,7 +616,7 @@ def _walks(slices: Iterable, stop: int, budget: int):
         if floor < n and ci < c:
             _advance_wide(table, k, h, l, ph, pl, rw, ws.t[:, :c - ci], ws.b[:, :c - ci])
         ph[:], pl[:] = h, l
-        parts.append((lo, hi, q, c, first))
+        parts.append((lo, hi, q, c))
     if parts:
         yield from walk()
 
@@ -609,8 +627,10 @@ def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
     its own first-block peak and the representative's later peak.
     Returns (landing, steps, peak, limbs, exact) by x - lo, as _walks
     gives them, limbs _big_rows or None, valid until the next walk."""
+    (n, m, floor), k, ws = _shape(lo, hi, stop), max(1, min(K, stop.bit_length() - 2)), _workspace(hi - lo + 1)
+    if floor < n:  # every start's first-block peak, in ws.sieve, which the walk leaves
+        _first_peaks(lo, hi, stop, k, np.zeros(n, dtype=bool))
     ((part, *_), exact), = _walks([(lo, hi)], stop, budget)
-    (n, m, floor), k, ws = _shape(lo, hi, stop), max(1, min(K, stop.bit_length() - 2)), _local
     landing, steps, peak = ws.out[:, :n]
     if floor >= n:  # not sieved: every start has its lane, x - lo
         return landing, steps, peak, ws.peaks[:, :n] if ws.big else None, exact
@@ -709,6 +729,7 @@ def _cache_for(cache_len: int, step_budget: int) -> tuple:
     return _cache_slot[1]
 
 
+@atexit.register  # before the module's teardown, which would free a pool after multiprocessing's
 def _drop_pool() -> None:
     """Forget the pool, first shutting it down and waiting for its
     workers and threads."""
@@ -723,14 +744,14 @@ def _sweep_pooled(workers: int, chunks: Iterable, budget: int, cutoff: int) -> V
     _cache_slot's table with this many workers under the current start
     method, one chunk per task. Any other pool, or one that a dead worker
     broke, is shut down before a new one starts, so that no pool forks
-    while another's threads run; concurrent.futures' exit hook stops the
-    last one. Chunks are taken lazily into a window of 2·workers + 1
-    tasks, what the workers and call queue hold; a finished task's report
-    comes back through a queue its done callback fills and folds into a
-    running merge. A call that ends early, by an error or an interrupt,
-    stops the workers, as the pool's manager thread may have died, and
-    drops the pool, cancelling the tasks not yet started. A sweep at one
-    worker does not import multiprocessing or concurrent.futures."""
+    while another's threads run; _drop_pool's exit hook stops the last.
+    Chunks go lazily into a window of 2·workers + 1 tasks, what workers
+    and call queue hold; reports come back through a queue their done
+    callbacks fill, and merge only in equal task counts, so a start is
+    merged about log2(tasks) times. A call that ends early, by an error
+    or an interrupt, stops the workers, as the manager thread may have
+    died, and drops the pool, cancelling the tasks not yet started. A
+    sweep at one worker imports no multiprocessing or concurrent.futures."""
     global _pool
     import multiprocessing
     import queue
@@ -740,14 +761,16 @@ def _sweep_pooled(workers: int, chunks: Iterable, budget: int, cutoff: int) -> V
     if _pool is None or _pool[:2] != key or _pool[2]._broken:
         _drop_pool()
         _pool = (*key, ProcessPoolExecutor(workers, initializer=_install_table, initargs=(_cache_slot,)))
-    pool, done, report, live = _pool[2], queue.SimpleQueue(), VerifyReport.empty(), 0
+    pool, done, merged, live, folded = _pool[2], queue.SimpleQueue(), [], 0, 0
     try:
         for lo, hi in chunks:
-            if live > 2 * workers:
-                report, live = merge_reports(report, done.get().result()), live - 1
+            if live > 2 * workers:  # merged holds the binary digits of folded, most tasks first
+                merged, live, folded = [*merged, done.get().result()], live - 1, folded + 1
+                if (z := (folded & -folded).bit_length()) > 1:
+                    merged[-z:] = [merge_reports(*merged[-z:])]
             pool.submit(_sweep, lo, hi, budget, cutoff).add_done_callback(done.put)
             live += 1
-        return merge_reports(report, *(done.get().result() for _ in range(live)))
+        return merge_reports(*merged, *(done.get().result() for _ in range(live)))
     except BaseException:
         for worker in list((pool._processes or {}).values()):
             worker.terminate()
@@ -766,13 +789,14 @@ def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = Non
     into _SLICE-start slices, walked in _walks's batches and reduced by
     class with no array by start: a representative is its class's
     smallest start, so the steps record and that of later peaks come
-    from representatives, and the first-block peaks' from _first_peaks.
-    The later peaks' candidates are the largest of the int64 top, the
-    limb rows and exact, tiers of disjoint values (below 2^63, below
-    2^95, from 2^95 on) in which no top exceeds its lane's peak. Only a
-    slice with a representative left unresolved spreads it to its
-    members, which the cutoff may certify, and takes that maximum anew
-    without them. Each batch's candidates fold to one per record."""
+    from representatives, and the first-block peaks' from _first_peaks
+    on a sieved slice's last 2^k starts. The later peaks' candidates are
+    the largest of the int64 top, the limb rows and exact, tiers of
+    disjoint values (below 2^63, below 2^95, from 2^95 on) in which no
+    top exceeds its lane's peak. A slice with a representative left
+    unresolved spreads it to its members, which the cutoff may certify,
+    and takes that maximum over all its other starts. Each batch's
+    candidates fold to one per record."""
     cache_steps, cache_peak = table or _cache_slot[1]
     stop, ws, k = len(cache_steps), _local, max(1, min(K, len(cache_steps).bit_length() - 2))
     missed, steps, peaks = [], [], []  # starts left unresolved, and (value, x) candidates for each record
@@ -783,7 +807,7 @@ def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = Non
         steps, peaks = [(int(total[j]), lo + j)], [(int(top[e]), lo + e)]
     slices = ((s, min(s + _SLICE - 1, hi)) for s in range(max(lo, stop), hi + 1, _SLICE))
     for parts, exact in _walks(slices, stop, budget):
-        for x0, x1, q, c, first in parts:
+        for x0, x1, q, c in parts:
             (landing, total, top), offs = ws.out[:, q:q + c], ws.offs[q:q + c]
             bad = _land(total, top, landing, cache_steps, cache_peak, budget)
             lost = offs[np.flatnonzero(bad)] if bad.any() else None
@@ -802,10 +826,9 @@ def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = Non
                 flag[:] = False
                 flag[lost] = True
                 members = _take(flag, rep, ws.skip[:n])
-                first = first and _first_peaks(x0, x1, stop, k, members)
                 missed += [x0 + x for x in np.flatnonzero(members).tolist()]
-            if first:
-                peaks.append((first[0], x0 + first[1]))
+            if x1 < _WIDE_LIMIT:  # sieved, as x0 >= stop
+                peaks.append(_first_peaks(x0, x1, stop, k, members if lost is not None else None))
         steps, peaks = [max(steps, key=_rank)], [max(peaks, key=_rank)]
     # The cutoff walk: at the default budget almost no start takes it.
     unresolved = sorted(x for x in missed if cutoff < 2 or _descend(x, cutoff - 1, 0, x, budget)[0] < 0)

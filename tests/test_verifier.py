@@ -19,6 +19,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -608,6 +609,50 @@ def test_canon_is_the_smallest_residue_with_the_same_block():
     assert len(set(canon)) == 1535
 
 
+def test_representatives_are_listed_in_closed_form():
+    # The lanes that walk are those that _reps maps to themselves, for
+    # every block size, place mod 2^k (aligned or not, below and past the
+    # block limit, up to the wide limit), slice size and floor.
+    rng = random.Random(27)
+    back, wide = verifier_mod._BLOCK_LIMIT + 1, verifier_mod._WIDE_LIMIT
+    verifier_mod._workspace(2**16)
+    for k in (1, 2, 5, 12):
+        for n in (1, 2**k - 1, 2**k, 2**k + 1, rng.randrange(1, 3 * 2**k), rng.randrange(1, 2**16), 2**16):
+            for base in (2**21, back - 2**17, back, wide - 2**17, rng.randrange(2**20, 2**60)):
+                for lo in (base - base % 2**k, base + rng.randrange(1, 2**k) - base % 2**k, base + 1):
+                    for floor in (0, rng.randrange(n + 1), n):
+                        reps = verifier_mod._reps(lo, n, floor, k, np.empty(n, dtype=np.int64))
+                        expected = np.flatnonzero(reps == np.arange(n))
+                        got = verifier_mod._rep_offsets(lo, n, floor, k, np.full(2**17, -1, dtype=np.int64))
+                        assert np.array_equal(got, expected), (k, lo, n, floor)
+
+
+def test_first_block_peak_record_lies_in_the_last_block():
+    # A start's first-block peak grows with its block, so a slice from
+    # stop on takes the largest, the smallest start among ties, from its
+    # last 2^k starts alone: the same as from all of them, in int64,
+    # across the block limit, in limbs and past int64, and as a plain
+    # walk of each start's first block finds it.
+    rng = random.Random(27)
+    back, wide = verifier_mod._BLOCK_LIMIT + 1, verifier_mod._WIDE_LIMIT
+    for stop in (64, 1 << 20):
+        k = min(verifier_mod.K, stop.bit_length() - 2)
+        for n in (1, 2**k - 1, 2**k, 2**k + 1, rng.randrange(1, 5000), 2**16):
+            for lo in (stop, 2**40 + rng.randrange(2**20), back - n // 2, 2**62 + 3, wide - n - rng.randrange(9)):
+                hi = lo + n - 1
+                verifier_mod._workspace(n)
+                tail = verifier_mod._first_peaks(lo, hi, stop, k)
+                assert tail == verifier_mod._first_peaks(lo, hi, stop, k, np.zeros(n, dtype=bool)), (lo, n)
+                best = None
+                for x in range(max(lo, hi + 1 - 2**k), hi + 1):
+                    c = p = x
+                    for _ in range(k):  # k steps of T, each through its col-steps
+                        c = (3 * c + 1 if c % 2 else c) // 2
+                        p = max(p, 2 * c)
+                    best = max(best or (p, -x), (p, -x))
+                assert tail == (best[0], -best[1]), (lo, n)
+
+
 def unwalked_peak_pair(x0, stop):
     """The first starts x < y of one class in one 2^12-aligned block,
     from x0's block on, where y is not walked, and its first-block peak
@@ -858,36 +903,55 @@ def test_consecutive_slices_share_their_rounds(monkeypatch):
 
 def test_each_walked_slice_is_sieved_once(monkeypatch):
     # Four 2^16-start slices from 2^21: the third slice's representatives
-    # do not fit the batch of the first two, so its sieve waits while
-    # that batch walks, and no slice is sieved twice.
+    # do not fit the batch of the first two, so it is listed only once
+    # that batch has walked, and no slice is listed twice.
     cfg = VerifyConfig(1 << 21, (1 << 21) + 4 * 2**16 - 1, worker_count=1)
     reference = verify_range(cfg).payload()  # and the table
-    calls, real = [], verifier_mod._reps
+    calls, real = [], verifier_mod._rep_offsets
 
-    def reps(lo, n, *rest):
+    def rep_offsets(lo, n, *rest):
         calls.append((lo, n))
         return real(lo, n, *rest)
 
-    monkeypatch.setattr(verifier_mod, "_reps", reps)
+    monkeypatch.setattr(verifier_mod, "_rep_offsets", rep_offsets)
     assert verify_range(cfg).payload() == reference
     assert calls == [(cfg.range_lo + i * 2**16, 2**16) for i in range(4)], calls
 
 
 def test_in_process_slices_come_from_the_range(monkeypatch):
     # _task_size cuts only pool tasks: a sweep in one thread cuts its
-    # range into 2^16-start slices from the table's end, one sieve each.
+    # range into 2^16-start slices from the table's end, one list each.
     cfg = VerifyConfig(1 << 21, (1 << 21) + 4 * 2**16 - 1, worker_count=1)
     reference = verify_range(cfg).payload()
-    calls, real = [], verifier_mod._reps
+    calls, real = [], verifier_mod._rep_offsets
 
-    def reps(*args):
+    def rep_offsets(*args):
         calls.append(args[:2])
         return real(*args)
 
-    monkeypatch.setattr(verifier_mod, "_reps", reps)
+    monkeypatch.setattr(verifier_mod, "_rep_offsets", rep_offsets)
     with tasks_of(1000):
         assert verify_range(cfg).payload() == reference
     assert len(calls) == 4, len(calls)
+
+
+def test_table_build_maps_each_sieved_slice_once(monkeypatch):
+    # The 2^20 table is built in 30 slices, each from its own stop on and
+    # so sieved: each lists its representatives once, and maps its starts
+    # to them once, for the spread of the lanes' results.
+    calls = {"_reps": [], "_rep_offsets": []}
+    for name, seen in calls.items():
+        real = getattr(verifier_mod, name)
+
+        def count(lo, n, *rest, real=real, seen=seen):
+            seen.append((lo, n))
+            return real(lo, n, *rest)
+
+        monkeypatch.setattr(verifier_mod, name, count)
+    verifier_mod._build_cache(1 << 20, DEFAULT_STEP_BUDGET)
+    slices = [(s, min(s + 2**16, 2 * n) - s) for n in (2**i for i in range(1, 20)) for s in range(n, 2 * n, 2**16)]
+    assert len(slices) == 30
+    assert calls["_reps"] == calls["_rep_offsets"] == slices, calls
 
 
 class FirstBatchWalked(Exception):
@@ -1215,6 +1279,28 @@ def test_pooled_sweep_keeps_no_future_per_task(monkeypatch):
     assert max(alive) <= 2 * SLOW_POOL_SWEEP.worker_count + 2, max(alive)
 
 
+def test_task_reports_merge_as_a_binary_counter(monkeypatch):
+    # At budget 40 nearly every start of [1, 2^17] is unresolved, and 32
+    # tasks of 4096 starts each bring theirs. Merging only reports of as
+    # many tasks passes each unresolved start through about log2(32)
+    # merges, where a running merge would pass it through about 16.
+    cfg = VerifyConfig(1, 1 << 17, 40, worker_count=2, dense_cache_entries=4096)
+    with tasks_of(1 << 16):
+        reference = verify_range(cfg).payload()
+    merged, real = [], verifier_mod.merge_reports
+
+    def merge_reports(*reports):
+        merged.append(sum(len(r.unresolved) for r in reports))
+        return real(*reports)
+
+    monkeypatch.setattr(verifier_mod, "merge_reports", merge_reports)
+    with tasks_of(POOL_TASK):
+        assert verify_range(cfg).payload() == reference
+    unresolved, tasks = len(reference["unresolved"]), cfg.range_hi // POOL_TASK
+    assert unresolved > cfg.range_hi // 2
+    assert sum(merged) <= unresolved * ((tasks - 1).bit_length() + 2), (sum(merged), unresolved)
+
+
 def run_in_own_session(script, timeout=120):
     """(returncode, stdout, stderr) of script, run by this interpreter on
     the tested package in a session of its own, which is killed, workers
@@ -1324,6 +1410,25 @@ def test_interrupted_wait_for_a_finished_task_drops_the_pool():
     returncode, out, err = run_in_own_session(INTERRUPTED_WAITS)
     assert returncode == 0 and out.split() == ["ok"], err
     assert "Traceback" not in err, err
+
+
+POOL_AT_EXIT = """
+import collatzkit.verifier as verifier
+from collatzkit import VerifyConfig, verify_range
+
+verifier._task_size = lambda n, workers: 4096
+verify_range(VerifyConfig(1, 1 << 16, worker_count=2, dense_cache_entries=4096))
+print("ok")
+"""
+
+
+def test_pool_left_at_exit_is_dropped_quietly():
+    # The patch, a lambda of the script's, ties the verifier module to
+    # the script's globals, so module teardown would free the kept pool
+    # only after multiprocessing's own; the exit hook drops it before.
+    returncode, out, err = run_in_own_session(POOL_AT_EXIT)
+    assert returncode == 0 and out.split() == ["ok"], err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 ORPHANED_POOL = """
