@@ -39,8 +39,7 @@ def main():
           and merged.max_excursion == report.max_excursion)
 
     banner("Starving the budget surfaces the unresolved")
-    starved = verify_range(VerifyConfig(27, 27, step_budget=5,
-                                        dense_cache_entries=2))
+    starved = verify_range(VerifyConfig(27, 27, step_budget=5))
     print("27 with five steps:", starved.unresolved)
 
     banner("Reports serialize")

@@ -51,7 +51,6 @@ __version__ = "0.1.0"
 # The verifier needs numpy, which costs more than the rest of the package
 # to import; these names load it on first access.
 _VERIFIER_NAMES = frozenset({
-    "DENSE_CACHE_ENTRIES",
     "ConfigError",
     "RecordStat",
     "VerifyConfig",
@@ -74,7 +73,6 @@ __all__ = [
     "ClosedLoop",
     "ConfigError",
     "DEFAULT_STEP_BUDGET",
-    "DENSE_CACHE_ENTRIES",
     "DomainError",
     "Edge",
     "EmptySequenceError",

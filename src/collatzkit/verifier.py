@@ -78,12 +78,8 @@ from .cycles import ClosedLoop
 from .dynamics import DEFAULT_STEP_BUDGET, DomainError, EntersCycle, MapVariant
 from .dynamics import _as_int, _block_levels, _brent_walk, _descend
 
-DENSE_CACHE_ENTRIES = 1 << 20
-# Larger tables are refused so that every table peak fits in int64: the
-# first start whose orbit peak exceeds 2^63 - 1 is 8,528,817,511 (a known
-# path record), above 2^32, and the default 2^20 table peaks at
-# 90,239,155,648.
-_MAX_CACHE_ENTRIES = 1 << 32
+# Most table entries; its peaks fit int64 (the 2^20 table peaks at 90,239,155,648).
+_TABLE = 1 << 20
 
 # Longest block in the lane kernel, in steps of T. Every value of a
 # k-step block from x is below 2·(3/2)^k·(x + 1), so int64 lanes up to
@@ -116,7 +112,6 @@ class VerifyConfig:
     assume_verified_below: int = 1
     _: KW_ONLY
     worker_count: int | None = None
-    dense_cache_entries: int = DENSE_CACHE_ENTRIES
 
     def validated(self) -> "VerifyConfig":
         """A copy holding plain ints, or ConfigError naming the first bad field."""
@@ -133,7 +128,6 @@ class VerifyConfig:
             # The cutoff may only reference already-certified territory.
             assume_verified_below=field("assume_verified_below", 1, lo),
             worker_count=None if self.worker_count is None else field("worker_count"),
-            dense_cache_entries=field("dense_cache_entries", 2, _MAX_CACHE_ENTRIES),
         )
 
     @property
@@ -856,15 +850,16 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
 
     Certification means the trajectory reached 1, or dropped strictly
     below assume_verified_below, within step_budget col-steps. Record
-    statistics are taken only over trajectories that reached 1. The
-    range streams through this thread, or in _task_size tasks through a
-    pool whose reports merge_reports folds as they finish, so the payload
-    is identical regardless of task size, worker count or table size.
+    statistics are taken only over trajectories that reached 1. Starts
+    below the table's size, min(_TABLE, range_hi + 1), read it. The range
+    streams through this thread, or in _task_size tasks through a pool
+    whose reports merge_reports folds as they finish, so the payload is
+    identical regardless of task size, worker count or table size.
     """
     cfg = config.validated()
     t0 = time.perf_counter()
     lo, hi, args = cfg.range_lo, cfg.range_hi, (cfg.step_budget, cfg.assume_verified_below)
-    cache_len = max(2, min(cfg.dense_cache_entries, hi + 1))
+    cache_len = min(_TABLE, hi + 1)
     size = _task_size(hi - lo + 1, cfg.resolved_worker_count)
     # A range inside the table only reads it, so it needs no pool.
     workers = min(cfg.resolved_worker_count, (hi - lo) // size + 1) if hi >= cache_len else 1

@@ -7,6 +7,8 @@ failure); the pytest -v listing itself is the pass/fail record.
 import random
 import time
 
+import pytest
+
 from collatzkit import (
     BranchLabel,
     MapVariant,
@@ -150,6 +152,7 @@ def _cutoff_sweep(workers):
     return merge_reports(first, second)
 
 
+@pytest.mark.pool
 def test_criterion_6_convergence_sweep_to_ten_million():
     t0 = time.perf_counter()
     merged = _cutoff_sweep(None)  # default worker count

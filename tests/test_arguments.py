@@ -8,6 +8,7 @@ from dataclasses import is_dataclass, replace
 import numpy as np
 import pytest
 
+import collatzkit.verifier as verifier
 from collatzkit import (
     DomainError,
     ResidueClass,
@@ -34,14 +35,16 @@ LOOP = validate_loop((1, 4, 2, 1))
 GRAPH = build_graph(10)
 
 
-CONFIG = VerifyConfig(100, 300, worker_count=1, dense_cache_entries=64)
+CONFIG = VerifyConfig(100, 300, worker_count=1)
 
 
 def sweep(**fields):
     config = replace(CONFIG, **fields)
     # json.dumps refuses numpy integers, so this fails unless the
-    # validated config holds plain ints.
-    return config.validated(), json.dumps(verify_range(config).payload())
+    # validated config holds plain ints. The table ends inside the range.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_TABLE", 64)
+        return config.validated(), json.dumps(verify_range(config).payload())
 
 
 CASES = [
@@ -74,7 +77,6 @@ CASES = [
     ("VerifyConfig", "step_budget", lambda v: sweep(step_budget=v), 60),
     ("VerifyConfig", "assume_verified_below", lambda v: sweep(assume_verified_below=v), 50),
     ("VerifyConfig", "worker_count", lambda v: sweep(worker_count=v), 1),
-    ("VerifyConfig", "dense_cache_entries", lambda v: sweep(dense_cache_entries=v), 100),
 ]
 
 

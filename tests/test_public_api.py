@@ -9,7 +9,6 @@ PUBLIC = [
     "ClosedLoop",
     "ConfigError",
     "DEFAULT_STEP_BUDGET",
-    "DENSE_CACHE_ENTRIES",
     "DomainError",
     "Edge",
     "EmptySequenceError",
@@ -54,7 +53,7 @@ PUBLIC = [
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 44
     assert collatzkit.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(collatzkit, name) is not None, name

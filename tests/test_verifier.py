@@ -138,6 +138,16 @@ def tasks_of(size):
         yield
 
 
+@contextlib.contextmanager
+def table_of(entries):
+    """Within the block, the driver builds tables of at most entries
+    entries; None leaves its own limit."""
+    with pytest.MonkeyPatch.context() as patch:
+        if entries is not None:
+            patch.setattr(verifier_mod, "_TABLE", entries)
+        yield
+
+
 def count_pooled(patch):
     """The worker count of each pooled sweep from now on, in order."""
     pooled, real = [], verifier_mod._sweep_pooled
@@ -155,45 +165,62 @@ def test_oracle_against_naive_prefix():
     assert oracle_sweep(1, 300) == classified_records(1, 300)
 
 
+@pytest.mark.pool
 def test_task_size_independence(monkeypatch):
     # Past its 1000-entry table, [1, 5000] reaches the pool at every task
     # size, the first task reading the table and the rest walking.
-    cfg = VerifyConfig(1, 5000, worker_count=2, dense_cache_entries=1000)
-    reference = verify_range(replace(cfg, worker_count=1)).payload()
-    pooled = count_pooled(monkeypatch)
-    for size in (1, 137, 700, 4999):
-        with tasks_of(size):
-            assert verify_range(cfg).payload() == reference, size
+    cfg = VerifyConfig(1, 5000, worker_count=2)
+    with table_of(1000):
+        reference = verify_range(replace(cfg, worker_count=1)).payload()
+        pooled = count_pooled(monkeypatch)
+        for size in (1, 137, 700, 4999):
+            with tasks_of(size):
+                assert verify_range(cfg).payload() == reference, size
     assert pooled == [2] * 4
 
 
+@pytest.mark.pool
 def test_worker_count_independence(monkeypatch):
     # Past its 4096-entry table, [1, 300000] is five tasks of 2^16 starts
     # at two workers and at four.
-    cfg = VerifyConfig(1, 300_000, worker_count=1, dense_cache_entries=4096)
-    reference = verify_range(cfg).payload()
-    pooled = count_pooled(monkeypatch)
-    for workers in (2, 4):
-        assert verify_range(replace(cfg, worker_count=workers)).payload() == reference
+    cfg = VerifyConfig(1, 300_000, worker_count=1)
+    with table_of(4096):
+        reference = verify_range(cfg).payload()
+        pooled = count_pooled(monkeypatch)
+        for workers in (2, 4):
+            assert verify_range(replace(cfg, worker_count=workers)).payload() == reference
     assert pooled == [2, 4]
 
 
-def test_dense_cache_threshold_independence():
+def test_table_size_independence():
     reference = verify_range(VerifyConfig(1, 3000)).payload()
     for entries in (2, 64, 4096):
-        got = verify_range(VerifyConfig(1, 3000, dense_cache_entries=entries)).payload()
+        with table_of(entries):
+            got = verify_range(VerifyConfig(1, 3000)).payload()
         assert got == reference
     # at a small budget too, with and without a cutoff
     assert plain_walk(4649)[0] == 134
     for cutoff in (1, 1000):
-        payloads = [
-            verify_range(
-                VerifyConfig(1000, 5000, 40, assume_verified_below=cutoff, dense_cache_entries=entries)
-            ).payload()
-            for entries in (64, 4096, 1 << 20)
-        ]
+        payloads = []
+        for entries in (64, 4096, 1 << 20):
+            with table_of(entries):
+                cfg = VerifyConfig(1000, 5000, 40, assume_verified_below=cutoff)
+                payloads.append(verify_range(cfg).payload())
         assert payloads[0] == payloads[1] == payloads[2]
         assert 4649 in payloads[0]["unresolved"]
+
+
+def test_table_holds_the_range_up_to_its_limit():
+    # A sweep's table holds [0, range_hi], cut at _TABLE entries: 2^20
+    # unless patched, so `verify --to 1000000` builds 10^6 + 1.
+    budget = DEFAULT_STEP_BUDGET
+    verify_range(VerifyConfig(1, 1000, worker_count=1))
+    assert verifier_mod._cache_slot[0] == (1001, budget)
+    with table_of(4096):
+        verify_range(VerifyConfig(1, 10**4, worker_count=1))
+    assert verifier_mod._cache_slot[0] == (4096, budget)
+    verify_range(VerifyConfig((1 << 21) + 1, (1 << 21) + 1, worker_count=1))
+    assert verifier_mod._cache_slot[0] == (1 << 20, budget)
 
 
 def test_cutoff_equivalence_with_naive_run():
@@ -208,21 +235,23 @@ def test_cutoff_equivalence_with_naive_run():
 
 
 def test_budget_starvation_is_data():
-    report = verify_range(VerifyConfig(27, 27, step_budget=5, dense_cache_entries=2))
+    with table_of(2):
+        report = verify_range(VerifyConfig(27, 27, step_budget=5))
     assert report.verified_count == 0
     assert report.unresolved == (27,)
     assert report.max_total_stopping_time is None
     assert report.max_excursion is None
 
 
+@pytest.mark.pool
 def test_report_count_invariant():
-    for cfg in (
-        VerifyConfig(1, 500),
-        VerifyConfig(90, 410, worker_count=2, dense_cache_entries=64),
-        VerifyConfig(2, 600, step_budget=8, dense_cache_entries=2),
-        VerifyConfig(50, 60, step_budget=4, assume_verified_below=50, dense_cache_entries=2),
+    for cfg, entries in (
+        (VerifyConfig(1, 500), None),
+        (VerifyConfig(90, 410, worker_count=2), 64),
+        (VerifyConfig(2, 600, step_budget=8), 2),
+        (VerifyConfig(50, 60, step_budget=4, assume_verified_below=50), 2),
     ):
-        with tasks_of(100):
+        with table_of(entries), tasks_of(100):
             report = verify_range(cfg)
         size = cfg.range_hi - cfg.range_lo + 1
         assert report.verified_count + len(report.unresolved) == size
@@ -233,32 +262,36 @@ def test_report_count_invariant():
 
 
 def test_cutoff_certifies_without_exact_resolution():
-    # 52 drops below 52 immediately but cannot reach the 2-entry cache
+    # 52 drops below 52 immediately but cannot reach the 2-entry table
     # within 4 steps, so certification comes from the cutoff alone.
-    cfg = VerifyConfig(52, 52, step_budget=4, assume_verified_below=52, dense_cache_entries=2)
-    report = verify_range(cfg)
+    cfg = VerifyConfig(52, 52, step_budget=4, assume_verified_below=52)
+    with table_of(2):
+        report = verify_range(cfg)
     assert report.verified_count == 1
     assert report.unresolved == ()
     assert report.max_total_stopping_time is None
     assert report.max_excursion is None
     # without the cutoff the same budget leaves it unresolved
-    bare = verify_range(VerifyConfig(52, 52, step_budget=4, dense_cache_entries=2))
+    with table_of(2):
+        bare = verify_range(VerifyConfig(52, 52, step_budget=4))
     assert bare.unresolved == (52,)
 
 
+@pytest.mark.pool
 def test_small_budget_chunking_stable():
     # At budget 8 many starts stay unresolved: a sweep in one thread walks
     # its range as one stream whatever the task size, and a pooled sweep
     # folds its tasks' reports as they finish, with and without a cutoff
     # that certifies some of them.
     for lo, cutoff in ((1, 1), (300, 300)):
-        base = VerifyConfig(lo, 600, step_budget=8, assume_verified_below=cutoff, dense_cache_entries=2)
-        reference = verify_range(base)
-        for size in (7, 100):
-            for workers in (None, 1, 2):
-                with tasks_of(size):
-                    got = verify_range(replace(base, worker_count=workers))
-                assert got.payload() == reference.payload(), (lo, size, workers)
+        base = VerifyConfig(lo, 600, step_budget=8, assume_verified_below=cutoff)
+        with table_of(2):
+            reference = verify_range(base)
+            for size in (7, 100):
+                for workers in (None, 1, 2):
+                    with tasks_of(size):
+                        got = verify_range(replace(base, worker_count=workers))
+                    assert got.payload() == reference.payload(), (lo, size, workers)
         assert reference.unresolved != ()
 
 
@@ -310,6 +343,7 @@ def test_range_beyond_vector_path():
         assert report_records(report) == classified_records(lo, hi)
 
 
+@pytest.mark.pool
 def test_forced_escalation_paths_agree(monkeypatch):
     # the default limits against patched (_BLOCK_LIMIT, _WIDE_LIMIT)
     # pairs that send small lanes through the wide walk and, below the
@@ -318,27 +352,28 @@ def test_forced_escalation_paths_agree(monkeypatch):
     # cutoff. A patched _BLOCK_LIMIT stays at or above the table size. The
     # path record 8,528,817,511 peaks past 2^63 and then descends.
     # The record's windows run in tasks of 37 starts.
-    record = VerifyConfig(8528817447, 8528817575, dense_cache_entries=4096)
-    for cfg in (
-        VerifyConfig(1, 3000),
-        VerifyConfig(1, 3000, dense_cache_entries=64),
-        VerifyConfig(1000, 5000, step_budget=40, assume_verified_below=1000, dense_cache_entries=64),
-        VerifyConfig(1000, 5000, step_budget=40, dense_cache_entries=4096),
-        VerifyConfig(1, 3000, step_budget=25, dense_cache_entries=2),
-        replace(record, worker_count=1),
-        replace(record, worker_count=2),
+    record = VerifyConfig(8528817447, 8528817575)
+    for cfg, entries in (
+        (VerifyConfig(1, 3000), None),
+        (VerifyConfig(1, 3000), 64),
+        (VerifyConfig(1000, 5000, step_budget=40, assume_verified_below=1000), 64),
+        (VerifyConfig(1000, 5000, step_budget=40), 4096),
+        (VerifyConfig(1, 3000, step_budget=25), 2),
+        (replace(record, worker_count=1), 4096),
+        (replace(record, worker_count=2), 4096),
     ):
         size = 37 if cfg.range_lo == record.range_lo else None
-        with tasks_of(size):
+        with table_of(entries), tasks_of(size):
             base = verify_range(cfg).payload()
         for block, wide in ((1 << 13, verifier_mod._WIDE_LIMIT), (1 << 13, 1 << 16), (5000, 1 << 20)):
-            with monkeypatch.context() as patch, tasks_of(size):
+            with monkeypatch.context() as patch, table_of(entries), tasks_of(size):
                 verifier_mod._cache_slot = None
                 patch.setattr(verifier_mod, "_BLOCK_LIMIT", block)
                 patch.setattr(verifier_mod, "_WIDE_LIMIT", wide)
-                assert verify_range(cfg).payload() == base, (cfg, block, wide)
+                assert verify_range(cfg).payload() == base, (cfg, entries, block, wide)
         verifier_mod._cache_slot = None
-    report = verify_range(record)
+    with table_of(4096):
+        report = verify_range(record)
     assert report.max_excursion == RecordStat(18_144_594_937_356_598_024, 8_528_817_511)
     assert report_records(report) == classified_records(record.range_lo, record.range_hi)
 
@@ -394,7 +429,8 @@ def test_block_peak_record_inside_a_block():
                 values.append(c)
             ends.add(c)
         assert best_peak[0] in values and best_peak[0] not in ends
-        report = verify_range(VerifyConfig(1, 30_000, dense_cache_entries=entries))
+        with table_of(entries):
+            report = verify_range(VerifyConfig(1, 30_000))
         assert report.max_excursion == RecordStat(*best_peak)
         assert report.max_total_stopping_time == RecordStat(*best_steps)
 
@@ -411,7 +447,8 @@ def test_capped_table_matches_per_start_walks(monkeypatch):
     # Table blocks and tasks are walked in slices of at most _SLICE
     # lanes; small caps cut every doubling block and task into many.
     monkeypatch.setattr(verifier_mod, "_task_size", lambda n, workers: 2500)
-    cfg = VerifyConfig(1000, 9000, dense_cache_entries=4096)
+    monkeypatch.setattr(verifier_mod, "_TABLE", 4096)
+    cfg = VerifyConfig(1000, 9000)
     base = verify_range(cfg).payload()
     for cap in (37, 1000):
         monkeypatch.setattr(verifier_mod, "_SLICE", cap)
@@ -452,29 +489,33 @@ def test_threads_sweep_at_once():
 
 
 
+@pytest.mark.pool
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_sweeps_keep_their_table_while_another_thread_replaces_it():
     # A sweep walks the table it obtained, and replacing the table waits
     # for a multi-worker sweep, whose pool holds it; so a thread that
     # keeps sweeping with another budget and table size meanwhile changes
     # neither its own payloads nor those of sweeps at 1 and 2 workers.
-    cfg = VerifyConfig(10**6, 10**6 + 4 * 4096 - 1, step_budget=150, dense_cache_entries=4096)
+    # The 4096-entry table limit holds for both threads, and other lies
+    # inside it.
+    cfg = VerifyConfig(10**6, 10**6 + 4 * 4096 - 1, step_budget=150)
     other = VerifyConfig(1, 3000, step_budget=20, worker_count=1)
-    serial, other_serial = verify_range(replace(cfg, worker_count=1)).payload(), verify_range(other).payload()
     stop, others = threading.Event(), []
 
     def loop():
         while not stop.is_set():
             others.append(verify_range(other).payload())
 
-    thread = threading.Thread(target=loop)
-    thread.start()
-    try:
-        with tasks_of(4096):
-            payloads = [verify_range(replace(cfg, worker_count=w)).payload() for w in (1, 2, 1, 2)]
-    finally:
-        stop.set()
-        thread.join(timeout=120)
+    with table_of(4096):
+        serial, other_serial = verify_range(replace(cfg, worker_count=1)).payload(), verify_range(other).payload()
+        thread = threading.Thread(target=loop)
+        thread.start()
+        try:
+            with tasks_of(4096):
+                payloads = [verify_range(replace(cfg, worker_count=w)).payload() for w in (1, 2, 1, 2)]
+        finally:
+            stop.set()
+            thread.join(timeout=120)
     assert not thread.is_alive() and others
     assert payloads == [serial] * 4
     assert others == [other_serial] * len(others)
@@ -724,7 +765,8 @@ def test_walk_lanes_sieve_matches_plain_walk(monkeypatch):
                 check_walk_lanes(block - 18, block + 18, 4096, budget)
     # the same through a sweep
     lo = 45487026724 - 549  # 2^12 - 1 mod 2^12
-    report = verify_range(VerifyConfig(lo, lo + 4200, worker_count=1, dense_cache_entries=4096))
+    with table_of(4096):
+        report = verify_range(VerifyConfig(lo, lo + 4200, worker_count=1))
     assert report_records(report) == classified_records(lo, lo + 4200)
 
 
@@ -740,7 +782,8 @@ def test_walk_lanes_at_stops_off_powers_of_two():
                 check_walk_lanes(s, s + 36, stop, budget)
             check_walk_lanes(stop - 1000, stop + 1000, stop, budget)
     # the same through a table of 3001 entries, in a sweep across its edge
-    report = verify_range(VerifyConfig(2000, 9000, worker_count=1, dense_cache_entries=3001))
+    with table_of(3001):
+        report = verify_range(VerifyConfig(2000, 9000, worker_count=1))
     assert report_records(report) == classified_records(2000, 9000)
 
 
@@ -860,6 +903,7 @@ def test_streamed_slices_match_per_start_walks(monkeypatch):
     # representatives stay unresolved and spread to their members, in
     # every slice far from the table and in some near it.
     monkeypatch.setattr(verifier_mod, "_SLICE", 37)
+    monkeypatch.setattr(verifier_mod, "_TABLE", 4096)
     windows = (
         (3 * 4096 - 50, 3 * 4096 + 250),
         (2**56 + 1, 2**56 + 300),
@@ -871,7 +915,7 @@ def test_streamed_slices_match_per_start_walks(monkeypatch):
         for lo, hi in windows:
             for cutoff in (1, lo):
                 verified, unresolved, steps, peak = reference_sweep(lo, hi, budget, cutoff)
-                cfg = VerifyConfig(lo, hi, budget, cutoff, worker_count=1, dense_cache_entries=4096)
+                cfg = VerifyConfig(lo, hi, budget, cutoff, worker_count=1)
                 report = verify_range(cfg)
                 assert (report.verified_count, list(report.unresolved)) == (verified, unresolved), cfg
                 assert report.max_total_stopping_time == (RecordStat(*steps) if steps else None), cfg
@@ -984,39 +1028,43 @@ def test_sweeps_inside_the_table_read_it_and_start_no_pool():
     # A range below the table's size takes every answer from the table,
     # in this thread, whatever the worker count. At budget 40 it holds
     # starts that do not reach 1, which the cutoff may still certify.
-    for cfg, size in (
-        (VerifyConfig(1, 20_000, worker_count=2, dense_cache_entries=1 << 15), 1000),
-        (VerifyConfig(1000, 9000, 40, 1000, worker_count=2, dense_cache_entries=1 << 14), 700),
+    for cfg, entries, size in (
+        (VerifyConfig(1, 20_000, worker_count=2), 1 << 15, 1000),
+        (VerifyConfig(1000, 9000, 40, 1000, worker_count=2), 1 << 14, 700),
     ):
         verifier_mod._drop_pool()
-        with tasks_of(size):
+        with table_of(entries), tasks_of(size):
             inside = verify_range(cfg).payload()
         assert verifier_mod._pool is None
-        assert inside == verify_range(replace(cfg, worker_count=1, dense_cache_entries=64)).payload()
+        with table_of(64):
+            assert inside == verify_range(replace(cfg, worker_count=1)).payload()
 
 
+@pytest.mark.pool
 def test_payload_hash_grid():
     # Payload hashes that every change to the kernel keeps: first 16 hex
     # digits of sha256 over the sorted-key JSON payload. Small budgets
     # with and without a cutoff, windows at 2^61, past 2^62 and past
     # int64, the path record 8,528,817,511, and the dense sweep; with a
-    # task size, the pool's cut at the default worker count.
+    # task size, the pool's cut at the default worker count; with a table
+    # limit, a table that ends inside the range.
     grid = (
-        (VerifyConfig(1000, 5000, 40, 1000, dense_cache_entries=64), 137, "d64152976b066303"),
-        (VerifyConfig(1000, 5000, 40, dense_cache_entries=4096), 137, "9d698c28950a57fc"),
-        (VerifyConfig(1, 3000, 25, dense_cache_entries=64), 137, "69047d72e9e0a41a"),
-        (VerifyConfig(1 << 61, (1 << 61) + 4095), None, "c73bd2b17e83a115"),
-        (VerifyConfig((1 << 62) + 1, (1 << 62) + 4096), None, "a19ec917d6abf0f6"),
-        (VerifyConfig((1 << 70) + 1, (1 << 70) + 3), None, "84301d4cce293ca0"),
-        (VerifyConfig(8528817447, 8528817575), 37, "cbc18b665f0d9825"),
-        (VerifyConfig(1, 10**7, worker_count=2), None, "a761c96312adb8e5"),
+        (VerifyConfig(1000, 5000, 40, 1000), 64, 137, "d64152976b066303"),
+        (VerifyConfig(1000, 5000, 40), 4096, 137, "9d698c28950a57fc"),
+        (VerifyConfig(1, 3000, 25), 64, 137, "69047d72e9e0a41a"),
+        (VerifyConfig(1 << 61, (1 << 61) + 4095), None, None, "c73bd2b17e83a115"),
+        (VerifyConfig((1 << 62) + 1, (1 << 62) + 4096), None, None, "a19ec917d6abf0f6"),
+        (VerifyConfig((1 << 70) + 1, (1 << 70) + 3), None, None, "84301d4cce293ca0"),
+        (VerifyConfig(8528817447, 8528817575), None, 37, "cbc18b665f0d9825"),
+        (VerifyConfig(1, 10**7, worker_count=2), None, None, "a761c96312adb8e5"),
     )
-    for cfg, size, expected in grid:
-        with tasks_of(size):
+    for cfg, entries, size, expected in grid:
+        with table_of(entries), tasks_of(size):
             payload = json.dumps(verify_range(cfg).payload(), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest()[:16] == expected, cfg
 
 
+@pytest.mark.pool
 def test_payload_hash_pins_past_block_limit():
     # Hashes taken before lanes past _BLOCK_LIMIT moved to two limbs, by
     # the same rule as the grid: starts past 2^84 and 2^95, at 1 and 2
@@ -1062,7 +1110,8 @@ assert collatzkit.verify_range is collatzkit.verifier.verify_range
 assert "numpy" in sys.modules
 # only a sweep of more than one task at more than one worker needs a pool
 collatzkit.verifier._task_size = lambda n, workers: 1000
-collatzkit.verify_range(collatzkit.VerifyConfig(1, 5000, worker_count=1, dense_cache_entries=64))
+collatzkit.verifier._TABLE = 64
+collatzkit.verify_range(collatzkit.VerifyConfig(1, 5000, worker_count=1))
 assert "concurrent.futures.process" not in sys.modules
 """
 
@@ -1105,6 +1154,7 @@ def pid_exists(pid):
     return True
 
 
+@pytest.mark.pool
 @pytest.mark.skipif(
     not {"fork", "forkserver"} <= set(multiprocessing.get_all_start_methods()),
     reason="needs the fork and forkserver start methods",
@@ -1129,15 +1179,15 @@ def test_forkserver_workers_get_the_table():
     assert not [pid for pid in fork_pids + forkserver_pids if pid_exists(pid)]
 
 
-POOL_TASK = 4096  # starts per task in the pool tests' sweeps
-POOL_SWEEP = VerifyConfig(1, 4 * POOL_TASK, worker_count=2, dense_cache_entries=4096)
+POOL_TASK = 4096  # starts per task, and table entries, in the pool tests' sweeps
+POOL_SWEEP = VerifyConfig(1, 4 * POOL_TASK, worker_count=2)
 
 
 @pytest.fixture
 def pool_tasks():
-    """Tasks of POOL_TASK starts for the test's pooled sweeps, kept
-    through a monkeypatch.undo()."""
-    with tasks_of(POOL_TASK):
+    """Tasks of POOL_TASK starts past a table of POOL_TASK entries for
+    the test's pooled sweeps, kept through a monkeypatch.undo()."""
+    with table_of(POOL_TASK), tasks_of(POOL_TASK):
         yield
 
 
@@ -1150,6 +1200,7 @@ def pool_pids(workers=2):
     return pids
 
 
+@pytest.mark.pool
 @pytest.mark.usefixtures("pool_tasks")
 def test_pool_is_kept_per_table_and_worker_count():
     # Sweeps with the same table and worker count reuse the pool; a new
@@ -1168,7 +1219,8 @@ def test_pool_is_kept_per_table_and_worker_count():
         seen.update(pids)
         return pids
 
-    new_pool(replace(POOL_SWEEP, dense_cache_entries=2048))
+    with table_of(2048):
+        new_pool(POOL_SWEEP)
     new_pool(replace(POOL_SWEEP, step_budget=500))
     verifier_mod._cache_slot = None
     new_pool(replace(POOL_SWEEP, step_budget=500))
@@ -1197,6 +1249,7 @@ def submitting(pool, monkeypatch, first):
     return futures
 
 
+@pytest.mark.pool
 @pytest.mark.usefixtures("pool_tasks")
 def test_pool_recovers_from_a_killed_worker(monkeypatch):
     reference = verify_range(replace(POOL_SWEEP, worker_count=1)).payload()
@@ -1220,6 +1273,7 @@ def test_pool_recovers_from_a_killed_worker(monkeypatch):
     assert victim not in pool_pids()
 
 
+@pytest.mark.pool
 @pytest.mark.usefixtures("pool_tasks")
 def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
     reference = verify_range(SLOW_POOL_SWEEP).payload()
@@ -1258,6 +1312,7 @@ def test_interrupted_sweep_cancels_its_queued_jobs(monkeypatch):
     assert verifier_mod._pool[-1] is not pool
 
 
+@pytest.mark.pool
 @pytest.mark.usefixtures("pool_tasks")
 def test_pooled_sweep_keeps_no_future_per_task(monkeypatch):
     # SLOW_POOL_SWEEP's 512 tasks enter the pool as its window of
@@ -1279,12 +1334,14 @@ def test_pooled_sweep_keeps_no_future_per_task(monkeypatch):
     assert max(alive) <= 2 * SLOW_POOL_SWEEP.worker_count + 2, max(alive)
 
 
+@pytest.mark.pool
 def test_task_reports_merge_as_a_binary_counter(monkeypatch):
     # At budget 40 nearly every start of [1, 2^17] is unresolved, and 32
     # tasks of 4096 starts each bring theirs. Merging only reports of as
     # many tasks passes each unresolved start through about log2(32)
     # merges, where a running merge would pass it through about 16.
-    cfg = VerifyConfig(1, 1 << 17, 40, worker_count=2, dense_cache_entries=4096)
+    monkeypatch.setattr(verifier_mod, "_TABLE", 4096)
+    cfg = VerifyConfig(1, 1 << 17, 40, worker_count=2)
     with tasks_of(1 << 16):
         reference = verify_range(cfg).payload()
     merged, real = [], verifier_mod.merge_reports
@@ -1329,7 +1386,8 @@ from collatzkit import VerifyConfig, verify_range
 # Globals of its own keep the patch from tying the module, and so its
 # pool, to this script's: the script exits with a live pool, as callers do.
 verifier._task_size = eval("lambda n, workers: 4096", {})
-cfg = VerifyConfig(1, 1 << 21, worker_count=2, dense_cache_entries=4096)
+verifier._TABLE = 4096
+cfg = VerifyConfig(1, 1 << 21, worker_count=2)
 reference = verify_range(cfg).payload()
 for count in range(1, 9):
     pool, ids = verifier._pool[-1], []
@@ -1354,6 +1412,7 @@ print("ok")
 """
 
 
+@pytest.mark.pool
 def test_interrupt_inside_submit_drops_the_pool():
     # An interrupt can cut ProcessPoolExecutor.submit after it queued a
     # work id and before it counted it, so a kept pool would hand that id
@@ -1384,7 +1443,8 @@ class InterruptingQueue(queue.SimpleQueue):
 
 
 verifier._task_size = eval("lambda n, workers: 4096", {})  # as in INTERRUPTED_SUBMITS
-cfg = VerifyConfig(1, 1 << 21, worker_count=2, dense_cache_entries=4096)
+verifier._TABLE = 4096
+cfg = VerifyConfig(1, 1 << 21, worker_count=2)
 reference, real = verify_range(cfg).payload(), queue.SimpleQueue
 for count in range(1, 9):
     InterruptingQueue.interrupt_at, queue.SimpleQueue = count, InterruptingQueue
@@ -1403,6 +1463,7 @@ print("ok")
 """
 
 
+@pytest.mark.pool
 def test_interrupted_wait_for_a_finished_task_drops_the_pool():
     # A pooled sweep waits for its next finished task in a queue's get.
     # An interrupt there, at each of the first eight waits, drops the
@@ -1417,11 +1478,13 @@ import collatzkit.verifier as verifier
 from collatzkit import VerifyConfig, verify_range
 
 verifier._task_size = lambda n, workers: 4096
-verify_range(VerifyConfig(1, 1 << 16, worker_count=2, dense_cache_entries=4096))
+verifier._TABLE = 4096
+verify_range(VerifyConfig(1, 1 << 16, worker_count=2))
 print("ok")
 """
 
 
+@pytest.mark.pool
 def test_pool_left_at_exit_is_dropped_quietly():
     # The patch, a lambda of the script's, ties the verifier module to
     # the script's globals, so module teardown would free the kept pool
@@ -1439,7 +1502,8 @@ import collatzkit.verifier as verifier
 from collatzkit import VerifyConfig, verify_range
 
 verifier._task_size = eval("lambda n, workers: 4096", {})  # as in INTERRUPTED_SUBMITS
-verify_range(VerifyConfig(1, 4 * 4096, worker_count=2, dense_cache_entries=4096))
+verifier._TABLE = 4096
+verify_range(VerifyConfig(1, 4 * 4096, worker_count=2))
 pool, pids = verifier._pool[-1], set()
 while len(pids) < 2:
     pids |= {f.result() for f in [pool.submit(os.getpid) for _ in range(16)]}
@@ -1460,6 +1524,7 @@ def running(pid):
         return False
 
 
+@pytest.mark.pool
 def test_workers_exit_when_their_parent_is_killed():
     # A pool's workers wait on its call queue, whose write end each of
     # them holds, so a parent killed by SIGKILL leaves them nothing to
@@ -1490,6 +1555,7 @@ def test_workers_exit_when_their_parent_is_killed():
         proc.communicate()
 
 
+@pytest.mark.pool
 @pytest.mark.usefixtures("pool_tasks")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_starts_its_own_pool():
@@ -1559,6 +1625,7 @@ class InlineExecutor:
 
 @st.composite
 def sweep_cases(draw):
+    """(table entries, config) of a sweep."""
     size = draw(st.integers(1, 1500))
     # small tables, or full-length blocks from tables of 2^13 to 2^15 entries
     entries = draw(st.integers(2, 4096) | st.integers(1 << 13, 1 << 15))
@@ -1566,14 +1633,13 @@ def sweep_cases(draw):
         lo = draw(st.integers(entries, max(50_000, 4 * entries)))
     else:  # it holds range_lo, and often ends inside the range
         lo = draw(st.integers(max(1, entries - size - 100), entries - 1))
-    return {
-        "range_lo": lo,
-        "range_hi": lo + size - 1,
-        "step_budget": draw(st.one_of(st.integers(1, 120), st.just(DEFAULT_STEP_BUDGET))),
-        "assume_verified_below": draw(st.integers(1, lo)),
-        "dense_cache_entries": entries,
-        "worker_count": draw(st.sampled_from((1, 2))),
-    }
+    return entries, VerifyConfig(
+        lo,
+        lo + size - 1,
+        draw(st.one_of(st.integers(1, 120), st.just(DEFAULT_STEP_BUDGET))),
+        draw(st.integers(1, lo)),
+        worker_count=draw(st.sampled_from((1, 2))),
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -1583,12 +1649,13 @@ def test_verifier_contract_property(case, tasks, other_table, inline):
     # Past its table, a sweep of more than one task at two workers reaches
     # the pool: a real one when inline is 0, and otherwise, as each new
     # table starts a new pool, an InlineExecutor.
-    lo, hi, budget = case["range_lo"], case["range_hi"], case["step_budget"]
+    entries, cfg = case
+    lo, hi, budget = cfg.range_lo, cfg.range_hi, cfg.step_budget
     size = hi - lo + 1
     task = -(-size // tasks)
 
     def reaches_pool(entries):
-        return case["worker_count"] == 2 and hi >= entries and -(-size // task) > 1
+        return cfg.worker_count == 2 and hi >= entries and -(-size // task) > 1
 
     with pytest.MonkeyPatch.context() as patch:
         if inline:
@@ -1597,14 +1664,16 @@ def test_verifier_contract_property(case, tasks, other_table, inline):
         pooled = count_pooled(patch)
         try:
             with tasks_of(task):
-                report = verify_range(VerifyConfig(**case))
-                other = verify_range(VerifyConfig(**{**case, "dense_cache_entries": other_table}))
-            with tasks_of(size):
-                single = verify_range(VerifyConfig(**case))
+                with table_of(entries):
+                    report = verify_range(cfg)
+                with table_of(other_table):
+                    other = verify_range(cfg)
+            with table_of(entries), tasks_of(size):
+                single = verify_range(cfg)
         finally:
             if inline:
                 verifier_mod._drop_pool()
-    assert len(pooled) == reaches_pool(case["dense_cache_entries"]) + reaches_pool(other_table)
+    assert len(pooled) == reaches_pool(entries) + reaches_pool(other_table)
     payload = report.payload()
     assert other.payload() == single.payload() == payload
     assert report.verified_count + len(report.unresolved) == size
@@ -1616,7 +1685,7 @@ def test_verifier_contract_property(case, tasks, other_table, inline):
         assert rec.value == plain_walk(rec.argmax)[1]
     for x in report.unresolved:
         assert plain_walk(x, budget) is None
-    verified, unresolved, steps_rec, peak_rec = reference_sweep(lo, hi, budget, case["assume_verified_below"])
+    verified, unresolved, steps_rec, peak_rec = reference_sweep(lo, hi, budget, cfg.assume_verified_below)
     assert report.verified_count == verified
     assert list(report.unresolved) == unresolved
     assert report.max_total_stopping_time == (RecordStat(*steps_rec) if steps_rec else None)
@@ -1710,8 +1779,6 @@ def test_config_errors_name_fields():
         (VerifyConfig(5, 9, assume_verified_below=6), "assume_verified_below"),
         (VerifyConfig(5, 9, assume_verified_below=0), "assume_verified_below"),
         (VerifyConfig(1, 5, worker_count=0), "worker_count"),
-        (VerifyConfig(1, 5, dense_cache_entries=1), "dense_cache_entries"),
-        (VerifyConfig(1, 5, dense_cache_entries=2**32 + 1), "dense_cache_entries"),
         (VerifyConfig(True, 5), "range_lo"),
     ]
     for config, fragment in cases:
@@ -1722,12 +1789,14 @@ def test_config_errors_name_fields():
 
 def test_config_fields_after_the_cutoff_are_keyword_only():
     # A call that passed a fifth field by position, once chunk_size, now
-    # fails rather than setting worker_count.
+    # fails rather than setting worker_count; the table size is no field.
     assert [f.name for f in fields(VerifyConfig)] == [
-        "range_lo", "range_hi", "step_budget", "assume_verified_below", "worker_count", "dense_cache_entries",
+        "range_lo", "range_hi", "step_budget", "assume_verified_below", "worker_count",
     ]
     with pytest.raises(TypeError):
         VerifyConfig(1, 5, 40, 1, 137)
+    with pytest.raises(TypeError):
+        VerifyConfig(1, 5, dense_cache_entries=64)
 
 
 def test_default_worker_count_is_the_cpus_this_process_may_run_on(monkeypatch):
@@ -1736,8 +1805,9 @@ def test_default_worker_count_is_the_cpus_this_process_may_run_on(monkeypatch):
     # stands.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(verifier_mod, "_TABLE", 4096)
     pooled = count_pooled(monkeypatch)
-    cfg = VerifyConfig(1, 140_000, dense_cache_entries=4096)
+    cfg = VerifyConfig(1, 140_000)
     assert cfg.resolved_worker_count == 1
     assert verify_range(cfg).verified_count == 140_000 and pooled == []
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -1767,7 +1837,8 @@ def test_csv_shape():
         "max_total_stopping_time,118,97\n"
         "max_excursion,9232,27\n"
     )
-    starved = verify_range(VerifyConfig(27, 27, step_budget=5, dense_cache_entries=2))
+    with table_of(2):
+        starved = verify_range(VerifyConfig(27, 27, step_budget=5))
     assert starved.to_csv() == (
         "statistic,value,argmax\n"
         "max_total_stopping_time,,\n"
@@ -1777,4 +1848,5 @@ def test_csv_shape():
 
 def test_no_cycles_reported_at_desk_scale():
     assert verify_range(VerifyConfig(1, 10_000)).cycles_found == ()
-    assert verify_range(VerifyConfig(1, 400, step_budget=6, dense_cache_entries=2)).cycles_found == ()
+    with table_of(2):
+        assert verify_range(VerifyConfig(1, 400, step_budget=6)).cycles_found == ()
