@@ -4,8 +4,9 @@ The sweep rests on a dense memo table over a prefix [0, cache_len)
 holding the exact total stopping time and orbit peak of every entry
 that reaches 1 within the step budget, which counts total col-steps as
 total_stopping_time does; -1 marks the rest. One rule resolves table
-entries and sweep starts alike: walk the start until its orbit drops
-below the table, then add the entry it landed on. The table is built
+entries and sweep starts alike: a lane walks until its orbit drops
+below the table and, as it retires, adds the entry it lands on, so it
+leaves the kernel with its total steps and peak. The table is built
 by that rule in blocks of doubling size from [2, 4), each against the
 part already built; a sweep inside the table only reads it.
 
@@ -267,6 +268,7 @@ def _canon(k: int):
 
 
 _fixed = functools.cache(lambda k: np.unique(_canon(k)))  # each class's smallest residue, ascending
+_own = functools.cache(lambda k: _canon(k) == np.arange(1 << k))  # whether each residue is its class's smallest
 
 
 def _reps(lo: int, n: int, floor: int, k: int, rep):
@@ -288,7 +290,7 @@ def _rep_offsets(lo: int, n: int, floor: int, k: int, out):
     or below s; past it _fixed(k) in each block, cut at n. Scratch: ws.t[0]."""
     fixed, size, s = _fixed(k), 1 << k, (lo + floor) & ((1 << k) - 1)
     part, b = _canon(k)[s:s + n - floor], floor - s + size  # b: the lane past floor's block
-    head = np.flatnonzero(np.logical_or(np.less(part, s), np.equal(part, _local.iota[s:s + part.size])))
+    head = np.flatnonzero(np.logical_or(np.less(part, s), _own(k)[s:s + part.size]))
     blocks, r = max(0, n - b) >> k, int(np.searchsorted(fixed, max(0, n - b) & (size - 1)))
     a, c = floor + head.size, floor + head.size + blocks * fixed.size
     np.copyto(out[:floor], _local.iota[:floor])
@@ -329,10 +331,10 @@ def _workspace(n: int):
     ws = _local
     if getattr(ws, "size", 0) < max(n, _SLICE):
         ws.size = max(n, _SLICE)
-        i, ws.b = np.empty((34, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
-        ws.out, ws.t, ws.idx, ws.iota = i[0:3], i[3:9], i[9], np.arange(ws.size)
-        ws.ints, ws.wide = (i[10:14], i[14:18]), (i[18:24], i[24:30])  # (rows, spares)
-        ws.sieve, ws.offs = i[30:32], i[32:].reshape(-1)  # offs: each batch lane's start, as x - lo
+        i, ws.b = np.empty((33, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
+        ws.out, ws.t, ws.idx, ws.iota = i[0:2], i[2:8], i[8], np.arange(ws.size)
+        ws.ints, ws.wide = (i[9:13], i[13:17]), (i[17:23], i[23:29])  # (rows, spares)
+        ws.sieve, ws.offs = i[29:31], i[31:].reshape(-1)  # offs: each batch lane's start, as x - lo
         ws.skip = np.empty(ws.size, dtype=bool)
         # Apart from i, whose huge pages would make them resident in sweeps that never use them.
         ws.peaks = np.empty((2, ws.size), dtype=np.int64)
@@ -461,6 +463,10 @@ def _exactly(exact: dict, lanes: list, q: int, start, budget: int) -> None:
     h[q], l[q], ph[q], pl[q], r[q] = c >> 32, c & _LOW, top >> 32, top & _LOW, s if c >= 0 else budget + 1
 
 
+def _block_length(stop: int) -> int:  # k, cut so that stop >= 2^(k+1) and no block passes through 1
+    return max(1, min(K, stop.bit_length() - 2))
+
+
 def _shape(lo: int, hi: int, stop: int) -> tuple:
     """(n, m, floor) of the slice [lo, hi]: its size, its starts in int64
     (the rest begin in limbs), and its first start from stop on, as x -
@@ -499,10 +505,11 @@ def _first_peaks(lo: int, hi: int, stop: int, k: int, skip=None) -> tuple[int, i
     return best[0], t - best[1]
 
 
-def _walks(slices: Iterable, stop: int, budget: int):
-    """Walk the starts of the slices (lo, hi) in lanes, one block
-    per round, until each drops strictly below stop or passes budget
-    col-steps, in batches of consecutive slices whose lanes fit _SLICE.
+def _walks(slices: Iterable, table: tuple, budget: int):
+    """Walk the starts of the slices (lo, hi) in lanes, one block per
+    round, until each drops strictly below stop, the size of table =
+    (steps, peak), or passes budget col-steps, in batches of
+    consecutive slices whose lanes fit _SLICE.
 
     k is cut so that no block passes through 1; a lane may land past its
     first value below stop, as its steps plus the landing's total are
@@ -520,24 +527,27 @@ def _walks(slices: Iterable, stop: int, budget: int):
     _SLICE starts unless alone, that does not fit moves to the next batch.
 
     Yields per batch (parts, exact), parts holding (lo, hi, q, c) per
-    slice: its lanes q to q + c - 1. By lane, until the next batch:
-    landing (-1 past budget), steps and peak in ws.out, the start as x -
-    lo in ws.offs, peaks past int64 in _big_rows if ws.big, and from
-    2^95 on in exact.
+    slice: its lanes q to q + c - 1. By lane, until the next batch: steps
+    and peak to 1 in ws.out (-1 in both past budget), the start as x - lo
+    in ws.offs, peaks past int64 in _big_rows if ws.big, and from 2^95
+    on in exact.
     """
-    k = max(1, min(K, stop.bit_length() - 2))  # stop >= 2^(k+1)
-    table, back = _block_table(k), _BLOCK_LIMIT + 1  # read per call, so patches apply
+    (steps, peak), k = table, _block_length(len(table[0]))
+    stop, blocks, back = len(steps), _block_table(k), _BLOCK_LIMIT + 1  # read per call, so patches apply
     parts, exact, ws = [], {}, None
 
     def start(i):  # lane i's start
         return next(lo + int(ws.offs[i]) for lo, _, q, c in parts if q <= i < q + c)
 
-    def put(d, lane, cur, pk, r):
-        (landing, steps, peak), (ids, x, y) = ws.out, ws.t[:3, :d.size]
-        steps[_take(lane, d, ids)] = _take(r, d, x)
-        np.putmask(_take(cur, d, y), np.greater(x, budget, out=ws.b[1, :d.size]), -1)  # more than budget steps to 1
-        landing[ids] = y
-        peak[ids] = _take(pk, d, x)
+    def put(d, lane, cur, pk, r):  # lands each lane: r plus its landing's steps, and the larger peak
+        (total, top), (ids, x, y, z, w), (over, bad) = ws.out, ws.t[:5, :d.size], ws.b[:, :d.size]
+        # A landing over budget is -1 before it indexes the table, as "wrap" steps far indices down slowly.
+        np.putmask(_take(cur, d, y), np.greater(_take(r, d, x), budget, out=over), -1)
+        x += _take(steps, y, z)  # still past budget where the landing is -1
+        np.logical_or(np.less(z, 0, out=over), np.greater(x, budget, out=bad), out=bad)
+        np.maximum(_take(pk, d, z), _take(peak, y, w), out=z)
+        x[bad] = z[bad] = -1
+        total[_take(lane, d, ids)], top[ids] = x, z
 
     def to_wide(d, lane, cur, pk, r):
         wl, h, l, ph, pl, rw = wide.add(d.size)
@@ -550,7 +560,7 @@ def _walks(slices: Iterable, stop: int, budget: int):
     def to_ints(d, wl, h, l, ph, pl, rw):
         ids, c, p, r = ints.add(d.size)
         (x, y, u, v), b = ws.t[:4, :d.size], ws.b[:, :d.size]
-        for src, dst in ((wl, ids), (rw, r), (h, c), (ph, x), (pl, y)):  # put lands those over budget at -1
+        for src, dst in ((wl, ids), (rw, r), (h, c), (ph, x), (pl, y)):  # put sets those over budget to -1
             _take(src, d, dst)
         np.bitwise_or(np.left_shift(c, 32, out=c), _take(l, d, u), out=c)
         big = np.greater_equal(x, 1 << 31, out=b[1])  # the peak x·2^32 + y is past int64
@@ -573,7 +583,7 @@ def _walks(slices: Iterable, stop: int, budget: int):
             if cur.max(initial=0) >= back:
                 ints.retire(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), to_wide)
                 lane, cur, pk, r = ints.cols()
-            _advance(table, k, cur, r, pk, ws.t[:, :ints.size])
+            _advance(blocks, k, cur, r, pk, ws.t[:, :ints.size])
             if wide.live:
                 _, h, l, ph, pl, rw = lanes = wide.cols()
                 (done, tmp), x = ws.b[:, :wide.size], ws.t[0, :wide.size]
@@ -583,7 +593,7 @@ def _walks(slices: Iterable, stop: int, budget: int):
                 np.right_shift(np.subtract(back + _LOW, l, out=x), 32, out=x)
                 np.less(h.view(np.uint64), x.view(np.uint64), out=done)
                 wide.retire(np.logical_or(done, np.greater(rw, budget, out=tmp), out=done), to_ints)
-                _advance_wide(table, k, *wide.cols()[1:], ws.t[:, :wide.size], ws.b[:, :wide.size])
+                _advance_wide(blocks, k, *wide.cols()[1:], ws.t[:, :wide.size], ws.b[:, :wide.size])
                 lane, cur, pk, r = ints.cols()
         yield parts, exact
 
@@ -602,62 +612,52 @@ def _walks(slices: Iterable, stop: int, budget: int):
         lane[:], r[:] = ws.iota[q:q + ci], 0
         np.add(offs[:ci], min(lo, back), out=cur)
         f = int(np.searchsorted(offs[:ci], floor))  # those from floor on take their first block
-        _advance(table, k, cur[f:], r[f:], pk[f:], ws.t[:, :ci - f])
+        _advance(blocks, k, cur[f:], r[f:], pk[f:], ws.t[:, :ci - f])
         pk[:] = cur
         wl, h, l, ph, pl, rw = wide.add(c - ci)
         wl[:], rw[:] = ws.iota[q + ci:q + c], 0
         _start_limbs(offs[ci:], min(lo, _WIDE_LIMIT), h, l)
         if floor < n and ci < c:
-            _advance_wide(table, k, h, l, ph, pl, rw, ws.t[:, :c - ci], ws.b[:, :c - ci])
+            _advance_wide(blocks, k, h, l, ph, pl, rw, ws.t[:, :c - ci], ws.b[:, :c - ci])
         ph[:], pl[:] = h, l
         parts.append((lo, hi, q, c))
     if parts:
         yield from walk()
 
 
-def _walk_lanes(lo: int, hi: int, stop: int, budget: int):
+def _walk_lanes(lo: int, hi: int, table: tuple, budget: int):
     """_walks on [lo, hi] alone, by start: one of a sieved slice takes
-    its representative's landing and steps, and as peak the larger of
-    its own first-block peak and the representative's later peak.
-    Returns (landing, steps, peak, limbs, exact) by x - lo, as _walks
+    its representative's steps, and as peak the larger of its own
+    first-block peak and the representative's later peak, -1 where the
+    steps are. Returns (steps, peak, limbs, exact) by x - lo, as _walks
     gives them, limbs _big_rows or None, valid until the next walk."""
-    (n, m, floor), k, ws = _shape(lo, hi, stop), max(1, min(K, stop.bit_length() - 2)), _workspace(hi - lo + 1)
+    stop = len(table[0])
+    (n, m, floor), k, ws = _shape(lo, hi, stop), _block_length(stop), _workspace(hi - lo + 1)
     if floor < n:  # every start's first-block peak, in ws.sieve, which the walk leaves
         _first_peaks(lo, hi, stop, k, np.zeros(n, dtype=bool))
-    ((part, *_), exact), = _walks([(lo, hi)], stop, budget)
-    landing, steps, peak = ws.out[:, :n]
+    ((part, *_), exact), = _walks([(lo, hi)], table, budget)
+    steps, peak = ws.out[:, :n]
     if floor >= n:  # not sieved: every start has its lane, x - lo
-        return landing, steps, peak, ws.peaks[:, :n] if ws.big else None, exact
+        return steps, peak, ws.peaks[:, :n] if ws.big else None, exact
     c, (fh, first), at = part[3], ws.sieve[:, :n], ws.t[2, :n]
     at[ws.offs[:c]] = ws.iota[:c]
     lanes = _take(at, _reps(lo, n, floor, k, ws.t[1, :n]), ws.t[3, :n])  # each start's representative's lane
-    for col in (landing, steps, peak, *(ws.peaks[:, :n] if ws.big else ())):
+    for col in (steps, peak, *(ws.peaks[:, :n] if ws.big else ())):
         col[:] = _take(col, lanes, ws.t[0, :n])
     if m < n:  # first-block peaks in limbs: those past int64 go to the rows
         _raise(*_big_rows(ws)[:, m:n], fh[m:], first[m:], ws.b[:, :n - m])
         np.bitwise_or(np.left_shift(fh[m:], 32, out=fh[m:]), first[m:], out=first[m:])
     np.maximum(peak, first, out=peak)  # wrong only where the rows hold the peak
+    np.putmask(peak, np.less(steps, 0, out=ws.b[0, :n]), -1)
     spread = {}  # a lane stands only for starts of its own 2^k-aligned block
     for q, p in exact.items():
         e = int(ws.offs[q])
         spread.update(dict.fromkeys((np.flatnonzero(lanes[e:e + (1 << k)] == q) + e).tolist(), p))
-    return landing, steps, peak, ws.peaks[:, :n] if ws.big else None, spread
+    return steps, peak, ws.peaks[:, :n] if ws.big else None, spread
 
 
 # ---------------------------------------------------------------------------
 # Dense memo table
-
-
-def _land(total, top, landing, steps, peak, budget: int):
-    """The landing rule, in place: add the table entry (steps, peak) at
-    each landing to total and top, and set both to -1, the mask returned
-    in ws.b[1], where the start does not reach 1 within budget."""
-    tail, (neg, bad) = _local.t[0, :total.size], _local.b[:, :total.size]
-    total += _take(steps, landing, tail)  # a landing of -1 is over budget
-    np.logical_or(np.less(tail, 0, out=neg), np.greater(total, budget, out=bad), out=bad)
-    np.maximum(top, _take(peak, landing, tail), out=top)
-    total[bad] = top[bad] = -1
-    return bad
 
 
 def _build_cache(cache_len: int, step_budget: int):
@@ -673,9 +673,7 @@ def _build_cache(cache_len: int, step_budget: int):
         for s in range(n, min(2 * n, cache_len), _SLICE):
             e = min(s + _SLICE, 2 * n, cache_len)
             # The size cap keeps every peak within int64, so none is in limbs.
-            landing, total, top, _, _ = _walk_lanes(s, e - 1, n, step_budget)
-            _land(total, top, landing, steps[:n], peak[:n], step_budget)
-            steps[s:e], peak[s:e] = total, top
+            steps[s:e], peak[s:e], _, _ = _walk_lanes(s, e - 1, (steps[:n], peak[:n]), step_budget)
         n = min(2 * n, cache_len)
     return steps, peak
 
@@ -712,14 +710,14 @@ def _install_table(slot: tuple) -> None:
 
 def _cache_for(cache_len: int, step_budget: int) -> tuple:
     """The table (cache_steps, cache_peak), from a single-slot memo so
-    repeated sweeps in one process reuse it instead of rebuilding it.
+    repeated sweeps in one process reuse it instead of rebuilding it:
+    one at step_budget is kept if it holds cache_len to _TABLE entries.
     Replacing the table first shuts down the pool, whose workers and
     initializer arguments hold the old one. The caller holds _lock."""
     global _cache_slot
-    key = (cache_len, step_budget)
-    if _cache_slot is None or _cache_slot[0] != key:
+    if _cache_slot is None or not (_cache_slot[0][1] == step_budget and cache_len <= _cache_slot[0][0] <= _TABLE):
         _drop_pool()
-        _cache_slot = (key, _build_cache(cache_len, step_budget))
+        _cache_slot = ((cache_len, step_budget), _build_cache(cache_len, step_budget))
     return _cache_slot[1]
 
 
@@ -791,8 +789,8 @@ def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = Non
     unresolved spreads it to its members, which the cutoff may certify,
     and takes that maximum over all its other starts. Each batch's
     candidates fold to one per record."""
-    cache_steps, cache_peak = table or _cache_slot[1]
-    stop, ws, k = len(cache_steps), _local, max(1, min(K, len(cache_steps).bit_length() - 2))
+    cache_steps, cache_peak = table = table or _cache_slot[1]
+    stop, ws, k = len(cache_steps), _local, _block_length(len(cache_steps))
     missed, steps, peaks = [], [], []  # starts left unresolved, and (value, x) candidates for each record
     if lo < stop:
         total, top = cache_steps[lo:hi + 1], cache_peak[lo:hi + 1]
@@ -800,10 +798,10 @@ def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = Non
         missed += [lo + x for x in np.flatnonzero(total < 0).tolist()]
         steps, peaks = [(int(total[j]), lo + j)], [(int(top[e]), lo + e)]
     slices = ((s, min(s + _SLICE - 1, hi)) for s in range(max(lo, stop), hi + 1, _SLICE))
-    for parts, exact in _walks(slices, stop, budget):
+    for parts, exact in _walks(slices, table, budget):
         for x0, x1, q, c in parts:
-            (landing, total, top), offs = ws.out[:, q:q + c], ws.offs[q:q + c]
-            bad = _land(total, top, landing, cache_steps, cache_peak, budget)
+            (total, top), offs = ws.out[:, q:q + c], ws.offs[q:q + c]
+            bad = np.less(total, 0, out=ws.b[1, :c])
             lost = offs[np.flatnonzero(bad)] if bad.any() else None
             j, e = int(np.argmax(total)), int(np.argmax(top))  # the first, so the smallest x among ties
             steps.append((int(total[j]), x0 + int(offs[j])))
@@ -851,7 +849,8 @@ def verify_range(config: VerifyConfig) -> VerifyReport:
     Certification means the trajectory reached 1, or dropped strictly
     below assume_verified_below, within step_budget col-steps. Record
     statistics are taken only over trajectories that reached 1. Starts
-    below the table's size, min(_TABLE, range_hi + 1), read it. The range
+    below the table's size read it: min(_TABLE, range_hi + 1) entries,
+    or up to _TABLE in a table kept from an earlier sweep. The range
     streams through this thread, or in _task_size tasks through a pool
     whose reports merge_reports folds as they finish, so the payload is
     identical regardless of task size, worker count or table size.

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import functools
 import gc
 import hashlib
 import json
@@ -35,6 +36,13 @@ from collatzkit import (
     merge_reports,
     verify_range,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_workspace(monkeypatch):
+    """Each test starts on empty lane workspaces, so none passes only
+    because an earlier test grew its thread's."""
+    monkeypatch.setattr(verifier_mod, "_local", threading.local())
 
 
 def plain_walk(x, budget=DEFAULT_STEP_BUDGET):
@@ -211,16 +219,50 @@ def test_table_size_independence():
 
 
 def test_table_holds_the_range_up_to_its_limit():
-    # A sweep's table holds [0, range_hi], cut at _TABLE entries: 2^20
-    # unless patched, so `verify --to 1000000` builds 10^6 + 1.
+    # A new table holds [0, range_hi], cut at _TABLE entries: 2^20 unless
+    # patched, so `verify --to 1000000` builds 10^6 + 1. The kept table
+    # serves a sweep at its budget while it holds that many entries and
+    # no more than _TABLE.
     budget = DEFAULT_STEP_BUDGET
+    verifier_mod._cache_slot = None
     verify_range(VerifyConfig(1, 1000, worker_count=1))
     assert verifier_mod._cache_slot[0] == (1001, budget)
+    verify_range(VerifyConfig(1, 500, worker_count=1))
+    assert verifier_mod._cache_slot[0] == (1001, budget)
+    verify_range(VerifyConfig(1, 500, 40, worker_count=1))
+    assert verifier_mod._cache_slot[0] == (501, 40)
     with table_of(4096):
         verify_range(VerifyConfig(1, 10**4, worker_count=1))
     assert verifier_mod._cache_slot[0] == (4096, budget)
     verify_range(VerifyConfig((1 << 21) + 1, (1 << 21) + 1, worker_count=1))
     assert verifier_mod._cache_slot[0] == (1 << 20, budget)
+    verify_range(VerifyConfig(1, 1000, worker_count=1))
+    assert verifier_mod._cache_slot[0] == (1 << 20, budget)
+    with table_of(4096):
+        verify_range(VerifyConfig(1, 1000, worker_count=1))
+    assert verifier_mod._cache_slot[0] == (1001, budget)
+
+
+@pytest.mark.pool
+def test_a_smaller_sweep_keeps_the_table_and_the_pool(monkeypatch):
+    # After a pooled sweep past 2^20, a sweep inside the table and the
+    # next pooled one past it build no table and keep the pool, and
+    # their payloads are those of sweeps on fresh tables in one thread.
+    cfgs = [VerifyConfig(lo, hi, worker_count=2) for lo, hi in ((1 << 20, (1 << 20) + 2**17), (1, 1000), (1, 1 << 21))]
+    verify_range(cfgs[0])
+    pool, built, real = verifier_mod._pool[2], [], verifier_mod._build_cache
+
+    def build_cache(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verifier_mod, "_build_cache", build_cache)
+    pooled = count_pooled(monkeypatch)
+    payloads = [verify_range(cfg).payload() for cfg in cfgs[1:]]
+    assert built == [] and pooled == [2] and verifier_mod._pool[2] is pool
+    for cfg, payload in zip(cfgs[1:], payloads):
+        verifier_mod._cache_slot = None
+        assert verify_range(replace(cfg, worker_count=1)).payload() == payload
 
 
 def test_cutoff_equivalence_with_naive_run():
@@ -582,25 +624,43 @@ def walked_peak(i, peak, limbs, exact):
     return int(peak[i])
 
 
+# The kernel's limits as the module sets them, before any test patches them.
+KERNEL_LIMITS = {name: getattr(verifier_mod, name) for name in ("_SLICE", "_PIECE", "_BLOCK_LIMIT", "_WIDE_LIMIT")}
+
+
+@functools.cache
+def table_at(stop, budget):
+    """_build_cache(stop, budget), built once, under KERNEL_LIMITS and in a
+    thread of its own, so that a test's patches do not slow the build
+    and its workspace does not grow to hold it."""
+    tables = []
+
+    def build():
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in KERNEL_LIMITS.items():
+                patch.setattr(verifier_mod, name, value)
+            tables.append(verifier_mod._build_cache(stop, budget))
+
+    in_new_thread(build)
+    return tables[0]
+
+
 def check_walk_lanes(lo, hi, stop, budget):
-    """The lane contract, apart from blocks and lane bookkeeping: a lane
-    lands below stop, on the value x reaches after exactly its steps,
-    with the largest value of that walk as its peak (in the limb rows
-    when it is past int64, in exact when it is past them); a landing of
-    -1 means more than budget steps to 1."""
-    landing, steps, peak, limbs, exact = verifier_mod._walk_lanes(lo, hi, stop, budget)
+    """The lane contract, apart from blocks and lane bookkeeping: on the
+    table of stop entries, each start leaves the lanes with the steps and
+    the largest value of its walk to 1 (in the limb rows when it is past
+    int64, in exact when it is past them), or -1 in both where that walk
+    takes more than budget steps."""
+    steps, peak, limbs, exact = verifier_mod._walk_lanes(lo, hi, table_at(stop, budget), budget)
     assert set(exact) <= set(range(hi - lo + 1))
     for i, x in enumerate(range(lo, hi + 1)):
-        if landing[i] == -1:
-            assert plain_walk(x, budget) is None
+        walk = plain_walk(x, budget)
+        if walk is None:
+            assert steps[i] == peak[i] == -1
             continue
-        c = p = x
-        for _ in range(steps[i]):
-            c = c // 2 if c % 2 == 0 else 3 * c + 1
-            p = max(p, c)
-        assert c == landing[i] < stop and steps[i] <= budget
-        assert (i in exact) == (p >= 2**95)
-        assert p == walked_peak(i, peak, limbs, exact)
+        assert steps[i] == walk[0]
+        assert (i in exact) == (walk[1] >= 2**95)
+        assert walked_peak(i, peak, limbs, exact) == walk[1]
 
 
 def test_walk_lanes_matches_plain_walk(monkeypatch):
@@ -807,6 +867,7 @@ def test_straddling_slices_walk_only_representatives(monkeypatch):
         k = min(verifier_mod.K, stop.bit_length() - 2)
         canon, floor = verifier_mod._canon(k).tolist(), max(lo, stop)
         reps = {y if (y := x - x % 2**k + canon[x % 2**k]) >= floor else x for x in range(lo, hi + 1)}
+        table_at(stop, DEFAULT_STEP_BUDGET)  # built before the sizes are counted
         for sizes in lanes.values():
             sizes.clear()
         check_walk_lanes(lo, hi, stop, DEFAULT_STEP_BUDGET)
@@ -819,7 +880,7 @@ def test_limb_lanes_take_no_rounds_of_their_own(monkeypatch):
     # slices as a sweep cuts them: limb lanes take their blocks in the
     # rounds of the int64 lanes, so no more blocks are taken in limbs
     # than in int64, counting those on at least one lane.
-    calls = {"_advance": 0, "_advance_wide": 0}
+    calls, table = {"_advance": 0, "_advance_wide": 0}, table_at(1 << 20, DEFAULT_STEP_BUDGET)
     for name in calls:
         real = getattr(verifier_mod, name)
 
@@ -831,7 +892,7 @@ def test_limb_lanes_take_no_rounds_of_their_own(monkeypatch):
     for lo in (72064064662809063, 1155474331410394239):
         calls.update(dict.fromkeys(calls, 0))
         for s in range(lo, lo + 2 * 2**16, verifier_mod._SLICE):
-            verifier_mod._walk_lanes(s, min(s + verifier_mod._SLICE, lo + 2 * 2**16) - 1, 1 << 20, DEFAULT_STEP_BUDGET)
+            verifier_mod._walk_lanes(s, min(s + verifier_mod._SLICE, lo + 2 * 2**16) - 1, table, DEFAULT_STEP_BUDGET)
         assert calls["_advance_wide"] <= calls["_advance"], (lo, calls)
 
 
@@ -886,8 +947,8 @@ def test_peaks_past_int64_stay_in_limbs():
     for lo, size in ((1155474331410394239, 2 * 2**16), (9255382125081044196, 2**12)):
         for s in range(lo, lo + size, verifier_mod._SLICE):
             hi = min(s + verifier_mod._SLICE, lo + size) - 1
-            landing, _, _, limbs, exact = verifier_mod._walk_lanes(s, hi, 1 << 20, DEFAULT_STEP_BUDGET)
-            assert exact == {} and limbs is not None and (landing >= 0).all()
+            steps, _, limbs, exact = verifier_mod._walk_lanes(s, hi, table_at(1 << 20, DEFAULT_STEP_BUDGET), DEFAULT_STEP_BUDGET)
+            assert exact == {} and limbs is not None and (steps >= 0).all()
             assert (limbs[0] >= 1 << 31).any()
     # The first two lanes pass the block limit again after a wide walk
     # whose peak passed int64, and return from the second one with others
@@ -928,7 +989,7 @@ def test_consecutive_slices_share_their_rounds(monkeypatch):
     # blocks than the longer of its slices walked alone.
     cfg = VerifyConfig(1 << 21, (1 << 21) + 2**17 - 1, worker_count=1)
     reference = verify_range(cfg).payload()  # and the table
-    calls, real = [], verifier_mod._advance
+    calls, real, table = [], verifier_mod._advance, table_at(1 << 20, DEFAULT_STEP_BUDGET)
 
     def advance(table, k, cur, *rest):
         calls.append(cur.size)
@@ -938,7 +999,7 @@ def test_consecutive_slices_share_their_rounds(monkeypatch):
     alone = []
     for lo in (cfg.range_lo, cfg.range_lo + 2**16):
         calls.clear()
-        verifier_mod._walk_lanes(lo, lo + 2**16 - 1, 1 << 20, DEFAULT_STEP_BUDGET)
+        verifier_mod._walk_lanes(lo, lo + 2**16 - 1, table, DEFAULT_STEP_BUDGET)
         alone.append(len(calls) - 1)
     calls.clear()
     assert verify_range(cfg).payload() == reference
