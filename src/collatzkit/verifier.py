@@ -18,7 +18,7 @@ dynamics._block_levels, held here as int64 columns. k is cut to the table's
 size so that no block passes through 1. Lanes too large for int64 blocks
 take the same blocks, in the same rounds, in two int64 limbs, as
 fixed-width multi-word verifiers do (Oliveira e Silva 2010; Barina
-2021), as are peaks past int64, in two rows by lane. Values too large
+2021), as are peaks past int64, in two columns by lane. Values too large
 for the limbs, and starts among them, walk in the package's one exact
 big-integer walker, dynamics._descend, until they fit again, and only
 peaks from 2^95 on are Python ints, so correctness never depends on
@@ -32,9 +32,11 @@ slice's start, walks, listed in closed form. The others need only the
 largest first-block peak; start 2^k·a + j peaks at peak_m[j]·a +
 peak_e[j], peak_m >= 1, so a slice's lies among its last 2^k starts.
 Convergence-only verifiers drop them (Barina 2021); here they stay
-exact. Consecutive slices' walked starts, as many as fit one slice's
-lanes, share one walk and its rounds' fixed cost, the persistent-threads
-pattern of Gupta, Stuart & Owens (2012) with no refill in mid-walk.
+exact. A range's walked starts are one stream of lanes, refilled in
+mid-walk, the persistent-threads pattern of Gupta, Stuart & Owens
+(2012): whenever fewer than half are live, the next slices' take the
+free ones, so rounds keep their fixed cost spread over many lanes, and
+each lane folds into the records as it retires.
 
 Each thread walks in its own workspace of fixed 2^16-lane rows,
 written through out= arguments and np.take(..., mode="wrap"), so a warm
@@ -50,8 +52,8 @@ workers get the table once, when they start, and exit once their parent
 is gone. One lock covers replacing the table and each multi-worker
 sweep, and a sweep at one worker walks the table it obtained, so no
 sweep's payload depends on what other threads sweep. One thread walks
-its range as one stream of slices, a pool folds its tasks' reports as
-they finish, and neither depends on the task size or worker count.
+its range as one stream, a pool folds its tasks' reports as they
+finish, and neither depends on the task size or worker count.
 
 An optional cutoff (assume_verified_below) certifies every start whose
 orbit drops strictly below already-verified territory within budget;
@@ -92,9 +94,9 @@ _BLOCK_LIMIT = 2 ** (62 + K) // 3**K - 1
 _WIDE_LIMIT = 1 << 84
 _LOW = (1 << 32) - 1  # low limb mask
 _PARKED = -(2**62)  # r of a parked lane: negative for longer than any walk
-_WIDE_PARKED = (None, -1, _LOW, None, None, _PARKED)  # (lane, h, l, ph, pl, r), at -1
+_WIDE_PARKED = (None, -1, _LOW, None, None, _PARKED)  # (x - lo, h, l, ph, pl, r), at -1
 # Most lanes in one walk: sweeps and table blocks are cut into slices of
-# at most this many starts, and a batch of slices holds this many lanes.
+# at most this many starts, whose representatives share this many lanes.
 _SLICE = 1 << 16
 _PIECE = 1 << 13  # lanes per flatnonzero call, 64 KB of indices
 
@@ -331,33 +333,35 @@ def _workspace(n: int):
     ws = _local
     if getattr(ws, "size", 0) < max(n, _SLICE):
         ws.size = max(n, _SLICE)
-        i, ws.b = np.empty((33, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
-        ws.out, ws.t, ws.idx, ws.iota = i[0:2], i[2:8], i[8], np.arange(ws.size)
-        ws.ints, ws.wide = (i[9:13], i[13:17]), (i[17:23], i[23:29])  # (rows, spares)
-        ws.sieve, ws.offs = i[29:31], i[31:].reshape(-1)  # offs: each batch lane's start, as x - lo
+        i, ws.b = np.empty((30, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
+        ws.t, ws.idx, ws.iota = i[0:6], i[6], np.arange(ws.size)
+        ws.ints, ws.wide = (i[7:11], i[11:15]), (i[15:21], i[21:27])  # (rows, spares)
+        ws.sieve, ws.next = i[27:29], i[29]  # next: the next slice's representatives, as x - its lo
         ws.skip = np.empty(ws.size, dtype=bool)
-        # Apart from i, whose huge pages would make them resident in sweeps that never use them.
-        ws.peaks = np.empty((2, ws.size), dtype=np.int64)
+        # _big_rows and the int64 set's limb-peak columns and spares, apart from i, whose huge
+        # pages would make them resident in sweeps that never use them.
+        ws.peaks = np.empty((6, ws.size), dtype=np.int64)
+        ws.bigs = (ws.peaks[2:4], ws.peaks[4:6])
     return ws
 
 
 def _big_rows(ws):
-    """This batch's rows (h, l) of peaks h·2^32 + l past int64 by lane, h
+    """_walk_lanes' rows (h, l) of peaks h·2^32 + l past int64 by start, h
     >= 2^31; zeroed on first use, so walks with no such peak skip them."""
     if not ws.big:
         ws.big = True
-        ws.peaks.fill(0)
-    return ws.peaks
+        ws.peaks[:2].fill(0)
+    return ws.peaks[:2]
 
 
 class _Lanes:
     """Lanes as columns, views [:size] of workspace rows with a spare
-    row each, the lane number first and the step count r last.
+    row each, the start as x - lo first and the step count r last.
     retire(done, put) hands the lanes where done to put(d, *columns), d
     their positions, and parks them at parked (None leaves a column), a
     fixed point of every block with r negative for longer than any walk;
-    once fewer than half are live, the rest move, in order, to the spare
-    rows, which swap in. add(n) appends n lanes and returns their columns
+    once fewer than three quarters are live, the rest move, in order, to
+    the spare rows, which swap in. add(n) appends n lanes and returns their columns
     to fill, first moving the live ones so if size would pass room, set
     by the walk, or fewer than half would be live; its scratch, ws.b[1]
     and ws.t[5], lets the other set's retire call it."""
@@ -378,7 +382,7 @@ class _Lanes:
             if v is not None:
                 col[d] = v
         self.live -= d.size
-        if 2 * self.live < self.size:
+        if 4 * self.live < 3 * self.size:
             self.keep(_nonzero(np.greater_equal(cols[-1], 0, out=self.ws.b[0, :self.size]), self.ws.idx))
 
     def keep(self, keep) -> None:
@@ -393,6 +397,11 @@ class _Lanes:
             self.keep(_nonzero(np.greater_equal(self.cols()[-1], 0, out=self.ws.b[1, :self.size]), self.ws.t[5]))
         self.size, self.live = self.size + n, self.live + n
         return [row[self.size - n:self.size] for row in self.rows]
+
+    def widen(self, rows: tuple) -> None:  # zeroed columns before r, from rows = (rows, spares)
+        rows[0][:, :self.size] = 0
+        self.rows, self.spares, self.parked = ((*a[:-1], *b, a[-1]) for a, b in zip(
+            (self.rows, self.spares, self.parked), (*rows, (None,) * len(rows[0]))))
 
 
 def _advance(table: tuple, k: int, cur, r, pk, t) -> None:
@@ -448,15 +457,15 @@ def _start_limbs(offs, lo: int, h, l) -> None:
     l &= _LOW
 
 
-def _exactly(exact: dict, lanes: list, q: int, start, budget: int) -> None:
-    """Walk lane q of the limb lanes (lane, h, l, ph, pl, r) exactly, in
+def _exactly(exact: dict, lanes: list, q: int, lo: int, budget: int) -> None:
+    """Walk lane q of the limb lanes (x - lo, h, l, ph, pl, r) exactly, in
     blocks back below _WIDE_LIMIT and on to half of it, in place; one
-    that has taken no step is at its start, start(lane), which the limbs
-    may not hold. A peak past the limbs, from 2^95, goes to exact; past
+    that has taken no step is at its start x, which the limbs may not
+    hold. A peak past the limbs, from 2^95, goes to exact; past
     budget the value is -1 and r budget + 1, which reads as parked."""
     lane, h, l, ph, pl, r = lanes
     i, s = int(lane[q]), int(r[q])
-    c, p = (start(i), 0) if s == 0 else (int(h[q]) << 32 | int(l[q]), int(ph[q]) << 32 | int(pl[q]))
+    c, p = (lo + i, 0) if s == 0 else (int(h[q]) << 32 | int(l[q]), int(ph[q]) << 32 | int(pl[q]))
     c, s, top = _descend(c, _WIDE_LIMIT >> 1, s, max(c, p, exact.get(i, 0)), budget, _WIDE_LIMIT)
     if top >> 95:
         exact[i], top = top, p
@@ -505,145 +514,188 @@ def _first_peaks(lo: int, hi: int, stop: int, k: int, skip=None) -> tuple[int, i
     return best[0], t - best[1]
 
 
-def _walks(slices: Iterable, table: tuple, budget: int):
-    """Walk the starts of the slices (lo, hi) in lanes, one block per
-    round, until each drops strictly below stop, the size of table =
-    (steps, peak), or passes budget col-steps, in batches of
-    consecutive slices whose lanes fit _SLICE.
+def _walks(lo: int, hi: int, size: int, table: tuple, budget: int, into):
+    """Walk the starts of [lo, hi], in slices of size starts, in lanes,
+    one block per round, until each drops below stop, the size of table
+    = (steps, peak), or passes budget col-steps; k is cut so that no
+    block passes through 1. Lanes carry their starts as x - lo, in two
+    sets: int64 lanes up to _BLOCK_LIMIT and limb lanes, h·2^32 + l,
+    past it. Each round the int64 set retires and parks the lanes just
+    finished and hands those past _BLOCK_LIMIT to the limb set, which
+    walks values from _WIDE_LIMIT on, and starts among them, exactly in
+    _descend, and hands back those at or below _BLOCK_LIMIT or over
+    budget, their peaks past int64 in two more int64-set columns; then
+    each set takes one block. A slice gives lanes to its representatives
+    alone, listed once by _rep_offsets; from stop on they take their
+    first block at once and their later peak from the landing. The lanes
+    are one stream: whenever fewer than half of _SLICE are live, the
+    next slices' representatives take the free lanes, as many as fit.
 
-    k is cut so that no block passes through 1; a lane may land past its
-    first value below stop, as its steps plus the landing's total are
-    still its total. Lanes are held in two sets, each carrying the
-    lanes' numbers in the batch: int64 lanes up to _BLOCK_LIMIT and limb
-    lanes, h·2^32 + l, past it. Each round the int64 set retires and
-    parks the lanes just finished and hands those past _BLOCK_LIMIT to
-    the limb set; the limb set walks values from _WIDE_LIMIT on exactly
-    in _descend, as it does starts among them first, and hands those
-    back at or below _BLOCK_LIMIT, or over budget, to the int64 set;
-    then each set takes one block, so no lane waits for another. A slice
-    gives lanes to its representatives alone, listed once by _rep_offsets
-    past the batch's lanes, which from stop on take their first block at
-    once and their later peak from the landing. A slice, of at most
-    _SLICE starts unless alone, that does not fit moves to the next batch.
-
-    Yields per batch (parts, exact), parts holding (lo, hi, q, c) per
-    slice: its lanes q to q + c - 1. By lane, until the next batch: steps
-    and peak to 1 in ws.out (-1 in both past budget), the start as x - lo
-    in ws.offs, peaks past int64 in _big_rows if ws.big, and from 2^95
-    on in exact.
+    A lane retires with r plus its landing's steps and the larger of its
+    peak and the landing's, -1 in both past budget: if resolved, into
+    the records into = [steps, peak], each (value, x), larger values
+    and then smaller x first; or into rows by x - lo, into =
+    (steps, peak, exact), peaks past int64 in _big_rows and from 2^95 on
+    in exact. Yields each slice (x0, x1, lost) once its last lane
+    retires, lost the offsets x - x0 of its representatives left
+    unresolved, or None.
     """
     (steps, peak), k = table, _block_length(len(table[0]))
     stop, blocks, back = len(steps), _block_table(k), _BLOCK_LIMIT + 1  # read per call, so patches apply
-    parts, exact, ws = [], {}, None
+    ws, fold, room = _workspace(size), isinstance(into, list), max(size, _SLICE)
+    exact, opened, closed = {} if fold else into[2], {}, []  # opened: [x0, x1, live, lost, lanes] by slice
+    slices = ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
+    ints, wide = _Lanes(ws, ws.ints, 0, (None, -1, None, _PARKED)), _Lanes(ws, ws.wide, 0, _WIDE_PARKED)
 
-    def start(i):  # lane i's start
-        return next(lo + int(ws.offs[i]) for lo, _, q, c in parts if q <= i < q + c)
+    def retired(offs, bad, lost):  # counts each slice's live lanes, keeps its unresolved ones and closes it
+        if lost:
+            gone = offs[bad]
+            for i in np.unique(at := gone // size).tolist():
+                opened[i][3].append(gone[at == i])
+        for q in np.flatnonzero(np.isin(offs, list(exact))).tolist() if fold and exact else ():
+            if (p := exact.pop(int(offs[q]))) and not (lost and bad[q]):
+                into[1] = max(into[1], (p, lo + int(offs[q])), key=_rank)
+        if ordered:  # offs ascend, as no lane has come back from the limb set
+            at = np.searchsorted(offs, [(i + 1) * size for i in opened]).tolist()
+            counts = zip(list(opened), map(int.__sub__, at, [0, *at]))
+        else:
+            at = np.bincount(np.floor_divide(offs, size, out=ws.t[5, :offs.size]) - (first := next(iter(opened))))
+            counts = [(i, int(at[i - first])) for i in opened if i - first < at.size]
+        for i, c in counts:
+            if (s := opened[i])[2] == c:
+                closed.append((s[0], s[1], np.concatenate(s[3]) - (s[0] - lo) if s[3] else None))
+                del opened[i]
+            s[2] -= c
 
-    def put(d, lane, cur, pk, r):  # lands each lane: r plus its landing's steps, and the larger peak
-        (total, top), (ids, x, y, z, w), (over, bad) = ws.out, ws.t[:5, :d.size], ws.b[:, :d.size]
-        # A landing over budget is -1 before it indexes the table, as "wrap" steps far indices down slowly.
-        np.putmask(_take(cur, d, y), np.greater(_take(r, d, x), budget, out=over), -1)
+    def put(d, off, cur, pk, *rest):  # lands each lane: r plus its landing's steps, and the larger peak
+        (offs, x, y, z, w), (over, bad), (*big, r) = ws.t[:5, :d.size], ws.b[:, :d.size], rest
+        _take(r, d, x), _take(cur, d, y)
+        if spent:  # a landing over budget is -1 before it indexes the table, as "wrap" steps far indices down slowly
+            np.putmask(y, np.greater(x, budget, out=over), -1)
         x += _take(steps, y, z)  # still past budget where the landing is -1
-        np.logical_or(np.less(z, 0, out=over), np.greater(x, budget, out=bad), out=bad)
+        if lost := (a := int(np.maximum.reduce(x))) > budget or np.minimum.reduce(z) < 0:
+            np.logical_or(np.less(z, 0, out=over), np.greater(x, budget, out=bad), out=bad)
         np.maximum(_take(pk, d, z), _take(peak, y, w), out=z)
-        x[bad] = z[bad] = -1
-        total[_take(lane, d, ids)], top[ids] = x, z
+        if lost:
+            x[bad] = z[bad] = -1
+            a = int(np.maximum.reduce(x))
+        _take(off, d, offs)
+        if fold:  # a lane's int64 peak is below its limb one; ties go to the smallest x
+            for i, v, a in ((0, x, a), (1, z, int(np.maximum.reduce(z)))):
+                if a >= into[i][0]:
+                    into[i] = max(into[i], (a, lo + int(offs[np.equal(v, a, out=over)].min())), key=_rank)
+        else:
+            into[0][offs], into[1][offs] = x, z
+        if big:  # peaks h·2^32 + l past int64, h >= 2^31, and 0 elsewhere
+            h, l = _take(big[0], d, y), _take(big[1], d, w)
+            if not fold:
+                (bh, bl), at = _big_rows(ws), np.flatnonzero(h)
+                bh[offs[at]], bl[offs[at]] = h[at], l[at]
+            elif (a := int(np.maximum.reduce(np.multiply(h, np.logical_not(bad, out=over), out=h) if lost else h))) and a + 1 << 32 > into[1][0]:
+                e = (at := np.flatnonzero(h == a))[l[at] == l[at].max()]  # the largest low limb under the largest high one
+                into[1] = max(into[1], (a << 32 | int(l[e[0]]), lo + int(offs[e].min())), key=_rank)
+        retired(offs, bad, lost)
 
-    def to_wide(d, lane, cur, pk, r):
-        wl, h, l, ph, pl, rw = wide.add(d.size)
-        for src, dst in ((lane, wl), (r, rw), (cur, l), (pk, pl)):
+    def to_wide(d, off, cur, pk, *rest):
+        (wo, h, l, ph, pl, rw), (*big, r) = wide.add(d.size), rest
+        for src, dst in ((off, wo), (r, rw), (cur, l), (pk, pl)):
             _take(src, d, dst)
         for hi_limb, lo_limb in ((h, l), (ph, pl)):
             np.right_shift(lo_limb, 32, out=hi_limb)
             lo_limb &= _LOW
+        if big:  # a peak past int64 stays the lane's peak
+            up = np.not_equal(_take(big[0], d, ws.t[0, :d.size]), 0, out=ws.b[0, :d.size])
+            np.putmask(ph, up, ws.t[0, :d.size])
+            np.putmask(pl, up, _take(big[1], d, ws.t[1, :d.size]))
 
-    def to_ints(d, wl, h, l, ph, pl, rw):
-        ids, c, p, r = ints.add(d.size)
-        (x, y, u, v), b = ws.t[:4, :d.size], ws.b[:, :d.size]
-        for src, dst in ((wl, ids), (rw, r), (h, c), (ph, x), (pl, y)):  # put sets those over budget to -1
+    def to_ints(d, wo, h, l, ph, pl, rw):  # put sets those over budget to -1
+        nonlocal ordered
+        if len(ints.rows) == 4 and _take(ph, d, ws.t[0, :d.size]).max() >> 31:
+            ints.widen(ws.bigs)  # the first peak past int64
+        (off, c, p, *big, r), u, ordered = ints.add(d.size), ws.t[0, :d.size], False
+        for src, dst in ((wo, off), (rw, r), (h, c), (ph, p), (pl, u)):
             _take(src, d, dst)
-        np.bitwise_or(np.left_shift(c, 32, out=c), _take(l, d, u), out=c)
-        big = np.greater_equal(x, 1 << 31, out=b[1])  # the peak x·2^32 + y is past int64
-        np.bitwise_or(np.left_shift(x, 32, out=p), y, out=p)
-        np.putmask(p, big, c)
-        if big.any():  # each lane's row keeps the largest peak of its limb walks
-            bh, bl = _big_rows(ws)
-            u, v = _take(bh, ids, u), _take(bl, ids, v)
-            _raise(u, v, x, y, b)
-            bh[ids], bl[ids] = u, v
+        np.bitwise_or(np.left_shift(c, 32, out=c), _take(l, d, ws.t[1, :d.size]), out=c)
+        if big:  # the columns take the peaks x·2^32 + y past int64, and the int64 peak y alone
+            np.multiply(p, np.greater_equal(p, 1 << 31, out=ws.b[0, :d.size]), out=big[0])
+            np.multiply(u, ws.b[0, :d.size], out=big[1])
+            np.putmask(p, ws.b[0, :d.size], 0)
+        np.bitwise_or(np.left_shift(p, 32, out=p), u, out=p)
 
-    def walk():  # the batch, and then yields it
-        lane, cur, pk, r = ints.cols()
-        ints.room = wide.room = ints.size + wide.size  # no set takes blocks on more lanes than the batch has
-        while ints.live or wide.live:  # an empty int64 set takes its ops on no lanes
-            b0, b1 = ws.b[:, :ints.size]
-            done = np.less(cur.view(np.uint64), stop, out=b0)  # parked: 2^64 - 1
-            ints.retire(np.logical_or(done, np.greater(r, budget, out=b1), out=b0), put)
-            lane, cur, pk, r = ints.cols()
-            if cur.max(initial=0) >= back:
-                ints.retire(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), to_wide)
-                lane, cur, pk, r = ints.cols()
-            _advance(blocks, k, cur, r, pk, ws.t[:, :ints.size])
-            if wide.live:
-                _, h, l, ph, pl, rw = lanes = wide.cols()
-                (done, tmp), x = ws.b[:, :wide.size], ws.t[0, :wide.size]
-                for q in np.flatnonzero(np.greater_equal(h, _WIDE_LIMIT >> 32, out=done)).tolist():
-                    _exactly(exact, lanes, q, start, budget)  # from _WIDE_LIMIT, whose low limb is 0, on
-                # Back at or below _BLOCK_LIMIT, h < ceil((back - l) / 2^32), or over budget; parked h reads 2^64 - 1.
-                np.right_shift(np.subtract(back + _LOW, l, out=x), 32, out=x)
-                np.less(h.view(np.uint64), x.view(np.uint64), out=done)
-                wide.retire(np.logical_or(done, np.greater(rw, budget, out=tmp), out=done), to_ints)
-                _advance_wide(blocks, k, *wide.cols()[1:], ws.t[:, :wide.size], ws.b[:, :wide.size])
-                lane, cur, pk, r = ints.cols()
-        yield parts, exact
-
-    for lo, hi in slices:
-        (n, m, floor), ws = _shape(lo, hi, stop), _workspace(hi - lo + 1)
-        q = ints.size + wide.size if parts else 0
-        offs = _rep_offsets(lo, n, floor, k, ws.offs[q:])  # the row holds n lanes past the batch's
-        if parts and q + offs.size > _SLICE:  # this slice moves to the next batch's first lanes
-            yield from walk()
-            parts, exact, q, ws.offs[:offs.size], offs = [], {}, 0, offs, ws.offs[:offs.size]
-        if not parts:  # a new batch
-            ws.big = False  # whether this batch uses ws.peaks; see _big_rows
-            ints, wide = _Lanes(ws, ws.ints, 0, (None, -1, None, _PARKED)), _Lanes(ws, ws.wide, 0, _WIDE_PARKED)
+    def admit(x0, x1, offs):  # the slice's representatives take lanes
+        (n, m, floor), base = _shape(x0, x1, stop), x0 - lo
         ci, c = int(np.searchsorted(offs, m)), offs.size  # the int64 lanes; the limb ones follow
-        lane, cur, pk, r = ints.add(ci)
-        lane[:], r[:] = ws.iota[q:q + ci], 0
-        np.add(offs[:ci], min(lo, back), out=cur)
+        opened[base // size] = [x0, x1, c, [], c]
+        ints.room = wide.room = min(room, sum(s[4] for s in opened.values()))
+        off, cur, pk, *big, r = ints.add(ci)
+        np.add(offs[:ci], base, out=off)
+        np.add(offs[:ci], min(x0, back), out=cur)
+        for col in (r, *big):
+            col[:] = 0
         f = int(np.searchsorted(offs[:ci], floor))  # those from floor on take their first block
         _advance(blocks, k, cur[f:], r[f:], pk[f:], ws.t[:, :ci - f])
         pk[:] = cur
-        wl, h, l, ph, pl, rw = wide.add(c - ci)
-        wl[:], rw[:] = ws.iota[q + ci:q + c], 0
-        _start_limbs(offs[ci:], min(lo, _WIDE_LIMIT), h, l)
+        wo, h, l, ph, pl, rw = wide.add(c - ci)
+        np.add(offs[ci:], base, out=wo)
+        rw[:] = 0
+        _start_limbs(offs[ci:], min(x0, _WIDE_LIMIT), h, l)
         if floor < n and ci < c:
             _advance_wide(blocks, k, h, l, ph, pl, rw, ws.t[:, :c - ci], ws.b[:, :c - ci])
         ph[:], pl[:] = h, l
-        parts.append((lo, hi, q, c))
-    if parts:
-        yield from walk()
+
+    def listed(s):  # the slice s = (x0, x1) with its representatives, as x - x0, or None
+        return s and (*s, _rep_offsets(s[0], s[1] - s[0] + 1, _shape(*s, stop)[2], k, ws.next))
+
+    ordered, pending = True, listed(next(slices, None))
+    while True:
+        if 2 * (ints.live + wide.live) < _SLICE:  # refill the free lanes
+            while pending and ints.live + wide.live + pending[2].size <= room:
+                admit(*pending)
+                pending = listed(next(slices, None))
+        if not (ints.live or wide.live):
+            return
+        ints.room = wide.room = min(room, sum(s[4] for s in opened.values()))  # no set outgrows its slices
+        (b0, b1), (_, cur, _, *_, r) = ws.b[:, :ints.size], ints.cols()
+        done = np.less(cur.view(np.uint64), stop, out=b0)  # parked: 2^64 - 1
+        if spent := np.maximum.reduce(r, initial=0) > budget:
+            np.logical_or(done, np.greater(r, budget, out=b1), out=b0)
+        ints.retire(done, put)
+        _, cur, pk, *_, r = ints.cols()
+        if np.maximum.reduce(cur, initial=0) >= back:
+            ints.retire(np.greater_equal(cur, back, out=ws.b[0, :ints.size]), to_wide)
+            _, cur, pk, *_, r = ints.cols()
+        _advance(blocks, k, cur, r, pk, ws.t[:, :ints.size])
+        if wide.live:
+            _, h, l, ph, pl, rw = lanes = wide.cols()
+            (done, tmp), x = ws.b[:, :wide.size], ws.t[0, :wide.size]
+            for q in np.flatnonzero(np.greater_equal(h, _WIDE_LIMIT >> 32, out=done)).tolist():
+                _exactly(exact, lanes, q, lo, budget)  # from _WIDE_LIMIT, whose low limb is 0, on
+            # Back at or below _BLOCK_LIMIT, h < ceil((back - l) / 2^32), or over budget; parked h reads 2^64 - 1.
+            np.right_shift(np.subtract(back + _LOW, l, out=x), 32, out=x)
+            np.less(h.view(np.uint64), x.view(np.uint64), out=done)
+            wide.retire(np.logical_or(done, np.greater(rw, budget, out=tmp), out=done), to_ints)
+            _advance_wide(blocks, k, *wide.cols()[1:], ws.t[:, :wide.size], ws.b[:, :wide.size])
+        yield from closed
+        closed.clear()
 
 
-def _walk_lanes(lo: int, hi: int, table: tuple, budget: int):
-    """_walks on [lo, hi] alone, by start: one of a sieved slice takes
-    its representative's steps, and as peak the larger of its own
-    first-block peak and the representative's later peak, -1 where the
-    steps are. Returns (steps, peak, limbs, exact) by x - lo, as _walks
-    gives them, limbs _big_rows or None, valid until the next walk."""
+def _walk_lanes(lo: int, hi: int, table: tuple, budget: int, out=None):
+    """_walks on [lo, hi] as one slice into out, rows (steps, peak) by
+    x - lo, made if None: a start not walked takes its representative's
+    steps, and the larger of its own first-block peak and the
+    representative's later peak, -1 where the steps are. Returns (steps,
+    peak, limbs, exact) as _walks gives them, limbs _big_rows or None."""
     stop = len(table[0])
     (n, m, floor), k, ws = _shape(lo, hi, stop), _block_length(stop), _workspace(hi - lo + 1)
     if floor < n:  # every start's first-block peak, in ws.sieve, which the walk leaves
         _first_peaks(lo, hi, stop, k, np.zeros(n, dtype=bool))
-    ((part, *_), exact), = _walks([(lo, hi)], table, budget)
-    steps, peak = ws.out[:, :n]
-    if floor >= n:  # not sieved: every start has its lane, x - lo
-        return steps, peak, ws.peaks[:, :n] if ws.big else None, exact
-    c, (fh, first), at = part[3], ws.sieve[:, :n], ws.t[2, :n]
-    at[ws.offs[:c]] = ws.iota[:c]
-    lanes = _take(at, _reps(lo, n, floor, k, ws.t[1, :n]), ws.t[3, :n])  # each start's representative's lane
-    for col in (steps, peak, *(ws.peaks[:, :n] if ws.big else ())):
-        col[:] = _take(col, lanes, ws.t[0, :n])
+    (steps, peak), ws.big, exact = np.empty((2, n), dtype=np.int64) if out is None else out, False, {}
+    (_, _, _), = _walks(lo, hi, n, table, budget, (steps, peak, exact))  # the one slice, closed at the end
+    if floor >= n:  # not sieved: every start has its lane
+        return steps, peak, ws.peaks[:2, :n] if ws.big else None, exact
+    (fh, first), rep = ws.sieve[:, :n], _reps(lo, n, floor, k, ws.t[1, :n])  # each start's representative
+    for col in (steps, peak, *(ws.peaks[:2, :n] if ws.big else ())):
+        col[:] = _take(col, rep, ws.t[0, :n])
     if m < n:  # first-block peaks in limbs: those past int64 go to the rows
         _raise(*_big_rows(ws)[:, m:n], fh[m:], first[m:], ws.b[:, :n - m])
         np.bitwise_or(np.left_shift(fh[m:], 32, out=fh[m:]), first[m:], out=first[m:])
@@ -651,9 +703,8 @@ def _walk_lanes(lo: int, hi: int, table: tuple, budget: int):
     np.putmask(peak, np.less(steps, 0, out=ws.b[0, :n]), -1)
     spread = {}  # a lane stands only for starts of its own 2^k-aligned block
     for q, p in exact.items():
-        e = int(ws.offs[q])
-        spread.update(dict.fromkeys((np.flatnonzero(lanes[e:e + (1 << k)] == q) + e).tolist(), p))
-    return steps, peak, ws.peaks[:, :n] if ws.big else None, spread
+        spread.update(dict.fromkeys((np.flatnonzero(rep[q:q + (1 << k)] == q) + q).tolist(), p))
+    return steps, peak, ws.peaks[:2, :n] if ws.big else None, spread
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +724,7 @@ def _build_cache(cache_len: int, step_budget: int):
         for s in range(n, min(2 * n, cache_len), _SLICE):
             e = min(s + _SLICE, 2 * n, cache_len)
             # The size cap keeps every peak within int64, so none is in limbs.
-            steps[s:e], peak[s:e], _, _ = _walk_lanes(s, e - 1, (steps[:n], peak[:n]), step_budget)
+            _walk_lanes(s, e - 1, (steps[:n], peak[:n]), step_budget, (steps[s:e], peak[s:e]))
         n = min(2 * n, cache_len)
     return steps, peak
 
@@ -777,51 +828,30 @@ def _sweep_pooled(workers: int, chunks: Iterable, budget: int, cutoff: int) -> V
 def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = None) -> VerifyReport:
     """One report on [lo, hi], cycle search included, against table =
     (steps, peak) over [0, len), or in a pool worker the installed one.
-    The part below len reads the table at once; the rest is cut lazily
-    into _SLICE-start slices, walked in _walks's batches and reduced by
-    class with no array by start: a representative is its class's
-    smallest start, so the steps record and that of later peaks come
-    from representatives, and the first-block peaks' from _first_peaks
-    on a sieved slice's last 2^k starts. The later peaks' candidates are
-    the largest of the int64 top, the limb rows and exact, tiers of
-    disjoint values (below 2^63, below 2^95, from 2^95 on) in which no
-    top exceeds its lane's peak. A slice with a representative left
-    unresolved spreads it to its members, which the cutoff may certify,
-    and takes that maximum over all its other starts. Each batch's
-    candidates fold to one per record."""
+    The part below len reads the table; the rest streams through _walks
+    in _SLICE-start slices, whose lanes, a class's smallest start each,
+    fold into the records as they retire. As a slice closes, each
+    representative left unresolved spreads to its members, which the
+    cutoff may certify, and _first_peaks adds the first-block peaks from
+    its last 2^k starts, or with one unresolved from all its others."""
     cache_steps, cache_peak = table = table or _cache_slot[1]
     stop, ws, k = len(cache_steps), _local, _block_length(len(cache_steps))
-    missed, steps, peaks = [], [], []  # starts left unresolved, and (value, x) candidates for each record
+    missed, best = [], [(-1, 0), (-1, 0)]  # starts left unresolved, and the records as (value, x)
     if lo < stop:
         total, top = cache_steps[lo:hi + 1], cache_peak[lo:hi + 1]
         j, e = int(np.argmax(total)), int(np.argmax(top))
         missed += [lo + x for x in np.flatnonzero(total < 0).tolist()]
-        steps, peaks = [(int(total[j]), lo + j)], [(int(top[e]), lo + e)]
-    slices = ((s, min(s + _SLICE - 1, hi)) for s in range(max(lo, stop), hi + 1, _SLICE))
-    for parts, exact in _walks(slices, table, budget):
-        for x0, x1, q, c in parts:
-            (total, top), offs = ws.out[:, q:q + c], ws.offs[q:q + c]
-            bad = np.less(total, 0, out=ws.b[1, :c])
-            lost = offs[np.flatnonzero(bad)] if bad.any() else None
-            j, e = int(np.argmax(total)), int(np.argmax(top))  # the first, so the smallest x among ties
-            steps.append((int(total[j]), x0 + int(offs[j])))
-            peaks.append((int(top[e]), x0 + int(offs[e])))
-            peaks += [(p, x0 + int(offs[i - q])) for i, p in exact.items() if q <= i < q + c and not bad[i - q]]
-            h, l = ws.peaks[:, q:q + c]  # _big_rows if ws.big, zeroed where a lane does not reach 1
-            if ws.big and (a := int(np.multiply(h, np.logical_not(bad, out=ws.b[0, :c]), out=h).max())) >> 31:
-                at = _nonzero(np.equal(h, a, out=bad), ws.idx)
-                e = int(at[np.argmax(_take(l, at, ws.t[1, :at.size]))])
-                peaks.append((a << 32 | int(l[e]), x0 + int(offs[e])))
-            if lost is not None:  # spread each unresolved representative to its members
-                n, _, floor = _shape(x0, x1, stop)
-                rep, flag = _reps(x0, n, floor, k, ws.t[1, :n]), ws.b[0, :n]
-                flag[:] = False
-                flag[lost] = True
-                members = _take(flag, rep, ws.skip[:n])
-                missed += [x0 + x for x in np.flatnonzero(members).tolist()]
-            if x1 < _WIDE_LIMIT:  # sieved, as x0 >= stop
-                peaks.append(_first_peaks(x0, x1, stop, k, members if lost is not None else None))
-        steps, peaks = [max(steps, key=_rank)], [max(peaks, key=_rank)]
+        best = [(int(total[j]), lo + j), (int(top[e]), lo + e)]
+    for x0, x1, lost in _walks(max(lo, stop), hi, _SLICE, table, budget, best):
+        if lost is not None:  # spread each unresolved representative to its members
+            n, _, floor = _shape(x0, x1, stop)
+            rep, flag = _reps(x0, n, floor, k, ws.t[1, :n]), ws.b[0, :n]
+            flag[:] = False
+            flag[lost] = True
+            members = _take(flag, rep, ws.skip[:n])
+            missed += [x0 + x for x in np.flatnonzero(members).tolist()]
+        if x1 < _WIDE_LIMIT:  # sieved, as x0 >= stop
+            best[1] = max(best[1], _first_peaks(x0, x1, stop, k, members if lost is not None else None), key=_rank)
     # The cutoff walk: at the default budget almost no start takes it.
     unresolved = sorted(x for x in missed if cutoff < 2 or _descend(x, cutoff - 1, 0, x, budget)[0] < 0)
     # An unresolved start does not reach 1 within budget, so find_cycle's
@@ -830,8 +860,8 @@ def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = Non
     return VerifyReport(
         segments=((lo, hi),), unresolved=tuple(unresolved), verified_count=hi - lo + 1 - len(unresolved),
         cycles_found=_distinct_loops(o.loop for o in outcomes if isinstance(o, EntersCycle)),
-        max_total_stopping_time=_best(c for c in steps if c[0] >= 0),
-        max_excursion=_best(c for c in peaks if c[0] >= 0), wall_time=0.0,
+        max_total_stopping_time=RecordStat(*best[0]) if best[0][0] >= 0 else None,
+        max_excursion=RecordStat(*best[1]) if best[1][0] >= 0 else None, wall_time=0.0,
     )
 
 

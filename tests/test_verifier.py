@@ -983,10 +983,60 @@ def test_streamed_slices_match_per_start_walks(monkeypatch):
                 assert report.max_excursion == (RecordStat(*peak) if peak else None), cfg
 
 
+def test_refills_do_not_change_payloads(monkeypatch):
+    # With slices of 37 and 2^12 starts, a later slice's representatives
+    # take the lanes that earlier ones free wherever these retire, so no
+    # payload may depend on where refills fall: across the block and the
+    # wide limit (the module's, with slices of 37, and small ones, which
+    # send small starts through both in slices of either size), at budget
+    # 40, where unresolved representatives spread to their members, and
+    # with the cutoff at lo.
+    back, wide = verifier_mod._BLOCK_LIMIT + 1, verifier_mod._WIDE_LIMIT
+    cases = (
+        ((back - 300, back + 300), None),
+        ((wide - 300, wide + 300), None),
+        ((3 * 4096, 3 * 4096 + 13000), (1 << 13, 1 << 16)),
+    )
+    for (lo, hi), limits in cases:
+        with monkeypatch.context() as patch:
+            if limits is not None:
+                patch.setattr(verifier_mod, "_BLOCK_LIMIT", limits[0])
+                patch.setattr(verifier_mod, "_WIDE_LIMIT", limits[1])
+            for budget, cutoff in ((40, 1), (40, lo), (DEFAULT_STEP_BUDGET, 1)):
+                verified, unresolved, steps, peak = reference_sweep(lo, hi, budget, cutoff)
+                for cap in (37, 2**12):
+                    patch.setattr(verifier_mod, "_SLICE", cap)
+                    cfg = VerifyConfig(lo, hi, budget, cutoff, worker_count=1)
+                    with table_of(4096):
+                        report = verify_range(cfg)
+                    assert (report.verified_count, list(report.unresolved)) == (verified, unresolved), (cfg, cap)
+                    assert report.max_total_stopping_time == (RecordStat(*steps) if steps else None), (cfg, cap)
+                    assert report.max_excursion == (RecordStat(*peak) if peak else None), (cfg, cap)
+
+
+@pytest.mark.parametrize("cap", (37, 2**12))
+def test_contract_holds_with_small_slices(monkeypatch, cap):
+    # The contract property test with sweeps in slices of cap starts,
+    # whose lanes refill at many more places. Its tables are built in
+    # slices of the module's size, as builds in small slices are tested
+    # apart and would take most of the time.
+    real = verifier_mod._build_cache
+
+    def build_cache(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verifier_mod, "_SLICE", KERNEL_LIMITS["_SLICE"])
+            return real(*args)
+
+    monkeypatch.setattr(verifier_mod, "_build_cache", build_cache)
+    monkeypatch.setattr(verifier_mod, "_SLICE", cap)
+    test_verifier_contract_property()
+
+
 def test_consecutive_slices_share_their_rounds(monkeypatch):
-    # The representatives of two 2^16-start slices from 2^21 walk in one
-    # batch, so after the two first blocks the sweep takes no more int64
-    # blocks than the longer of its slices walked alone.
+    # The representatives of two 2^16-start slices from 2^21 fit the
+    # lanes together, so both take lanes before the first round, and
+    # after the two first blocks the sweep takes no more int64 blocks
+    # than the longer of its slices walked alone.
     cfg = VerifyConfig(1 << 21, (1 << 21) + 2**17 - 1, worker_count=1)
     reference = verify_range(cfg).payload()  # and the table
     calls, real, table = [], verifier_mod._advance, table_at(1 << 20, DEFAULT_STEP_BUDGET)
@@ -1008,8 +1058,9 @@ def test_consecutive_slices_share_their_rounds(monkeypatch):
 
 def test_each_walked_slice_is_sieved_once(monkeypatch):
     # Four 2^16-start slices from 2^21: the third slice's representatives
-    # do not fit the batch of the first two, so it is listed only once
-    # that batch has walked, and no slice is listed twice.
+    # do not fit the lanes beside those of the first two, so, listed
+    # once, they wait until retiring lanes free enough of them, and no
+    # slice is listed twice.
     cfg = VerifyConfig(1 << 21, (1 << 21) + 4 * 2**16 - 1, worker_count=1)
     reference = verify_range(cfg).payload()  # and the table
     calls, real = [], verifier_mod._rep_offsets
@@ -1021,6 +1072,24 @@ def test_each_walked_slice_is_sieved_once(monkeypatch):
     monkeypatch.setattr(verifier_mod, "_rep_offsets", rep_offsets)
     assert verify_range(cfg).payload() == reference
     assert calls == [(cfg.range_lo + i * 2**16, 2**16) for i in range(4)], calls
+
+
+def test_refill_keeps_the_lanes_full(monkeypatch):
+    # A warm sweep of 32 slices from 2^21 admits each slice's
+    # representatives into lanes that earlier slices' retiring lanes
+    # free, so it takes one first block per slice and about 50 rounds,
+    # where walks that each drain to a tail take 337 calls.
+    cfg = VerifyConfig(1 << 21, (1 << 21) + 32 * 2**16 - 1, worker_count=1)
+    reference = verify_range(cfg).payload()  # and the table
+    calls, real = [], verifier_mod._advance
+
+    def advance(*args):
+        calls.append(args[2].size)
+        real(*args)
+
+    monkeypatch.setattr(verifier_mod, "_advance", advance)
+    assert verify_range(cfg).payload() == reference
+    assert len(calls) <= 100, len(calls)
 
 
 def test_in_process_slices_come_from_the_range(monkeypatch):
