@@ -13,7 +13,8 @@ result is exactly that of a step-by-step walk. _block_levels(k) is the
 package's one builder of that map: each j-step block's multiplier,
 offset, col-step count and exact peak for every residue mod 2^j, for
 j = 0..k in one doubling pass. The verifier's lane tables are its
-levels 1..12, _descend's blocks its level 8.
+levels 1..12, _descend's blocks its level 8 and, on walks that start
+2^64 times or more above their floor, its level 12.
 """
 
 from __future__ import annotations
@@ -29,10 +30,15 @@ if TYPE_CHECKING:
 
 DEFAULT_STEP_BUDGET = 10**5
 
-# Block length of _descend, in steps of T. K = 12 walks 8-2048 bit starts
-# ~25% faster but starts below 2^18 ~40% slower (more of each walk is
-# below the block threshold).
+# Block lengths of _descend, in steps of T. 12-step blocks walk 8-2048 bit
+# starts ~1.4x as fast as 8-step ones, but a walk with K-step blocks takes
+# single steps from (floor + 1)·2^K down, and 4,096 rows of 12-step blocks
+# hold ~0.8 MB against ~0.04 MB for 256 rows of 8-step ones. So a walk that
+# starts at or above (floor + 1)·2^_FAR takes _LONG_K-step blocks down to
+# (floor + 1)·2^_LONG_K; every walk takes _K-step blocks from there on.
 _K = 8
+_LONG_K = 12
+_FAR = 64
 
 
 class DomainError(ValueError):
@@ -143,12 +149,14 @@ def _block_levels(k: int):
 
 
 @functools.cache
-def _blocks() -> tuple:
-    """Level _K of _block_levels, the blocks _descend takes: built once
-    per process, the one level held as Python rows."""
-    for level in _block_levels(_K):
+def _blocks(k: int) -> tuple:
+    """(rows, top_m, top_e): level k of _block_levels, the k-step blocks
+    _descend takes, held as Python rows, with the largest peak_mult and
+    the largest peak_off of any row. Built once per process per level,
+    and only for the levels a walk reaches."""
+    for rows in _block_levels(k):
         pass
-    return level
+    return rows, max(row[3] for row in rows), max(row[4] for row in rows)
 
 
 def _descend(
@@ -160,24 +168,52 @@ def _descend(
     largest value seen; value is -1 if budget col-steps run out first.
 
     While c > high and the block fits the budget, the walk takes a
-    whole K-step block from _blocks(). Every value inside the block from
-    c = 2^K·a + j is at least a, so with the default high, (floor + 1)·2^K,
-    no block passes the first value at or below floor, and that is the
-    value returned. A lower high may land further down the orbit. The
-    rest of the walk goes one col-step at a time, so steps and peak are
-    exactly those of a plain step-by-step walk to the value returned.
+    whole _K-step block from _blocks(_K). Every value inside the block
+    from c = 2^K·a + j is at least a, so with the default high,
+    (floor + 1)·2^K, no block passes the first value at or below floor,
+    and that is the value returned. A lower high may land further down
+    the orbit. A walk with the default high that starts at or above
+    (floor + 1)·2^_FAR first takes _LONG_K-step blocks, by the same bound
+    down to (floor + 1)·2^_LONG_K, and goes on from there. The rest of
+    the walk goes one col-step at a time, so steps and peak are exactly
+    those of a plain step-by-step walk to the value returned.
+
+    A block's peak is peak_m·a + peak_e <= top_m·a + top_e, at most p
+    while a <= (p - top_e) // top_m. So the walk works out a block's
+    peak only for a above that bound, and the bound only after it has
+    worked out a peak; the first block of each length works out both.
     """
-    blocks = _blocks()
-    high, mask = (floor + 1) << _K if high is None else high, (1 << _K) - 1
+    if high is None:
+        high = (floor + 1) << _K
+        if c >> _FAR > floor:
+            blocks, top_m, top_e = _blocks(_LONG_K)
+            mask, bound = (1 << _LONG_K) - 1, -1
+            long_high = (floor + 1) << _LONG_K
+            while c > long_high:
+                mult, off, n, peak_m, peak_e = blocks[c & mask]
+                if r + n > budget:
+                    break
+                a = c >> _LONG_K
+                if a > bound:
+                    q = peak_m * a + peak_e
+                    if q > p:
+                        p = q
+                    bound = (p - top_e) // top_m
+                c = mult * a + off
+                r += n
+    blocks, top_m, top_e = _blocks(_K)
+    mask, bound = (1 << _K) - 1, -1
     while c > floor:
         while c > high:
             mult, off, n, peak_m, peak_e = blocks[c & mask]
             if r + n > budget:
                 break
             a = c >> _K
-            q = peak_m * a + peak_e
-            if q > p:
-                p = q
+            if a > bound:
+                q = peak_m * a + peak_e
+                if q > p:
+                    p = q
+                bound = (p - top_e) // top_m
             c = mult * a + off
             r += n
         if r >= budget:

@@ -20,7 +20,7 @@ from collatzkit import (
     total_stopping_time,
     validate_loop,
 )
-from collatzkit.dynamics import _K, _brent_walk, _descend
+from collatzkit.dynamics import _FAR, _K, _LONG_K, _brent_walk, _descend
 
 
 def naive_orbit_to_one(x):
@@ -338,21 +338,78 @@ def plain_descend(c, floor, r, p, budget):
     return c, r, p
 
 
+def far_preimage(v, floor, rnd):
+    """A start at or above (floor + 1)·2^_FAR whose orbit reaches v after
+    a multiple of _LONG_K steps of T, so that long blocks land on v."""
+    c = v
+    while c >> _FAR <= floor:
+        for _ in range(_LONG_K):
+            # the odd preimage y of c under T, (3y + 1)/2 = c, if there is one
+            y, rem = divmod(2 * c - 1, 3)
+            c = y if rem == 0 and y & 1 and rnd.random() < 0.3 else 2 * c
+    return c
+
+
+def first_block(c, k):
+    """(value, col-steps, peak) after k steps of T from c, c included in
+    the peak."""
+    n, peak = 0, c
+    for _ in range(k):
+        if c & 1:
+            c, n, peak = (3 * c + 1) >> 1, n + 2, max(peak, 3 * c + 1)
+        else:
+            c, n = c >> 1, n + 1
+    return c, n, peak
+
+
 @st.composite
 def descend_cases(draw):
     c = draw(st.integers(0, 310).flatmap(lambda bits: st.integers(1, 2**bits)))
-    kind = draw(st.sampled_from(("one", "large", "threshold")))
+    kind = draw(
+        st.sampled_from(
+            ("one", "large", "threshold", "gate", "long threshold", "long budget", "block peak")
+        )
+    )
     if kind == "one":
         floor = 1
     elif kind == "large":
         floor = draw(st.integers(1, 2**300))
-    else:
+    elif kind == "threshold":
         # c just above or just below (floor + 1)·2^K, where blocks start
         floor = max(1, (c >> _K) - 1 + draw(st.integers(-2, 2)))
+    elif kind == "gate":
+        # c just above or just below (floor + 1)·2^_FAR, where long blocks start
+        floor = draw(st.integers(1, 2**200))
+        c = ((floor + 1) << _FAR) + draw(st.integers(-2, 2))
+    elif kind == "block peak":
+        # The first two blocks are all 3x+1 steps, on the residue whose
+        # block has the largest peak, and p is just below, at or just
+        # above the second one's peak.
+        floor, k = 1, draw(st.sampled_from((_K, _LONG_K)))
+        c = (c % 2**_FAR if k == _K else ((floor + 1) << _FAR) + c) | ((1 << 2 * k) - 1)
+    else:
+        floor = draw(st.integers(1, 2**100))
+        if kind == "long threshold":
+            # a far start whose long blocks land just above or below
+            # (floor + 1)·2^_LONG_K, where they stop
+            v = ((floor + 1) << _LONG_K) + draw(st.integers(-2, 2))
+            c = far_preimage(v, floor, draw(st.randoms(use_true_random=False)))
+        else:
+            c = ((floor + 1) << _FAR) + draw(st.integers(0, 2**200))
     r = draw(st.integers(0, 50))
     p = c + draw(st.one_of(st.just(0), st.integers(1, 2**320)))
     # Small budgets run out inside the first blocks.
     budget = r + draw(st.one_of(st.integers(-2, 40), st.integers(41, 10**5)))
+    if kind == "long budget":
+        # a far start whose budget runs out inside its first long block
+        # or just fits it
+        budget = r + first_block(c, _LONG_K)[1] + draw(st.integers(-3, 1))
+    elif kind == "block peak":
+        # and a budget of those two blocks alone, so that their peak is
+        # the walk's
+        v, n1, _ = first_block(c, k)
+        _, n2, peak = first_block(v, k)
+        p, budget = max(c, peak + draw(st.integers(-2, 1))), r + n1 + n2
     return c, floor, r, p, max(1, budget)
 
 

@@ -421,12 +421,13 @@ def test_forced_escalation_paths_agree(monkeypatch):
 
 
 def test_block_tables_are_exact():
-    # The lane tables are dynamics._blocks(k) as int64 columns; each row
-    # must match a plain walk of its residue. Every col-step value of a
-    # k-step block from x = 2^k·a + r is m·a + e; the table's peak term
-    # must dominate every (m, e) pair, so that it is the block's peak for
-    # every a, and no value may leave int64 for x up to the block limit,
-    # or in a wide lane's limbs below the wide limit.
+    # The lane tables are level k of dynamics._block_levels as int64
+    # columns; each row must match a plain walk of its residue. Every
+    # col-step value of a k-step block from x = 2^k·a + r is m·a + e;
+    # the table's peak term must dominate every (m, e) pair, so that it
+    # is the block's peak for every a, and no value may leave int64 for
+    # x up to the block limit, or in a wide lane's limbs below the wide
+    # limit.
     limit = verifier_mod._BLOCK_LIMIT
     h = (verifier_mod._WIDE_LIMIT >> 32) - 1  # the largest high limb below it
     for k in range(1, verifier_mod.K + 1):
@@ -1235,6 +1236,13 @@ for argv in (
     ["graph", "--modulus", "10", "--format", "json"],
 ):
     assert dispatch(argv) == 0, argv
+# Walks from less than 2^64 times their floor hold only the 8-step block
+# rows, which every walk needs; a 2048-bit start adds the 12-step rows.
+blocks = collatzkit.dynamics._blocks
+collatzkit.total_stopping_time(2**64 - 1)
+assert blocks.cache_info().currsize == 1
+collatzkit.total_stopping_time(2**2047 + 1)
+assert blocks.cache_info().currsize == 2
 assert "numpy" not in sys.modules
 assert collatzkit.verify_range is collatzkit.verifier.verify_range
 assert "numpy" in sys.modules
