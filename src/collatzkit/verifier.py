@@ -21,8 +21,8 @@ fixed-width multi-word verifiers do (Oliveira e Silva 2010; Barina
 2021), as are peaks past int64, in two columns by lane. Values too large
 for the limbs, and starts among them, walk in the package's one exact
 big-integer walker, dynamics._descend, until they fit again, and only
-peaks from 2^95 on are Python ints, so correctness never depends on
-fixed-width integers.
+peaks from 2^95 on, or past int64 in rows by start, are Python ints, so
+correctness never depends on fixed-width integers.
 
 Starts 2^k·a + j whose residues j share a block map land on one value
 after the same steps of T; only 1,535 of the 4,096 maps mod 2^12 are
@@ -32,11 +32,13 @@ slice's start, walks, listed in closed form. The others need only the
 largest first-block peak; start 2^k·a + j peaks at peak_m[j]·a +
 peak_e[j], peak_m >= 1, so a slice's lies among its last 2^k starts.
 Convergence-only verifiers drop them (Barina 2021); here they stay
-exact. A range's walked starts are one stream of lanes, refilled in
-mid-walk, the persistent-threads pattern of Gupta, Stuart & Owens
-(2012): whenever fewer than half are live, the next slices' take the
-free ones, so rounds keep their fixed cost spread over many lanes, and
-each lane folds into the records as it retires.
+exact. The walked starts of a sweep's range, or of a table block [n,
+2n), are one stream of lanes, refilled in mid-walk, the
+persistent-threads pattern of Gupta, Stuart & Owens (2012): whenever
+fewer than half are live, the next slices' take the free ones, so
+rounds keep their fixed cost spread over many lanes. A sweep's lanes
+fold into the records as they retire; a table block's land in its
+rows, and each slice's others take their representatives' as it closes.
 
 Each thread walks in its own workspace of fixed 2^16-lane rows,
 written through out= arguments and np.take(..., mode="wrap"), so a warm
@@ -325,33 +327,24 @@ def _nonzero(mask, out):
 _local = threading.local()
 
 
-def _workspace(n: int):
+def _workspace():
     """This thread's lane buffers, made on its first walk and reused by
-    every walk after it: int64 and bool rows of at least n and _SLICE
-    lanes, whose views hold every lane, output and temporary of a walk
-    and its readers, so that threads that sweep at once share none."""
+    every walk after it: int64 and bool rows of _SLICE lanes, whose views
+    hold every lane, output and temporary of a walk and its readers, so
+    that threads that sweep at once share none."""
     ws = _local
-    if getattr(ws, "size", 0) < max(n, _SLICE):
-        ws.size = max(n, _SLICE)
+    if getattr(ws, "size", 0) < _SLICE:
+        ws.size = _SLICE
         i, ws.b = np.empty((30, ws.size), dtype=np.int64), np.empty((2, ws.size), dtype=bool)
         ws.t, ws.idx, ws.iota = i[0:6], i[6], np.arange(ws.size)
         ws.ints, ws.wide = (i[7:11], i[11:15]), (i[15:21], i[21:27])  # (rows, spares)
         ws.sieve, ws.next = i[27:29], i[29]  # next: the next slice's representatives, as x - its lo
         ws.skip = np.empty(ws.size, dtype=bool)
-        # _big_rows and the int64 set's limb-peak columns and spares, apart from i, whose huge
-        # pages would make them resident in sweeps that never use them.
-        ws.peaks = np.empty((6, ws.size), dtype=np.int64)
-        ws.bigs = (ws.peaks[2:4], ws.peaks[4:6])
+        # The int64 set's limb-peak columns and spares, apart from i, whose huge pages
+        # would make them resident in sweeps that never use them.
+        peaks = np.empty((4, ws.size), dtype=np.int64)
+        ws.bigs = (peaks[0:2], peaks[2:4])
     return ws
-
-
-def _big_rows(ws):
-    """_walk_lanes' rows (h, l) of peaks h·2^32 + l past int64 by start, h
-    >= 2^31; zeroed on first use, so walks with no such peak skip them."""
-    if not ws.big:
-        ws.big = True
-        ws.peaks[:2].fill(0)
-    return ws.peaks[:2]
 
 
 class _Lanes:
@@ -514,8 +507,8 @@ def _first_peaks(lo: int, hi: int, stop: int, k: int, skip=None) -> tuple[int, i
     return best[0], t - best[1]
 
 
-def _walks(lo: int, hi: int, size: int, table: tuple, budget: int, into):
-    """Walk the starts of [lo, hi], in slices of size starts, in lanes,
+def _walks(lo: int, hi: int, table: tuple, budget: int, into):
+    """Walk the starts of [lo, hi], in slices of _SLICE starts, in lanes,
     one block per round, until each drops below stop, the size of table
     = (steps, peak), or passes budget col-steps; k is cut so that no
     block passes through 1. Lanes carry their starts as x - lo, in two
@@ -535,14 +528,14 @@ def _walks(lo: int, hi: int, size: int, table: tuple, budget: int, into):
     peak and the landing's, -1 in both past budget: if resolved, into
     the records into = [steps, peak], each (value, x), larger values
     and then smaller x first; or into rows by x - lo, into =
-    (steps, peak, exact), peaks past int64 in _big_rows and from 2^95 on
-    in exact. Yields each slice (x0, x1, lost) once its last lane
-    retires, lost the offsets x - x0 of its representatives left
-    unresolved, or None.
+    (steps, peak, big), peaks past int64 as Python ints in the dict big,
+    which may also hold some for lanes past budget. Yields each slice
+    (x0, x1, lost) once its last lane retires, lost the offsets x - x0
+    of its representatives left unresolved, or None.
     """
     (steps, peak), k = table, _block_length(len(table[0]))
     stop, blocks, back = len(steps), _block_table(k), _BLOCK_LIMIT + 1  # read per call, so patches apply
-    ws, fold, room = _workspace(size), isinstance(into, list), max(size, _SLICE)
+    ws, fold, size = _workspace(), isinstance(into, list), _SLICE
     exact, opened, closed = {} if fold else into[2], {}, []  # opened: [x0, x1, live, lost, lanes] by slice
     slices = ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
     ints, wide = _Lanes(ws, ws.ints, 0, (None, -1, None, _PARKED)), _Lanes(ws, ws.wide, 0, _WIDE_PARKED)
@@ -588,9 +581,9 @@ def _walks(lo: int, hi: int, size: int, table: tuple, budget: int, into):
             into[0][offs], into[1][offs] = x, z
         if big:  # peaks h·2^32 + l past int64, h >= 2^31, and 0 elsewhere
             h, l = _take(big[0], d, y), _take(big[1], d, w)
-            if not fold:
-                (bh, bl), at = _big_rows(ws), np.flatnonzero(h)
-                bh[offs[at]], bl[offs[at]] = h[at], l[at]
+            if not fold:  # a peak from 2^95 on is already in exact
+                for q in np.flatnonzero(h).tolist():
+                    exact.setdefault(int(offs[q]), int(h[q]) << 32 | int(l[q]))
             elif (a := int(np.maximum.reduce(np.multiply(h, np.logical_not(bad, out=over), out=h) if lost else h))) and a + 1 << 32 > into[1][0]:
                 e = (at := np.flatnonzero(h == a))[l[at] == l[at].max()]  # the largest low limb under the largest high one
                 into[1] = max(into[1], (a << 32 | int(l[e[0]]), lo + int(offs[e].min())), key=_rank)
@@ -626,7 +619,7 @@ def _walks(lo: int, hi: int, size: int, table: tuple, budget: int, into):
         (n, m, floor), base = _shape(x0, x1, stop), x0 - lo
         ci, c = int(np.searchsorted(offs, m)), offs.size  # the int64 lanes; the limb ones follow
         opened[base // size] = [x0, x1, c, [], c]
-        ints.room = wide.room = min(room, sum(s[4] for s in opened.values()))
+        ints.room = wide.room = min(size, sum(s[4] for s in opened.values()))
         off, cur, pk, *big, r = ints.add(ci)
         np.add(offs[:ci], base, out=off)
         np.add(offs[:ci], min(x0, back), out=cur)
@@ -648,13 +641,13 @@ def _walks(lo: int, hi: int, size: int, table: tuple, budget: int, into):
 
     ordered, pending = True, listed(next(slices, None))
     while True:
-        if 2 * (ints.live + wide.live) < _SLICE:  # refill the free lanes
-            while pending and ints.live + wide.live + pending[2].size <= room:
+        if 2 * (ints.live + wide.live) < size:  # refill the free lanes
+            while pending and ints.live + wide.live + pending[2].size <= size:
                 admit(*pending)
                 pending = listed(next(slices, None))
         if not (ints.live or wide.live):
             return
-        ints.room = wide.room = min(room, sum(s[4] for s in opened.values()))  # no set outgrows its slices
+        ints.room = wide.room = min(size, sum(s[4] for s in opened.values()))  # no set outgrows its slices
         (b0, b1), (_, cur, _, *_, r) = ws.b[:, :ints.size], ints.cols()
         done = np.less(cur.view(np.uint64), stop, out=b0)  # parked: 2^64 - 1
         if spent := np.maximum.reduce(r, initial=0) > budget:
@@ -680,31 +673,30 @@ def _walks(lo: int, hi: int, size: int, table: tuple, budget: int, into):
 
 
 def _walk_lanes(lo: int, hi: int, table: tuple, budget: int, out=None):
-    """_walks on [lo, hi] as one slice into out, rows (steps, peak) by
-    x - lo, made if None: a start not walked takes its representative's
-    steps, and the larger of its own first-block peak and the
-    representative's later peak, -1 where the steps are. Returns (steps,
-    peak, limbs, exact) as _walks gives them, limbs _big_rows or None."""
-    stop = len(table[0])
-    (n, m, floor), k, ws = _shape(lo, hi, stop), _block_length(stop), _workspace(hi - lo + 1)
-    if floor < n:  # every start's first-block peak, in ws.sieve, which the walk leaves
-        _first_peaks(lo, hi, stop, k, np.zeros(n, dtype=bool))
-    (steps, peak), ws.big, exact = np.empty((2, n), dtype=np.int64) if out is None else out, False, {}
-    (_, _, _), = _walks(lo, hi, n, table, budget, (steps, peak, exact))  # the one slice, closed at the end
-    if floor >= n:  # not sieved: every start has its lane
-        return steps, peak, ws.peaks[:2, :n] if ws.big else None, exact
-    (fh, first), rep = ws.sieve[:, :n], _reps(lo, n, floor, k, ws.t[1, :n])  # each start's representative
-    for col in (steps, peak, *(ws.peaks[:2, :n] if ws.big else ())):
-        col[:] = _take(col, rep, ws.t[0, :n])
-    if m < n:  # first-block peaks in limbs: those past int64 go to the rows
-        _raise(*_big_rows(ws)[:, m:n], fh[m:], first[m:], ws.b[:, :n - m])
+    """_walks on [lo, hi] into out, rows (steps, peak) by x - lo, made if
+    None. As each sieved slice closes, a start not walked takes its
+    representative's steps, and the larger of its own first-block peak
+    and the representative's later peak, -1 where the steps are. Returns
+    (steps, peak, big), big the peaks past int64 as Python ints by x -
+    lo; the peak row holds no meaning there."""
+    stop, ws, k = len(table[0]), _local, _block_length(len(table[0]))
+    (steps, peak), big = np.empty((2, hi - lo + 1), dtype=np.int64) if out is None else out, {}
+    for x0, x1, _ in _walks(lo, hi, table, budget, (steps, peak, big)):
+        (n, m, floor), a = _shape(x0, x1, stop), x0 - lo
+        if floor == n:  # not sieved: every start has its lane
+            continue
+        s, p, rep = steps[a:a + n], peak[a:a + n], _reps(x0, n, floor, k, ws.t[1, :n])  # each start's representative
+        for col in (s, p):
+            col[:] = _take(col, rep, ws.t[0, :n])
+        for q in [q - a for q in big if a <= q < a + n]:  # a lane stands only for starts of its own 2^k-aligned block
+            big.update(dict.fromkeys((np.flatnonzero(rep[q:q + (1 << k)] == q) + a + q).tolist(), big[a + q]))
+        _first_peaks(x0, x1, stop, k, np.less(s, 0, out=ws.skip[:n]))  # into ws.sieve, -1 where the steps are
+        fh, first = ws.sieve[:, :n]
+        for i in (np.flatnonzero(np.greater_equal(fh[m:], 1 << 31, out=ws.b[0, :n - m])) + m).tolist():  # past int64
+            big[a + i] = max(big.get(a + i, 0), int(fh[i]) << 32 | int(first[i]))
         np.bitwise_or(np.left_shift(fh[m:], 32, out=fh[m:]), first[m:], out=first[m:])
-    np.maximum(peak, first, out=peak)  # wrong only where the rows hold the peak
-    np.putmask(peak, np.less(steps, 0, out=ws.b[0, :n]), -1)
-    spread = {}  # a lane stands only for starts of its own 2^k-aligned block
-    for q, p in exact.items():
-        spread.update(dict.fromkeys((np.flatnonzero(rep[q:q + (1 << k)] == q) + q).tolist(), p))
-    return steps, peak, ws.peaks[:2, :n] if ws.big else None, spread
+        np.maximum(p, first, out=p)
+    return steps, peak, {i: v for i, v in big.items() if steps[i] >= 0}
 
 
 # ---------------------------------------------------------------------------
@@ -715,17 +707,16 @@ def _build_cache(cache_len: int, step_budget: int):
     """Exact (total steps to 1, orbit peak) for every x in [0, cache_len),
     -1 in both where x does not reach 1 within step_budget col-steps.
     Blocks [n, 2n) of doubling size, from [2, 4), are each resolved
-    against the part [0, n) built so far, by the same rule as a chunk,
-    in slices of at most _SLICE starts walked by _walk_lanes.
+    against the part [0, n) built so far, by the same rule as a sweep,
+    each in one _walk_lanes stream.
     """
     steps, peak = np.full((2, cache_len), -1, dtype=np.int64)
     steps[1], peak[1], n = 0, 1, 2
     while n < cache_len:
-        for s in range(n, min(2 * n, cache_len), _SLICE):
-            e = min(s + _SLICE, 2 * n, cache_len)
-            # The size cap keeps every peak within int64, so none is in limbs.
-            _walk_lanes(s, e - 1, (steps[:n], peak[:n]), step_budget, (steps[s:e], peak[s:e]))
-        n = min(2 * n, cache_len)
+        e = min(2 * n, cache_len)
+        # The size cap keeps every peak within int64, so none is in big.
+        _walk_lanes(n, e - 1, (steps[:n], peak[:n]), step_budget, (steps[n:e], peak[n:e]))
+        n = e
     return steps, peak
 
 
@@ -842,7 +833,7 @@ def _sweep(lo: int, hi: int, budget: int, cutoff: int, table: tuple | None = Non
         j, e = int(np.argmax(total)), int(np.argmax(top))
         missed += [lo + x for x in np.flatnonzero(total < 0).tolist()]
         best = [(int(total[j]), lo + j), (int(top[e]), lo + e)]
-    for x0, x1, lost in _walks(max(lo, stop), hi, _SLICE, table, budget, best):
+    for x0, x1, lost in _walks(max(lo, stop), hi, table, budget, best):
         if lost is not None:  # spread each unresolved representative to its members
             n, _, floor = _shape(x0, x1, stop)
             rep, flag = _reps(x0, n, floor, k, ws.t[1, :n]), ws.b[0, :n]

@@ -615,16 +615,6 @@ def test_sweeps_do_not_depend_on_the_allocator():
     assert len(faults) == 4 and max(faults) < 2000, faults
 
 
-def walked_peak(i, peak, limbs, exact):
-    """Lane i's peak: in exact from 2^95 on, else in the limb rows where
-    their high limb is at least 2^31, else in peak."""
-    if i in exact:
-        return exact[i]
-    if limbs is not None and limbs[0][i] >= 1 << 31:
-        return int(limbs[0][i]) << 32 | int(limbs[1][i])
-    return int(peak[i])
-
-
 # The kernel's limits as the module sets them, before any test patches them.
 KERNEL_LIMITS = {name: getattr(verifier_mod, name) for name in ("_SLICE", "_PIECE", "_BLOCK_LIMIT", "_WIDE_LIMIT")}
 
@@ -649,19 +639,19 @@ def table_at(stop, budget):
 def check_walk_lanes(lo, hi, stop, budget):
     """The lane contract, apart from blocks and lane bookkeeping: on the
     table of stop entries, each start leaves the lanes with the steps and
-    the largest value of its walk to 1 (in the limb rows when it is past
-    int64, in exact when it is past them), or -1 in both where that walk
+    the largest value of its walk to 1 (in big, as a Python int, when it
+    is past int64), or -1 in both and no entry in big where that walk
     takes more than budget steps."""
-    steps, peak, limbs, exact = verifier_mod._walk_lanes(lo, hi, table_at(stop, budget), budget)
-    assert set(exact) <= set(range(hi - lo + 1))
+    steps, peak, big = verifier_mod._walk_lanes(lo, hi, table_at(stop, budget), budget)
+    assert set(big) <= set(range(hi - lo + 1))
     for i, x in enumerate(range(lo, hi + 1)):
         walk = plain_walk(x, budget)
         if walk is None:
-            assert steps[i] == peak[i] == -1
+            assert steps[i] == peak[i] == -1 and i not in big
             continue
         assert steps[i] == walk[0]
-        assert (i in exact) == (walk[1] >= 2**95)
-        assert walked_peak(i, peak, limbs, exact) == walk[1]
+        assert (i in big) == (walk[1] >= 2**63)
+        assert big.get(i, peak[i]) == walk[1]
 
 
 def test_walk_lanes_matches_plain_walk(monkeypatch):
@@ -717,7 +707,7 @@ def test_representatives_are_listed_in_closed_form():
     # block limit, up to the wide limit), slice size and floor.
     rng = random.Random(27)
     back, wide = verifier_mod._BLOCK_LIMIT + 1, verifier_mod._WIDE_LIMIT
-    verifier_mod._workspace(2**16)
+    verifier_mod._workspace()
     for k in (1, 2, 5, 12):
         for n in (1, 2**k - 1, 2**k, 2**k + 1, rng.randrange(1, 3 * 2**k), rng.randrange(1, 2**16), 2**16):
             for base in (2**21, back - 2**17, back, wide - 2**17, rng.randrange(2**20, 2**60)):
@@ -737,12 +727,12 @@ def test_first_block_peak_record_lies_in_the_last_block():
     # walk of each start's first block finds it.
     rng = random.Random(27)
     back, wide = verifier_mod._BLOCK_LIMIT + 1, verifier_mod._WIDE_LIMIT
+    verifier_mod._workspace()
     for stop in (64, 1 << 20):
         k = min(verifier_mod.K, stop.bit_length() - 2)
         for n in (1, 2**k - 1, 2**k, 2**k + 1, rng.randrange(1, 5000), 2**16):
             for lo in (stop, 2**40 + rng.randrange(2**20), back - n // 2, 2**62 + 3, wide - n - rng.randrange(9)):
                 hi = lo + n - 1
-                verifier_mod._workspace(n)
                 tail = verifier_mod._first_peaks(lo, hi, stop, k)
                 assert tail == verifier_mod._first_peaks(lo, hi, stop, k, np.zeros(n, dtype=bool)), (lo, n)
                 best = None
@@ -785,8 +775,8 @@ def test_walk_lanes_sieve_matches_plain_walk(monkeypatch):
     # 12-step block. The windows past 2^56 are sieved in limbs, and from
     # 2^60 on their first-block peaks pass int64. 45487026724 and
     # 45487026725 share their block (their orbits meet at step 3) and
-    # peak past int64, so the limb rows must reach the start that is not
-    # walked.
+    # peak past int64, so the walked start's peak must reach the start
+    # that is not walked.
     assert verifier_mod._canon(12)[45487026725 % 4096] == 45487026724 % 4096
     monkeypatch.setattr(verifier_mod, "_SLICE", 37)
     for stop in (4096, 1 << 20):
@@ -853,13 +843,16 @@ def test_straddling_slices_walk_only_representatives(monkeypatch):
     # in limbs, and one across a stop off a power of two takes it from
     # stop on; after that, no block is taken on more lanes than the
     # slice has representatives, those below lo or stop standing for
-    # themselves alone.
+    # themselves alone. _first_peaks' limb pass, which takes every
+    # start's first block after the walk and has no step counts r, is
+    # not counted.
     lanes = {"_advance": [], "_advance_wide": []}
     for name, sizes in lanes.items():
         real = getattr(verifier_mod, name)
 
         def advance(table, k, x, *rest, real=real, sizes=sizes):
-            sizes.append(x.size)
+            if len(rest) < 4 or rest[3] is not None:  # _advance, or _advance_wide with r
+                sizes.append(x.size)
             real(table, k, x, *rest)
 
         monkeypatch.setattr(verifier_mod, name, advance)
@@ -941,19 +934,24 @@ def test_hand_overs_fit_a_workspace_of_one_slice(monkeypatch):
             in_new_thread(walk)
 
 
-def test_peaks_past_int64_stay_in_limbs():
-    # The 2^60 and 2^63 windows of perfbench's sweep-sparse, walked in
-    # slices as a sweep cuts them: their peaks past int64 all fit the
-    # limb rows, so exact stays empty.
-    for lo, size in ((1155474331410394239, 2 * 2**16), (9255382125081044196, 2**12)):
-        for s in range(lo, lo + size, verifier_mod._SLICE):
-            hi = min(s + verifier_mod._SLICE, lo + size) - 1
-            steps, _, limbs, exact = verifier_mod._walk_lanes(s, hi, table_at(1 << 20, DEFAULT_STEP_BUDGET), DEFAULT_STEP_BUDGET)
-            assert exact == {} and limbs is not None and (steps >= 0).all()
-            assert (limbs[0] >= 1 << 31).any()
+def test_peaks_past_int64_stay_in_limbs(monkeypatch):
+    # The 2^60 and 2^63 windows of perfbench's sweep-sparse: their peaks
+    # past int64 all fit the limbs, so no lane walks exactly, and they
+    # leave the lanes below 2^95.
+    table = table_at(1 << 20, DEFAULT_STEP_BUDGET)
+
+    def exactly(*args):
+        raise AssertionError("a lane walked exactly")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier_mod, "_exactly", exactly)
+        for lo, size in ((1155474331410394239, 2 * 2**16), (9255382125081044196, 2**12)):
+            steps, _, big = verifier_mod._walk_lanes(lo, lo + size - 1, table, DEFAULT_STEP_BUDGET)
+            assert (steps >= 0).all() and big
+            assert all(2**63 <= p < 2**95 for p in big.values())
     # The first two lanes pass the block limit again after a wide walk
     # whose peak passed int64, and return from the second one with others
-    # whose peaks pass it: the rows keep each lane's larger peak.
+    # whose peaks pass it: each keeps its larger peak.
     check_walk_lanes(72057594037967702, 72057594037967738, 1 << 20, DEFAULT_STEP_BUDGET)
 
 
@@ -1112,8 +1110,9 @@ def test_in_process_slices_come_from_the_range(monkeypatch):
 
 def test_table_build_maps_each_sieved_slice_once(monkeypatch):
     # The 2^20 table is built in 30 slices, each from its own stop on and
-    # so sieved: each lists its representatives once, and maps its starts
-    # to them once, for the spread of the lanes' results.
+    # so sieved: each lists its representatives once, in order, and maps
+    # its starts to them once, for the spread of the lanes' results, as
+    # it closes, in any order within its doubling block.
     calls = {"_reps": [], "_rep_offsets": []}
     for name, seen in calls.items():
         real = getattr(verifier_mod, name)
@@ -1126,7 +1125,31 @@ def test_table_build_maps_each_sieved_slice_once(monkeypatch):
     verifier_mod._build_cache(1 << 20, DEFAULT_STEP_BUDGET)
     slices = [(s, min(s + 2**16, 2 * n) - s) for n in (2**i for i in range(1, 20)) for s in range(n, 2 * n, 2**16)]
     assert len(slices) == 30
-    assert calls["_reps"] == calls["_rep_offsets"] == slices, calls
+    assert sorted(calls["_reps"]) == calls["_rep_offsets"] == slices, calls
+
+
+def test_table_build_streams_each_doubling_block(monkeypatch):
+    # Each doubling block of the 2^20 table is one stream of lanes,
+    # refilled in mid-walk, so the build takes at most 300 rounds, where
+    # one walk per slice, each draining to a tail, takes 423.
+    calls, real = [], verifier_mod._advance
+
+    def advance(*args):
+        calls.append(args[2].size)
+        real(*args)
+
+    monkeypatch.setattr(verifier_mod, "_advance", advance)
+    verifier_mod._build_cache(1 << 20, DEFAULT_STEP_BUDGET)
+    assert len(calls) <= 300, len(calls)
+
+
+@pytest.mark.parametrize("budget, digest", (
+    (DEFAULT_STEP_BUDGET, "4d3c435a20e6617f"), (300, "3d1c774142b6f763"), (40, "877975429409d1e2"),
+))
+def test_table_bytes_are_pinned(budget, digest):
+    # The 2^20 table's steps and peaks, byte for byte, at three budgets.
+    steps, peak = verifier_mod._build_cache(1 << 20, budget)
+    assert hashlib.sha256(steps.tobytes() + peak.tobytes()).hexdigest()[:16] == digest
 
 
 class FirstBatchWalked(Exception):
